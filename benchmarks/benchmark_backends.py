@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the compiled kernels against their pure-Python twins.
+"""Time the compiled subpermanent-profile kernel against its pure-Python twin.
 
-Covers the two hot paths: the subpermanent-profile dynamic program (per
-sampled matrix) and the full tuple-enumeration oracle.  Run after an
+The profile dynamic program is the one compiled kernel; it runs once per
+sampled matrix and once per matrix the oracle evaluates.  Run after an
 editable install:
 
     python benchmarks/benchmark_backends.py
@@ -48,29 +48,8 @@ def bench_profiles():
             print(f"{n:>4} {r:>3} {t_pure:>9.3f}s {'n/a':>10} {'':>8}")
 
 
-def bench_oracle():
-    print()
-    print("tuple-enumeration oracle (full product-sum table)")
-    print(f"{'n':>4} {'r':>3} {'tuples':>9} {'pure':>10} {'compiled':>10} {'speedup':>8}")
-    for n, r in [(4, 2), (4, 3), (5, 2)]:
-        import math
-
-        count = math.factorial(n) ** r
-        t_pure, tbl_pure = time_call(_pykernels.oracle_product_sums, n, r)
-        if kernels.compiled_available():
-            from permex import _ckernels
-
-            t_comp, tbl_comp = time_call(_ckernels.oracle_product_sums, n, r)
-            assert tbl_pure == tbl_comp
-            print(f"{n:>4} {r:>3} {count:>9} {t_pure:>9.3f}s {t_comp:>9.3f}s "
-                  f"{t_pure / t_comp:>7.1f}x")
-        else:
-            print(f"{n:>4} {r:>3} {count:>9} {t_pure:>9.3f}s {'n/a':>10} {'':>8}")
-
-
 if __name__ == "__main__":
     backend = "compiled + pure" if kernels.compiled_available() else "pure only"
     print(f"available backends: {backend}")
     print()
     bench_profiles()
-    bench_oracle()

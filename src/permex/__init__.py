@@ -5,7 +5,6 @@ oracle, Monte Carlo estimation, and the variational rate-function layer.
 
 from .asymptotics import (
     RateComponents,
-    RatePoint,
     StationarySolution,
     analytic_solution,
     finite_rate_single,
@@ -31,7 +30,6 @@ from .model import (
     assemble_matrix,
     enumerate_tuples,
     sample_matrix,
-    sample_matrices,
     sample_permutation,
     sample_stream,
     tuple_count,
@@ -76,7 +74,6 @@ __all__ = [
     "MomentKey",
     "PermexError",
     "RateComponents",
-    "RatePoint",
     "ScanRow",
     "SolverError",
     "SquareMatrix",
@@ -97,7 +94,6 @@ __all__ = [
     "product_rate",
     "profile_iterator",
     "rate_components",
-    "sample_matrices",
     "sample_matrix",
     "sample_permutation",
     "sample_stream",

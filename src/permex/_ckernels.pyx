@@ -1,27 +1,23 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled twins of the hot kernels in ``_pykernels``.
+"""Compiled twin of the subpermanent-profile kernel in ``_pykernels``.
 
-Profile values are carried in int64 and tuple-product accumulators in
-int128, so callers must certify (via ``profile_value_bound``) that every
-intermediate fits; the dispatcher in ``kernels`` routes oversized inputs
-to the pure-Python implementation instead.
+Profile values are carried in int64, so callers must certify (via
+``profile_value_bound``) that every intermediate fits; the dispatcher in
+``kernels`` routes oversized inputs to the pure-Python implementation
+instead.
 """
 
-import itertools
 import math
 
 from libc.stdlib cimport free, malloc
-from libc.string cimport memset
 
 from .errors import CapacityError
 
 cdef extern from *:
-    ctypedef long long i128 "__int128"
     int __builtin_ctzl(unsigned long) nogil
     int __builtin_popcountl(unsigned long) nogil
 
 ctypedef long long i64
-ctypedef unsigned long long u64
 
 BACKEND_NAME = "compiled"
 
@@ -64,15 +60,6 @@ cdef void _profile_kernel(const i64 *mat, int n, i64 *f, i64 *out):
         out[__builtin_popcountl(<unsigned long>s)] += f[s]
 
 
-cdef object _i128_to_pyint(i128 v):
-    # accumulators are non-negative by construction
-    cdef u64 hi = <u64>(v >> 64)
-    cdef u64 lo = <u64>v
-    if hi == 0:
-        return int(lo)
-    return (int(hi) << 64) | int(lo)
-
-
 def subperm_profile(rows, int n):
     """int64 version of the subset dynamic program; see the pure twin."""
     if profile_value_bound(n, max(max(row) for row in rows)) >= I64_SAFE_BOUND:
@@ -94,86 +81,3 @@ def subperm_profile(rows, int n):
         return [out[i] for i in range(n + 1)]
     finally:
         free(mat); free(f); free(out)
-
-
-def oracle_product_sums(int n, int r, int first_lo=0, first_hi=None):
-    """Same contract as the pure twin: exact product-sum table over tuples."""
-    bound = profile_value_bound(n, r)
-    if bound >= I64_SAFE_BOUND:
-        raise CapacityError(f"profile values may overflow int64 at n={n}, r={r}")
-    perms = list(itertools.permutations(range(n)))
-    cdef long nfact = len(perms)
-    cdef long hi_idx = nfact if first_hi is None else <long>first_hi
-    cdef long lo_idx = first_lo
-
-    # flush int128 accumulators to Python ints before they can saturate
-    max_term = bound * bound
-    flush_every = (1 << 125) // max_term
-    if flush_every < 1:
-        flush_every = 1
-    if flush_every > (1 << 22):
-        flush_every = 1 << 22
-
-    cdef long size = (<long>1) << n
-    cdef int cells = (n + 1) * (n + 1)
-    cdef int *pflat = <int *>malloc(nfact * n * sizeof(int))
-    cdef long *idx = <long *>malloc(r * sizeof(long))
-    cdef i64 *mat = <i64 *>malloc(n * n * sizeof(i64))
-    cdef i64 *f = <i64 *>malloc(size * sizeof(i64))
-    cdef i64 *prof = <i64 *>malloc((n + 1) * sizeof(i64))
-    cdef i128 *acc = <i128 *>malloc(cells * sizeof(i128))
-    if (pflat == NULL or idx == NULL or mat == NULL or f == NULL
-            or prof == NULL or acc == NULL):
-        free(pflat); free(idx); free(mat); free(f); free(prof); free(acc)
-        raise MemoryError()
-
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    cdef long p_i, since_flush, limit
-    cdef int i, j, k, m, m2, pos
-    cdef const int *perm
-    try:
-        for p_i in range(nfact):
-            for j in range(n):
-                pflat[p_i * n + j] = perms[p_i][j]
-        memset(acc, 0, cells * sizeof(i128))
-        idx[0] = lo_idx
-        for k in range(1, r):
-            idx[k] = 0
-        since_flush = 0
-        limit = <long>flush_every
-        while lo_idx < hi_idx and idx[0] < hi_idx:
-            memset(mat, 0, n * n * sizeof(i64))
-            for k in range(r):
-                perm = pflat + idx[k] * n
-                for i in range(n):
-                    mat[i * n + perm[i]] += 1
-            _profile_kernel(mat, n, f, prof)
-            for m in range(n + 1):
-                for m2 in range(m, n + 1):
-                    acc[m * (n + 1) + m2] += <i128>prof[m] * <i128>prof[m2]
-            since_flush += 1
-            if since_flush >= limit:
-                for m in range(n + 1):
-                    for m2 in range(m, n + 1):
-                        table[m][m2] += _i128_to_pyint(acc[m * (n + 1) + m2])
-                memset(acc, 0, cells * sizeof(i128))
-                since_flush = 0
-            # odometer: last position spins fastest
-            pos = r - 1
-            while pos > 0:
-                idx[pos] += 1
-                if idx[pos] < nfact:
-                    break
-                idx[pos] = 0
-                pos -= 1
-            if pos == 0:
-                idx[0] += 1
-        for m in range(n + 1):
-            for m2 in range(m, n + 1):
-                table[m][m2] += _i128_to_pyint(acc[m * (n + 1) + m2])
-        for m in range(n + 1):
-            for m2 in range(m + 1, n + 1):
-                table[m2][m] = table[m][m2]
-        return table
-    finally:
-        free(pflat); free(idx); free(mat); free(f); free(prof); free(acc)

@@ -1,12 +1,10 @@
-"""Pure-Python reference kernels.
+"""Pure-Python reference kernel for the subpermanent profile.
 
-These run on plain Python integers, so they have no overflow ceiling; the
+It runs on plain Python integers, so it has no overflow ceiling; the
 compiled twin in ``_ckernels`` is selected instead whenever its int64 bound
 certification passes.  Both implementations must stay bit-identical in
 output.
 """
-
-import itertools
 
 BACKEND_NAME = "pure"
 
@@ -39,32 +37,3 @@ def subperm_profile(rows, n):
     for s in range(size):
         out[bin(s).count("1")] += f[s]
     return out
-
-
-def oracle_product_sums(n, r, first_lo=0, first_hi=None):
-    """Sum perm_m * perm_m2 over permutation tuples, for every (m, m2).
-
-    Enumerates tuples whose first permutation has lexicographic index in
-    [first_lo, first_hi); the full table is the sum of disjoint slices.
-    Returns an (n+1) x (n+1) symmetric table of exact integers.
-    """
-    perms = list(itertools.permutations(range(n)))
-    if first_hi is None:
-        first_hi = len(perms)
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    for first in perms[first_lo:first_hi]:
-        for rest in itertools.product(perms, repeat=r - 1):
-            rows = [[0] * n for _ in range(n)]
-            for p in (first, *rest):
-                for i, j in enumerate(p):
-                    rows[i][j] += 1
-            prof = subperm_profile(rows, n)
-            for m in range(n + 1):
-                pm = prof[m]
-                row = table[m]
-                for m2 in range(m, n + 1):
-                    row[m2] += pm * prof[m2]
-    for m in range(n + 1):
-        for m2 in range(m + 1, n + 1):
-            table[m2][m] = table[m][m2]
-    return table

@@ -10,7 +10,7 @@ single-subpermanent rates.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -327,14 +327,3 @@ def product_rate(p, q, r) -> float:
     """(1/n) ln E(perm_m perm_m2) in the limit: S/n at the stationary point."""
     sol = analytic_solution(p, q, r)
     return sol.s_over_n
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    """One evaluated point of a rate sweep."""
-
-    p: float
-    q: float
-    r: int
-    rate: float
-    residual_max: float = field(default=0.0)

@@ -101,7 +101,6 @@ def _cmd_oracle(args):
     moment = ensemble_average_bruteforce(
         args.n, args.r, args.m, args.m2,
         tuple_budget=args.budget or TUPLE_BUDGET_DEFAULT,
-        threads=args.threads,
     )
     header, rows = _moment_csv(moment)
     _emit(args, _moment_payload("oracle", moment), header, rows)
@@ -355,14 +354,13 @@ def _suite_solver(args):
     return rows, worst, worst < tol, tol
 
 
-def _oracle_rows(cases, budget, threads, product):
+def _oracle_rows(cases, budget, product):
     rows = []
     ok = True
     for n, r in cases:
         for m in range(n + 1):
             for m2 in range(m, n + 1) if product else (0,):
-                want = ensemble_average_bruteforce(
-                    n, r, m, m2, tuple_budget=budget, threads=threads)
+                want = ensemble_average_bruteforce(n, r, m, m2, tuple_budget=budget)
                 if product:
                     got = expectation_product(n, r, m, m2)
                 else:
@@ -378,8 +376,7 @@ def _oracle_rows(cases, budget, threads, product):
 def _suite_oracle_single(args):
     r_values = [args.r] if args.r else [1, 2, 3]
     cases = [(n, r) for n in range(1, 6) for r in r_values]
-    return _oracle_rows(cases, args.budget or TUPLE_BUDGET_DEFAULT,
-                        args.threads, product=False)
+    return _oracle_rows(cases, args.budget or TUPLE_BUDGET_DEFAULT, product=False)
 
 
 def _suite_oracle_product(args):
@@ -387,8 +384,7 @@ def _suite_oracle_product(args):
     cases = [(n, r) for n in range(1, 5) for r in r_values]
     if args.r is None or args.r == 2:
         cases.append((5, 2))
-    return _oracle_rows(cases, args.budget or TUPLE_BUDGET_DEFAULT,
-                        args.threads, product=True)
+    return _oracle_rows(cases, args.budget or TUPLE_BUDGET_DEFAULT, product=True)
 
 
 _SUITES = {

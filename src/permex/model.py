@@ -127,12 +127,6 @@ def sample_matrix(spec: EnsembleSpec, sample_index: int = 0) -> SquareMatrix:
     return assemble_matrix(sample_permutation(spec.n, rng) for _ in range(spec.r))
 
 
-def sample_matrices(spec: EnsembleSpec, count: int, start_index: int = 0):
-    """Iterate ``count`` consecutive samples starting at ``start_index``."""
-    for i in range(start_index, start_index + count):
-        yield sample_matrix(spec, i)
-
-
 def tuple_count(n: int, r: int) -> int:
     return math.factorial(n) ** r
 

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from . import kernels
 from .asymptotics import single_rate_limit
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .model import EnsembleSpec, sample_stream, tuple_count
-from .permanents import MomentKey, product_sum_table
+from .permanents import DIM_LIMIT_DEFAULT, MomentKey, product_sum_table
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,9 @@ def estimate_moments(
         raise DomainError(f"need samples >= 2, got {samples}")
     if not (0 <= m <= n and 0 <= m2 <= n):
         raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
+    if n > DIM_LIMIT_DEFAULT:
+        # each sample's profile DP holds 2^n states
+        raise CapacityError(f"profile limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
 
     space = tuple_count(n, r)
     if space <= samples:

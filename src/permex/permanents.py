@@ -1,15 +1,15 @@
-"""Exact permanents, subpermanent profiles, and the brute-force ensemble oracle.
+"""Exact permanents, subpermanent profiles, and the ensemble oracle.
 
 perm_m of an n x n matrix is the sum, over all ways to pick m rows and m
-columns, of the permanent of the selected m x m submatrix.  Everything in
+columns, of the permanent of the selected m x m submatrix.  The oracle
+averages perm_m * perm_m2 over all (n!)^r permutation tuples as an orbit
+sum over cycle types (see ``kernels.oracle_product_sums``).  Everything in
 this module is exact integer or rational arithmetic.
 """
 
-import concurrent.futures
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -115,20 +115,12 @@ _table_cache = {}
 _table_lock = threading.Lock()
 
 
-def _oracle_worker(args):
-    n, r, lo, hi = args
-    return kernels.oracle_product_sums(n, r, lo, hi)
-
-
-def product_sum_table(
-    n: int,
-    r: int,
-    tuple_budget: int = TUPLE_BUDGET_DEFAULT,
-    threads: int = 1,
-):
+def product_sum_table(n: int, r: int, tuple_budget: int = TUPLE_BUDGET_DEFAULT):
     """Exact (n+1) x (n+1) table of sums of perm_m * perm_m2 over all tuples.
 
-    Cached per (n, r); the budget only guards the first computation.
+    Cached per (n, r); the budget only guards the first computation.  It
+    bounds the (n!)^r tuples the table sums over, although the oracle
+    evaluates only p(n) (n!)^(r-2) matrices.
     """
     if n < 1 or r < 1:
         raise DomainError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
@@ -141,19 +133,7 @@ def product_sum_table(
         raise CapacityError(
             f"(n!)^r = {total} tuples for (n={n}, r={r}) exceeds budget {tuple_budget}"
         )
-    nfact = factorial(n)
-    if threads > 1 and nfact >= 2 * threads:
-        bounds = [nfact * i // threads for i in range(threads + 1)]
-        jobs = [(n, r, bounds[i], bounds[i + 1]) for i in range(threads)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_oracle_worker, jobs))
-        table = [[0] * (n + 1) for _ in range(n + 1)]
-        for part in parts:
-            for m in range(n + 1):
-                for m2 in range(n + 1):
-                    table[m][m2] += part[m][m2]
-    else:
-        table = kernels.oracle_product_sums(n, r)
+    table = kernels.oracle_product_sums(n, r)
     with _table_lock:
         _table_cache[key] = table
     return table
@@ -165,12 +145,11 @@ def ensemble_average_bruteforce(
     m: int,
     m2: int,
     tuple_budget: int = TUPLE_BUDGET_DEFAULT,
-    threads: int = 1,
 ) -> ExactMoment:
-    """Exact E(perm_m * perm_m2) by full enumeration of all (n!)^r tuples."""
+    """Exact E(perm_m * perm_m2) over all (n!)^r tuples, from the oracle table."""
     if not (0 <= m <= n and 0 <= m2 <= n):
         raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
-    table = product_sum_table(n, r, tuple_budget=tuple_budget, threads=threads)
+    table = product_sum_table(n, r, tuple_budget=tuple_budget)
     total = tuple_count(n, r)
     return ExactMoment(
         value=Fraction(table[m][m2], total),

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from permex.cli import dispatch
+from permex.permanents import DIM_LIMIT_DEFAULT
 
 
 def run(capsys, *argv):
@@ -140,6 +141,26 @@ def test_capacity_error_exits_2(capsys):
                        "--m2", "0")
     assert code == 2
     assert "error" in err
+
+
+def test_bad_backend_name_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("PERMEX_BACKEND", "bogus")
+    code, _, err = run(capsys, "mc", "--n", "4", "--r", "2", "--m", "2",
+                       "--samples", "10", "--threads", "1")
+    assert code == 1
+    assert "PERMEX_BACKEND" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("mc", "--r", "2", "--m", "2"),
+    ("scan", "--r", "2", "--p", "0.5", "--q", "0.5"),
+])
+def test_sampling_dimension_limit_exits_2(capsys, argv):
+    n = str(DIM_LIMIT_DEFAULT + 1)
+    code, out, err = run(capsys, *argv, "--n", n, "--samples", "2", "--threads", "1")
+    assert code == 2
+    assert out == ""
+    assert "limited to n <=" in err
 
 
 def test_byte_identical_reports(capsys):

@@ -7,13 +7,15 @@ from permex import (
     CapacityError,
     EnsembleSpec,
     SquareMatrix,
+    assemble_matrix,
     ensemble_average_bruteforce,
+    enumerate_tuples,
     permanent,
     sample_matrix,
     subpermanent_bruteforce,
     subpermanent_profile,
 )
-from permex import _pykernels, kernels
+from permex import _pykernels, kernels, permanents
 from permex.permanents import product_sum_table
 
 IDENTITY3 = SquareMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -131,14 +133,26 @@ def test_profile_monotone_bound():
                 assert prof.values[m] <= comb(n, m) ** 2 * factorial(m) * r**m
 
 
-def test_oracle_threads_equivalent():
-    serial = kernels.oracle_product_sums(3, 2)
-    lo = kernels.oracle_product_sums(3, 2, 0, 3)
-    hi = kernels.oracle_product_sums(3, 2, 3, 6)
-    merged = [
-        [lo[m][m2] + hi[m][m2] for m2 in range(4)] for m in range(4)
-    ]
-    assert merged == serial
+def test_oracle_matches_full_enumeration():
+    # The orbit sum fixes P1 = I and takes P2 per cycle type; summing over
+    # every tuple checks that reduction independently.
+    cases = [(n, r) for n in range(1, 5) for r in range(1, 4)] + [(5, 2)]
+    for n, r in cases:
+        want = [[0] * (n + 1) for _ in range(n + 1)]
+        for perms in enumerate_tuples(n, r):
+            prof = subpermanent_profile(assemble_matrix(perms)).values
+            for m in range(n + 1):
+                for m2 in range(n + 1):
+                    want[m][m2] += prof[m] * prof[m2]
+        assert product_sum_table(n, r) == want, (n, r)
+
+
+def test_oracle_budget_counts_all_tuples(monkeypatch):
+    # (5!)^3 tuples exceed the budget even though far fewer matrices are
+    # evaluated.  A cached (5, 3) table would skip the budget check.
+    monkeypatch.setattr(permanents, "_table_cache", {})
+    with pytest.raises(CapacityError):
+        ensemble_average_bruteforce(5, 3, 1, 1, tuple_budget=10**6)
 
 
 def test_backends_agree():
@@ -154,8 +168,6 @@ def test_backends_agree():
         assert _ckernels.subperm_profile(mat.entries, n) == _pykernels.subperm_profile(
             mat.entries, n
         )
-    assert _ckernels.oracle_product_sums(3, 2) == _pykernels.oracle_product_sums(3, 2)
-    assert _ckernels.oracle_product_sums(2, 3) == _pykernels.oracle_product_sums(2, 3)
 
 
 def test_pure_backend_forced(monkeypatch):
