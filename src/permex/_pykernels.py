@@ -3,7 +3,8 @@
 It runs on plain Python integers, so it has no overflow ceiling; the
 compiled twin in ``_ckernels`` is selected instead whenever its int64 bound
 certification passes.  Both implementations must stay bit-identical in
-output.
+output, and so must the batched numpy kernel ``kernels.subperm_profiles``,
+which runs the same DP over a block of matrices.
 """
 
 BACKEND_NAME = "pure"

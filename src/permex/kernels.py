@@ -1,15 +1,22 @@
-"""Kernel backend selection, and the ensemble oracle built on it.
+"""Kernel backend selection, the batched sampling kernel, and the oracle.
 
-The compiled extension is used whenever it imported successfully and the
-input certifies as safe for its fixed-width arithmetic; anything else runs
-on the pure-Python kernels.  ``PERMEX_BACKEND=pure|compiled|auto`` forces
-the choice (``compiled`` raises if unusable).
+Every kernel call certifies its inputs once: when ``profile_value_bound``
+proves that all values fit, fixed-width int64 arithmetic is used, and
+otherwise exact Python integers.  Per matrix, int64 means the compiled
+extension, and without it the pure-Python kernel runs; a block of sampled
+matrices runs one vectorised numpy DP, on int64 or on ``object`` arrays
+of Python ints, on every install.
+``PERMEX_BACKEND=pure`` forces Python integers, ``auto`` (the default)
+and ``compiled`` use int64 when certified, and ``compiled`` raises if the
+extension is missing or the bound fails.
 """
 
 import itertools
 import os
 from collections import Counter
 from math import comb, factorial
+
+import numpy as np
 
 from . import _pykernels
 from .errors import CapacityError, DomainError
@@ -43,17 +50,21 @@ def profile_value_bound(n: int, max_entry: int) -> int:
     return best
 
 
-def _pick(bound: int):
+def _fixed_width(bound: int) -> bool:
+    """Whether values up to ``bound`` run on int64 under PERMEX_BACKEND."""
     mode = backend_mode()
     if mode == "pure":
-        return _pykernels
+        return False
     if mode == "compiled":
         if _ckernels is None:
             raise CapacityError("PERMEX_BACKEND=compiled but the extension is not built")
         if bound >= I64_SAFE_BOUND:
             raise CapacityError("PERMEX_BACKEND=compiled but values exceed the int64 bound")
-        return _ckernels
-    if _ckernels is not None and bound < I64_SAFE_BOUND:
+    return bound < I64_SAFE_BOUND
+
+
+def _pick(bound: int):
+    if _fixed_width(bound) and _ckernels is not None:
         return _ckernels
     return _pykernels
 
@@ -67,6 +78,36 @@ def subperm_profile(rows, n: int, max_entry=None):
     if max_entry is None:
         max_entry = max(max(row) for row in rows)
     return _pick(profile_value_bound(n, max_entry)).subperm_profile(rows, n)
+
+
+def subperm_profiles(mats, n: int, max_entry: int):
+    """Profiles of a (B, n, n) block of matrices with entries <= max_entry.
+
+    The subset DP of ``_pykernels.subperm_profile``, run on the whole block
+    at once: the state is laid out (2^n, B), batch innermost, so adding row
+    i to every subset that lacks it is one numpy op on a reshaped view.
+    Returns n + 1 lists of Python ints; entry [m][b] is perm_m of matrix b.
+    """
+    dtype = np.int64 if _fixed_width(profile_value_bound(n, max_entry)) else object
+    # cols[j, i] holds entry (i, j) of every matrix in the block
+    cols = np.ascontiguousarray(np.asarray(mats).transpose(2, 1, 0), dtype=dtype)
+    size, batch = 1 << n, cols.shape[-1]
+    f = np.zeros((size, batch), dtype=dtype)
+    f[0] = 1
+    for j in range(n):
+        g = f.copy()
+        for i in range(n):
+            if not cols[j, i].any():
+                continue  # zero in every matrix: pays off for blocks of one
+            # axis 1 of these views is bit i of the subset index
+            src = f.reshape(-1, 2, 1 << i, batch)
+            dst = g.reshape(src.shape)
+            dst[:, 1] += cols[j, i] * src[:, 0]
+        f = g
+    popcount = np.zeros(size, dtype=np.intp)
+    for i in range(n):
+        popcount.reshape(-1, 2, 1 << i)[:, 1] += 1
+    return [f[popcount == m].sum(axis=0).tolist() for m in range(n + 1)]
 
 
 def _partitions(n: int, largest: int):

@@ -2,10 +2,13 @@
 
 Integer statistics (sums and sums of squares) are accumulated exactly and
 only converted to floats at the very end, so no precision is lost to
-cancellation no matter how large the subpermanent values grow.  When the
-whole tuple space is smaller than the requested sample count, estimation
-switches to enumeration mode and returns the exact ensemble average with
-zero standard error.
+cancellation no matter how large the subpermanent values grow.  Samples
+are drawn in blocks of ``block_size(n)`` matrices; each block's
+profiles come from one call of the batched numpy kernel
+``kernels.subperm_profiles``, which certifies int64 or Python-int
+arithmetic once for the block.  When the whole tuple space is smaller
+than the requested sample count, estimation switches to enumeration mode
+and returns the exact ensemble average with zero standard error.
 """
 
 import concurrent.futures
@@ -13,11 +16,28 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import kernels
 from .asymptotics import single_rate_limit
 from .errors import CapacityError, DomainError
 from .model import EnsembleSpec, sample_stream, tuple_count
 from .permanents import DIM_LIMIT_DEFAULT, MomentKey, product_sum_table
+
+# Matrices per batched kernel call.  Up to 2^BLOCK_MAX_N states a block
+# holds at least BLOCK_MATRICES matrices and BLOCK_CELLS DP cells (2^n
+# states x matrices): fewer leave numpy's per-operation cost dominant,
+# more raise peak memory without running faster.  Above that each op
+# already spans thousands of states, so batching gains nothing, while a
+# block of one sampled matrix (at most r nonzeros per column) lets the
+# kernel skip most of its n^2 row updates.
+BLOCK_CELLS = 1 << 14
+BLOCK_MATRICES = 64
+BLOCK_MAX_N = 12
+
+
+def block_size(n: int) -> int:
+    return max(BLOCK_MATRICES, BLOCK_CELLS >> n) if n <= BLOCK_MAX_N else 1
 
 
 @dataclass(frozen=True)
@@ -55,27 +75,23 @@ def _log_fraction(fr: Fraction) -> float:
 def _mc_worker(args):
     n, r, seed, m, m2, lo, hi = args
     spec = EnsembleSpec(n=n, r=r, seed=seed)
+    block = block_size(n)
+    rows = np.arange(n)
     sums = [0] * 6
     logs = ([], [], [])
-    for index in range(lo, hi):
-        rng = sample_stream(spec, index)
-        rows = [[0] * n for _ in range(n)]
-        for _ in range(r):
-            perm = rng.permutation(n)
-            for i in range(n):
-                rows[i][perm[i]] += 1
-        prof = kernels.subperm_profile(rows, n, r)
-        x, y = prof[m], prof[m2]
-        pr = x * y
-        sums[0] += x
-        sums[1] += x * x
-        sums[2] += y
-        sums[3] += y * y
-        sums[4] += pr
-        sums[5] += pr * pr
-        logs[0].append(math.log(x))
-        logs[1].append(math.log(y))
-        logs[2].append(math.log(pr))
+    for start in range(lo, hi, block):
+        mats = np.zeros((min(block, hi - start), n, n), dtype=np.int64)
+        for b, mat in enumerate(mats):
+            rng = sample_stream(spec, start + b)
+            for _ in range(r):
+                mat[rows, rng.permutation(n)] += 1
+        prof = kernels.subperm_profiles(mats, n, r)
+        xs, ys = prof[m], prof[m2]
+        for k, vals in enumerate((xs, ys, [x * y for x, y in zip(xs, ys)])):
+            sums[2 * k] += sum(vals)
+            sums[2 * k + 1] += sum(v * v for v in vals)
+            logs[k].extend(map(math.log, vals))
+    # one fsum over the whole range, so block boundaries cannot move a bit
     return sums, [math.fsum(ls) for ls in logs]
 
 

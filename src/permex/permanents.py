@@ -118,21 +118,22 @@ _table_lock = threading.Lock()
 def product_sum_table(n: int, r: int, tuple_budget: int = TUPLE_BUDGET_DEFAULT):
     """Exact (n+1) x (n+1) table of sums of perm_m * perm_m2 over all tuples.
 
-    Cached per (n, r); the budget only guards the first computation.  It
-    bounds the (n!)^r tuples the table sums over, although the oracle
+    Cached per (n, r).  The budget is checked on every call, cached or
+    not, so whether an input is refused does not depend on earlier calls.
+    It bounds the (n!)^r tuples the table sums over, although the oracle
     evaluates only p(n) (n!)^(r-2) matrices.
     """
     if n < 1 or r < 1:
         raise DomainError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
-    key = (n, r)
-    with _table_lock:
-        if key in _table_cache:
-            return _table_cache[key]
     total = tuple_count(n, r)
     if total > tuple_budget:
         raise CapacityError(
             f"(n!)^r = {total} tuples for (n={n}, r={r}) exceeds budget {tuple_budget}"
         )
+    key = (n, r)
+    with _table_lock:
+        if key in _table_cache:
+            return _table_cache[key]
     table = kernels.oracle_product_sums(n, r)
     with _table_lock:
         _table_cache[key] = table

@@ -151,6 +151,31 @@ def test_bad_backend_name_exits_1(capsys, monkeypatch):
     assert "PERMEX_BACKEND" in err
 
 
+@pytest.mark.parametrize("mode, want", [("compiled", 2), ("bogus", 1)])
+def test_oracle_checks_backend_without_extension(capsys, monkeypatch, mode, want):
+    from permex import kernels, permanents
+
+    monkeypatch.setattr(kernels, "_ckernels", None)
+    monkeypatch.setattr(permanents, "_table_cache", {})
+    monkeypatch.setenv("PERMEX_BACKEND", mode)
+    code, _, err = run(capsys, "oracle", "--n", "3", "--r", "2", "--m", "1",
+                       "--m2", "2")
+    assert code == want
+    assert "PERMEX_BACKEND" in err
+
+
+def test_mc_report_independent_of_backend(capsys, monkeypatch):
+    args = ("mc", "--n", "6", "--r", "2", "--m", "3", "--m2", "4",
+            "--samples", "300", "--seed", "5", "--threads", "1")
+    monkeypatch.delenv("PERMEX_BACKEND", raising=False)
+    code, default, _ = run(capsys, *args)
+    assert code == 0
+    monkeypatch.setenv("PERMEX_BACKEND", "pure")
+    code, pure, _ = run(capsys, *args)
+    assert code == 0
+    assert pure == default
+
+
 @pytest.mark.parametrize("argv", [
     ("mc", "--r", "2", "--m", "2"),
     ("scan", "--r", "2", "--p", "0.5", "--q", "0.5"),

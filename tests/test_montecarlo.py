@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from permex import (
@@ -7,8 +9,12 @@ from permex import (
     ensemble_average_bruteforce,
     estimate_moments,
     expectation_product,
+    sample_matrix,
     single_rate_limit,
 )
+from permex import _pykernels
+from permex.montecarlo import _make_estimate, block_size
+from permex.permanents import MomentKey
 
 
 def test_enumeration_mode_exact_agreement():
@@ -64,6 +70,40 @@ def test_worker_count_independence():
     assert serial.product.mean_exact == parallel.product.mean_exact
     assert serial.first.mean_exact == parallel.first.mean_exact
     assert serial.second.mean_exact == parallel.second.mean_exact
+
+
+@pytest.mark.parametrize("n, r, m, m2, samples", [
+    (6, 3, 2, 4, block_size(6) + 1),  # one sample past the first block
+    (5, 2, 2, 3, 301),
+    (8, 2, 4, 3, 150),  # blocks of 64: two boundaries
+    (10, 2, 5, 4, block_size(10) + 6),  # blocks held at 64 matrices
+    (13, 2, 6, 7, 4),  # blocks of one matrix
+])
+def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
+    spec = EnsembleSpec(n, r, seed=7)
+    profiles = [_pykernels.subperm_profile(sample_matrix(spec, i).entries, n)
+                for i in range(samples)]
+    xs = [p[m] for p in profiles]
+    ys = [p[m2] for p in profiles]
+    columns = (xs, ys, [x * y for x, y in zip(xs, ys)])
+    keys = (MomentKey(n, r, m, 0), MomentKey(n, r, m2, 0), MomentKey(n, r, m, m2))
+    half = samples // 2
+
+    def want(split):
+        out = []
+        for vals, key in zip(columns, keys):
+            logs = [math.log(v) for v in vals]
+            parts = [logs[:half], logs[half:]] if split else [logs]
+            log_total = math.fsum(math.fsum(part) for part in parts)
+            out.append(_make_estimate(sum(vals), sum(v * v for v in vals),
+                                      log_total, samples, n, key))
+        return out
+
+    # with two workers each range ends part-way through a block
+    for threads in (1, 2):
+        est = estimate_moments(spec, m, m2, samples, threads=threads)
+        assert est.mode == "sampling"
+        assert [est.first, est.second, est.product] == want(threads == 2)
 
 
 def test_convergence_scan_rows():

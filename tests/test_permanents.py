@@ -1,6 +1,7 @@
 import itertools
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from permex import (
@@ -155,11 +156,16 @@ def test_oracle_budget_counts_all_tuples(monkeypatch):
         ensemble_average_bruteforce(5, 3, 1, 1, tuple_budget=10**6)
 
 
+def test_oracle_budget_checked_on_cache_hit():
+    ensemble_average_bruteforce(4, 3, 1, 1)
+    with pytest.raises(CapacityError):
+        ensemble_average_bruteforce(4, 3, 1, 1, tuple_budget=10)
+
+
 def test_backends_agree():
     if not kernels.compiled_available():
         pytest.skip("compiled backend not built")
     from permex import _ckernels
-    import numpy as np
 
     rng = np.random.default_rng(13)
     for _ in range(15):
@@ -168,6 +174,47 @@ def test_backends_agree():
         assert _ckernels.subperm_profile(mat.entries, n) == _pykernels.subperm_profile(
             mat.entries, n
         )
+
+
+def assert_batch_matches_reference(mats, n, max_entry):
+    profiles = kernels.subperm_profiles(mats, n, max_entry)
+    assert len(profiles) == n + 1
+    for b, rows in enumerate(mats.tolist()):
+        assert [column[b] for column in profiles] == _pykernels.subperm_profile(rows, n)
+
+
+@pytest.mark.parametrize("mode", ["auto", "pure"])
+def test_batched_profiles_match_reference(monkeypatch, mode):
+    monkeypatch.setenv("PERMEX_BACKEND", mode)
+    rng = np.random.default_rng(21)
+    for n in range(1, 10):
+        # int64 under auto, Python ints when forced pure
+        assert kernels._fixed_width(kernels.profile_value_bound(n, 3)) == (mode == "auto")
+        for block in (1, 3, 11):
+            mats = rng.integers(0, 4, size=(block, n, n))
+            assert_batch_matches_reference(mats, n, 3)
+
+
+def test_batched_profiles_beyond_int64():
+    rng = np.random.default_rng(22)
+    big = 1 << 40
+    for n in (2, 4, 6):
+        assert not kernels._fixed_width(kernels.profile_value_bound(n, big))
+        mats = rng.integers(big - 8, big + 1, size=(5, n, n))
+        assert max(kernels.subperm_profiles(mats, n, big)[n]) >= 1 << 63
+        assert_batch_matches_reference(mats, n, big)
+
+
+def test_batched_profiles_forced_compiled(monkeypatch):
+    monkeypatch.setenv("PERMEX_BACKEND", "compiled")
+    mats = np.ones((2, 3, 3), dtype=np.int64)
+    if kernels.compiled_available():
+        assert_batch_matches_reference(mats, 3, 1)
+    else:
+        with pytest.raises(CapacityError):
+            kernels.subperm_profiles(mats, 3, 1)
+    with pytest.raises(CapacityError):
+        kernels.subperm_profiles(mats, 3, 1 << 40)
 
 
 def test_pure_backend_forced(monkeypatch):
