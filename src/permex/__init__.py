@@ -23,7 +23,6 @@ from .errors import (
     PermexError,
     SolverError,
 )
-from .kernels import compiled_available
 from .model import (
     EnsembleSpec,
     SquareMatrix,
@@ -82,7 +81,6 @@ __all__ = [
     "analytic_solution",
     "argmax_profile",
     "assemble_matrix",
-    "compiled_available",
     "convergence_scan",
     "ensemble_average_bruteforce",
     "enumerate_tuples",

@@ -1,13 +1,11 @@
 """Pure-Python reference kernel for the subpermanent profile.
 
-It runs on plain Python integers, so it has no overflow ceiling; the
-compiled twin in ``_ckernels`` is selected instead whenever its int64 bound
-certification passes.  Both implementations must stay bit-identical in
-output, and so must the batched numpy kernel ``kernels.subperm_profiles``,
-which runs the same DP over a block of matrices.
+It runs on plain Python integers, so it has no overflow ceiling.  No
+command calls it: the package computes every profile with the batched
+numpy kernel ``kernels.subperm_profiles``, which runs the same DP over a
+block of matrices.  Tests and ``benchmarks/benchmark_backends.py`` check
+that kernel against this one, so the two must stay bit-identical.
 """
-
-BACKEND_NAME = "pure"
 
 
 def subperm_profile(rows, n):

@@ -1,42 +1,51 @@
-"""Kernel backend selection, the batched sampling kernel, and the oracle.
+"""The subpermanent profile kernel, its backend certification, and the oracle.
 
-Every kernel call certifies its inputs once: when ``profile_value_bound``
-proves that all values fit, fixed-width int64 arithmetic is used, and
-otherwise exact Python integers.  Per matrix, int64 means the compiled
-extension, and without it the pure-Python kernel runs; a block of sampled
-matrices runs one vectorised numpy DP, on int64 or on ``object`` arrays
-of Python ints, on every install.
-``PERMEX_BACKEND=pure`` forces Python integers, ``auto`` (the default)
-and ``compiled`` use int64 when certified, and ``compiled`` raises if the
-extension is missing or the bound fails.
+Every profile, sampled or enumerated, comes from one vectorised numpy DP,
+``subperm_profiles``, run over a block of matrices.  Each call certifies
+its block once: when ``profile_value_bound`` proves that all values fit,
+the DP runs on int64, and otherwise on ``object`` arrays of exact Python
+integers.  ``PERMEX_BACKEND=pure`` forces Python integers and ``auto``
+(the default) uses int64 when certified.  ``_pykernels`` keeps the
+pure-Python DP as the reference the tests compare against.
 """
 
 import itertools
 import os
 from collections import Counter
 from math import comb, factorial
+from operator import mul
 
 import numpy as np
 
-from . import _pykernels
-from .errors import CapacityError, DomainError
-
-try:
-    from . import _ckernels
-except ImportError:
-    _ckernels = None
+from .errors import DomainError
 
 I64_SAFE_BOUND = 1 << 62
 
+# Matrices per kernel call, for sampled and oracle blocks alike (both have
+# at most r nonzeros per column).  Up to 2^BLOCK_MAX_N states a block
+# holds at least BLOCK_MATRICES matrices and BLOCK_CELLS DP cells (2^n
+# states x matrices): fewer leave numpy's per-operation cost dominant,
+# more raise peak memory without running faster.  Above that each op
+# already spans thousands of states, so batching gains nothing, while a
+# block of one matrix lets the kernel skip most of its n^2 row updates.
+BLOCK_CELLS = 1 << 14
+BLOCK_MATRICES = 64
+BLOCK_MAX_N = 12
+
+
+def block_size(n: int) -> int:
+    return max(BLOCK_MATRICES, BLOCK_CELLS >> n) if n <= BLOCK_MAX_N else 1
+
 
 def compiled_available() -> bool:
-    return _ckernels is not None
+    """Always False: numpy runs every DP.  Kept for perfbench's run context."""
+    return False
 
 
 def backend_mode() -> str:
     mode = os.environ.get("PERMEX_BACKEND", "auto").lower()
-    if mode not in ("auto", "pure", "compiled"):
-        raise DomainError(f"PERMEX_BACKEND must be auto|pure|compiled, got {mode!r}")
+    if mode not in ("auto", "pure"):
+        raise DomainError(f"PERMEX_BACKEND must be auto|pure, got {mode!r}")
     return mode
 
 
@@ -52,32 +61,19 @@ def profile_value_bound(n: int, max_entry: int) -> int:
 
 def _fixed_width(bound: int) -> bool:
     """Whether values up to ``bound`` run on int64 under PERMEX_BACKEND."""
-    mode = backend_mode()
-    if mode == "pure":
-        return False
-    if mode == "compiled":
-        if _ckernels is None:
-            raise CapacityError("PERMEX_BACKEND=compiled but the extension is not built")
-        if bound >= I64_SAFE_BOUND:
-            raise CapacityError("PERMEX_BACKEND=compiled but values exceed the int64 bound")
-    return bound < I64_SAFE_BOUND
-
-
-def _pick(bound: int):
-    if _fixed_width(bound) and _ckernels is not None:
-        return _ckernels
-    return _pykernels
+    return backend_mode() == "auto" and bound < I64_SAFE_BOUND
 
 
 def profile_backend_name(n: int, max_entry: int) -> str:
-    return _pick(profile_value_bound(n, max_entry)).BACKEND_NAME
+    """The arithmetic ``subperm_profiles`` certifies: "int64", or "pure" Python ints."""
+    return "int64" if _fixed_width(profile_value_bound(n, max_entry)) else "pure"
 
 
 def subperm_profile(rows, n: int, max_entry=None):
-    """Profile of all subpermanent sums; dispatches on the value bound."""
+    """Profile of one matrix: ``subperm_profiles`` on a block of one."""
     if max_entry is None:
         max_entry = max(max(row) for row in rows)
-    return _pick(profile_value_bound(n, max_entry)).subperm_profile(rows, n)
+    return [column[0] for column in subperm_profiles([rows], n, max_entry)]
 
 
 def subperm_profiles(mats, n: int, max_entry: int):
@@ -143,31 +139,38 @@ def oracle_product_sums(n: int, r: int):
     P1 fixed at I.  Conjugating by any g fixes I and permutes rows and
     columns, so P2 contributes only through its cycle type: one
     representative per class, weighted by the class size.  P3..Pr still
-    range over all of S_n, so p(n) (n!)^(r-2) matrices are evaluated.
+    range over all of S_n, so p(n) (n!)^(r-2) matrices are evaluated, in
+    blocks of ``block_size(n)``; matrix k of that sequence is head
+    k // (n!)^(r-2) plus the tail whose base-n! digits are k % (n!)^(r-2).
     Returns an (n+1) x (n+1) symmetric table of exact integers.
     """
-    backend = _pick(profile_value_bound(n, r))
-    identity = tuple(range(n))
-    if r == 1:
-        heads = [((identity,), 1)]
-    else:
-        heads = [((identity, rep), size) for rep, size in _cycle_classes(n)]
-    perms = list(itertools.permutations(range(n)))
+    eye = np.eye(n, dtype=np.int64)
     nfact = factorial(n)
+    if r == 1:
+        heads, weights = eye[None], [nfact]
+    else:
+        classes = list(_cycle_classes(n))
+        heads = np.array([eye + eye[list(rep)] for rep, _ in classes])
+        weights = [nfact * size for _, size in classes]
+    tail_len = max(r - 2, 0)
+    tails = nfact**tail_len
+    if tail_len:  # n! x n x n entries; r <= 2 needs none
+        perms = eye[list(itertools.permutations(range(n)))]
+    count, block = len(weights) * tails, block_size(n)
     table = [[0] * (n + 1) for _ in range(n + 1)]
-    for head, size in heads:
-        weight = nfact * size
-        for tail in itertools.product(perms, repeat=r - len(head)):
-            rows = [[0] * n for _ in range(n)]
-            for p in head + tail:
-                for i, j in enumerate(p):
-                    rows[i][j] += 1
-            prof = backend.subperm_profile(rows, n)
-            for m in range(n + 1):
-                pm = weight * prof[m]
-                row = table[m]
-                for m2 in range(m, n + 1):
-                    row[m2] += pm * prof[m2]
+    for start in range(0, count, block):
+        head, tail = np.divmod(np.arange(start, min(start + block, count)), tails)
+        mats = heads[head]
+        for _ in range(tail_len):
+            tail, digit = np.divmod(tail, nfact)
+            mats += perms[digit]
+        prof = subperm_profiles(mats, n, r)
+        weight = [weights[h] for h in head.tolist()]
+        for m in range(n + 1):
+            weighted = list(map(mul, weight, prof[m]))
+            row = table[m]
+            for m2 in range(m, n + 1):
+                row[m2] += sum(map(mul, weighted, prof[m2]))
     for m in range(n + 1):
         for m2 in range(m + 1, n + 1):
             table[m2][m] = table[m][m2]

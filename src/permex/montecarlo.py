@@ -3,7 +3,7 @@
 Integer statistics (sums and sums of squares) are accumulated exactly and
 only converted to floats at the very end, so no precision is lost to
 cancellation no matter how large the subpermanent values grow.  Samples
-are drawn in blocks of ``block_size(n)`` matrices; each block's
+are drawn in blocks of ``kernels.block_size(n)`` matrices; each block's
 profiles come from one call of the batched numpy kernel
 ``kernels.subperm_profiles``, which certifies int64 or Python-int
 arithmetic once for the block.  When the whole tuple space is smaller
@@ -23,22 +23,6 @@ from .asymptotics import single_rate_limit
 from .errors import CapacityError, DomainError
 from .model import EnsembleSpec, sample_stream, tuple_count
 from .permanents import DIM_LIMIT_DEFAULT, MomentKey, product_sum_table
-
-# Matrices per batched kernel call.  Up to 2^BLOCK_MAX_N states a block
-# holds at least BLOCK_MATRICES matrices and BLOCK_CELLS DP cells (2^n
-# states x matrices): fewer leave numpy's per-operation cost dominant,
-# more raise peak memory without running faster.  Above that each op
-# already spans thousands of states, so batching gains nothing, while a
-# block of one sampled matrix (at most r nonzeros per column) lets the
-# kernel skip most of its n^2 row updates.
-BLOCK_CELLS = 1 << 14
-BLOCK_MATRICES = 64
-BLOCK_MAX_N = 12
-
-
-def block_size(n: int) -> int:
-    return max(BLOCK_MATRICES, BLOCK_CELLS >> n) if n <= BLOCK_MAX_N else 1
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -75,7 +59,7 @@ def _log_fraction(fr: Fraction) -> float:
 def _mc_worker(args):
     n, r, seed, m, m2, lo, hi = args
     spec = EnsembleSpec(n=n, r=r, seed=seed)
-    block = block_size(n)
+    block = kernels.block_size(n)
     rows = np.arange(n)
     sums = [0] * 6
     logs = ([], [], [])

@@ -3,8 +3,9 @@
 perm_m of an n x n matrix is the sum, over all ways to pick m rows and m
 columns, of the permanent of the selected m x m submatrix.  The oracle
 averages perm_m * perm_m2 over all (n!)^r permutation tuples as an orbit
-sum over cycle types (see ``kernels.oracle_product_sums``).  Everything in
-this module is exact integer or rational arithmetic.
+sum over cycle types (see ``kernels.oracle_product_sums``).  Profiles come
+from the batched numpy DP in ``kernels``.  Everything in this module is
+exact integer or rational arithmetic.
 """
 
 import threading
@@ -118,13 +119,14 @@ _table_lock = threading.Lock()
 def product_sum_table(n: int, r: int, tuple_budget: int = TUPLE_BUDGET_DEFAULT):
     """Exact (n+1) x (n+1) table of sums of perm_m * perm_m2 over all tuples.
 
-    Cached per (n, r).  The budget is checked on every call, cached or
-    not, so whether an input is refused does not depend on earlier calls.
-    It bounds the (n!)^r tuples the table sums over, although the oracle
-    evaluates only p(n) (n!)^(r-2) matrices.
+    Cached per (n, r).  PERMEX_BACKEND and the budget are checked on every
+    call, cached or not, so whether an input is refused does not depend on
+    earlier calls.  The budget bounds the (n!)^r tuples the table sums
+    over, although the oracle evaluates only p(n) (n!)^(r-2) matrices.
     """
     if n < 1 or r < 1:
         raise DomainError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+    kernels.backend_mode()
     total = tuple_count(n, r)
     if total > tuple_budget:
         raise CapacityError(

@@ -13,7 +13,8 @@ from permex import (
     single_rate_limit,
 )
 from permex import _pykernels
-from permex.montecarlo import _make_estimate, block_size
+from permex.kernels import block_size
+from permex.montecarlo import _make_estimate
 from permex.permanents import MomentKey
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from math import comb, factorial
 
@@ -6,6 +7,7 @@ import pytest
 
 from permex import (
     CapacityError,
+    DomainError,
     EnsembleSpec,
     SquareMatrix,
     assemble_matrix,
@@ -134,18 +136,32 @@ def test_profile_monotone_bound():
                 assert prof.values[m] <= comb(n, m) ** 2 * factorial(m) * r**m
 
 
+@functools.cache
+def full_enumeration_table(n, r):
+    """The oracle table summed over every tuple with the reference kernel."""
+    want = [[0] * (n + 1) for _ in range(n + 1)]
+    for perms in enumerate_tuples(n, r):
+        prof = _pykernels.subperm_profile(assemble_matrix(perms).entries, n)
+        for m in range(n + 1):
+            for m2 in range(n + 1):
+                want[m][m2] += prof[m] * prof[m2]
+    return want
+
+
 def test_oracle_matches_full_enumeration():
     # The orbit sum fixes P1 = I and takes P2 per cycle type; summing over
     # every tuple checks that reduction independently.
     cases = [(n, r) for n in range(1, 5) for r in range(1, 4)] + [(5, 2)]
     for n, r in cases:
-        want = [[0] * (n + 1) for _ in range(n + 1)]
-        for perms in enumerate_tuples(n, r):
-            prof = subpermanent_profile(assemble_matrix(perms)).values
-            for m in range(n + 1):
-                for m2 in range(n + 1):
-                    want[m][m2] += prof[m] * prof[m2]
-        assert product_sum_table(n, r) == want, (n, r)
+        assert product_sum_table(n, r) == full_enumeration_table(n, r), (n, r)
+
+
+@pytest.mark.parametrize("n, r", [(4, 3), (3, 4), (5, 2)])
+def test_oracle_blocks_end_part_way(monkeypatch, n, r):
+    # Blocks of 5 end inside a head's run of tails and across heads.
+    monkeypatch.setattr(kernels, "block_size", lambda n: 5)
+    monkeypatch.setattr(permanents, "_table_cache", {})
+    assert product_sum_table(n, r) == full_enumeration_table(n, r)
 
 
 def test_oracle_budget_counts_all_tuples(monkeypatch):
@@ -160,20 +176,6 @@ def test_oracle_budget_checked_on_cache_hit():
     ensemble_average_bruteforce(4, 3, 1, 1)
     with pytest.raises(CapacityError):
         ensemble_average_bruteforce(4, 3, 1, 1, tuple_budget=10)
-
-
-def test_backends_agree():
-    if not kernels.compiled_available():
-        pytest.skip("compiled backend not built")
-    from permex import _ckernels
-
-    rng = np.random.default_rng(13)
-    for _ in range(15):
-        n = int(rng.integers(1, 8))
-        mat = random_matrix(rng, n)
-        assert _ckernels.subperm_profile(mat.entries, n) == _pykernels.subperm_profile(
-            mat.entries, n
-        )
 
 
 def assert_batch_matches_reference(mats, n, max_entry):
@@ -205,16 +207,19 @@ def test_batched_profiles_beyond_int64():
         assert_batch_matches_reference(mats, n, big)
 
 
-def test_batched_profiles_forced_compiled(monkeypatch):
-    monkeypatch.setenv("PERMEX_BACKEND", "compiled")
-    mats = np.ones((2, 3, 3), dtype=np.int64)
-    if kernels.compiled_available():
-        assert_batch_matches_reference(mats, 3, 1)
-    else:
-        with pytest.raises(CapacityError):
-            kernels.subperm_profiles(mats, 3, 1)
-    with pytest.raises(CapacityError):
-        kernels.subperm_profiles(mats, 3, 1 << 40)
+def test_backend_name_reports_certified_arithmetic(monkeypatch):
+    monkeypatch.delenv("PERMEX_BACKEND", raising=False)
+    assert kernels.profile_backend_name(6, 2) == "int64"
+    assert kernels.profile_backend_name(6, 1 << 40) == "pure"
+
+
+def test_backend_checked_on_cache_hit(monkeypatch):
+    # The second call finds (3, 2) cached and must still refuse the name.
+    monkeypatch.delenv("PERMEX_BACKEND", raising=False)
+    assert ensemble_average_bruteforce(3, 2, 1, 2).value == 60
+    monkeypatch.setenv("PERMEX_BACKEND", "bogus")
+    with pytest.raises(DomainError):
+        ensemble_average_bruteforce(3, 2, 1, 2)
 
 
 def test_pure_backend_forced(monkeypatch):
