@@ -44,6 +44,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _or_default(value, default):
+    """An option's value, or `default` when it was not given (0 counts as given)."""
+    return default if value is None else value
+
+
 def _emit(args, payload, csv_header, csv_rows):
     if args.format == "json":
         print(json.dumps(payload))
@@ -89,7 +94,7 @@ def _cmd_expect(args):
 def _cmd_product(args):
     moment = expectation_product(
         args.n, args.r, args.m, args.m2,
-        term_budget=args.budget or TERM_BUDGET_DEFAULT,
+        term_budget=_or_default(args.budget, TERM_BUDGET_DEFAULT),
         threads=args.threads,
     )
     header, rows = _moment_csv(moment)
@@ -100,7 +105,7 @@ def _cmd_product(args):
 def _cmd_oracle(args):
     moment = ensemble_average_bruteforce(
         args.n, args.r, args.m, args.m2,
-        tuple_budget=args.budget or TUPLE_BUDGET_DEFAULT,
+        tuple_budget=_or_default(args.budget, TUPLE_BUDGET_DEFAULT),
     )
     header, rows = _moment_csv(moment)
     _emit(args, _moment_payload("oracle", moment), header, rows)
@@ -162,7 +167,7 @@ def _solution_csv_row(args, sol):
 
 
 def _cmd_solve(args):
-    sol = solve_stationary(args.p, args.q, args.r, tol=args.tol or 1e-10)
+    sol = solve_stationary(args.p, args.q, args.r, tol=_or_default(args.tol, 1e-10))
     _emit(args, _solution_payload("solve", args, sol),
           _SOLUTION_CSV_HEADER, [_solution_csv_row(args, sol)])
     return 0
@@ -255,7 +260,7 @@ def _cmd_scan(args):
 def _cmd_argmax(args):
     profile, value = argmax_profile(
         args.n, args.r, args.m, args.m2,
-        term_budget=args.budget or TERM_BUDGET_DEFAULT,
+        term_budget=_or_default(args.budget, TERM_BUDGET_DEFAULT),
     )
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -295,17 +300,22 @@ def _cmd_argmax(args):
 
 # ---------------------------------------------------------------------------
 # verification suites
+#
+# Each suite is the one definition of an acceptance criterion (criteria 1-5
+# of tests/test_acceptance.py).  It takes keyword overrides, None meaning
+# "use the suite's default", and returns (rows, worst, passed, tol).
 
 
-def _grid_r(args):
-    return [args.r] if args.r else GRID_R
+def _r_values(r, default):
+    return default if r is None else [r]
 
 
-def _suite_stationarity(args):
-    tol = args.tol or 1e-9
+def _suite_stationarity(r=None, seed=0, tol=None, budget=None):
+    """Relative stationarity residuals of the closed form over the grid."""
+    tol = _or_default(tol, 1e-9)
     rows = []
     worst = 0.0
-    for r in _grid_r(args):
+    for r in _r_values(r, GRID_R):
         for p in GRID_DENSITIES:
             for q in GRID_DENSITIES:
                 sol = analytic_solution(p, q, r)
@@ -315,13 +325,15 @@ def _suite_stationarity(args):
     return rows, worst, worst < tol, tol
 
 
-def _suite_factorization(args):
-    tol = args.tol or 1e-9
+def _suite_factorization(r=None, seed=0, tol=None, budget=None):
+    """product_rate(p, q) against single_rate(p) + single_rate(q) over the
+    grid; the Newton solver's rate must agree within 1e-6."""
+    tol = _or_default(tol, 1e-9)
     solver_tol = 1e-6
     rows = []
     worst = 0.0
     ok = True
-    for r in _grid_r(args):
+    for r in _r_values(r, GRID_R):
         for p in GRID_DENSITIES:
             for q in GRID_DENSITIES:
                 target = single_rate(p, r) + single_rate(q, r)
@@ -335,9 +347,10 @@ def _suite_factorization(args):
     return rows, worst, ok, tol
 
 
-def _suite_solver(args):
-    tol = args.tol or 1e-8
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
+def _suite_solver(r=None, seed=0, tol=None, budget=None):
+    """Newton solver against the closed form at 20 Philox-seeded points."""
+    tol = _or_default(tol, 1e-8)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     rows = []
     worst = 0.0
     for _ in range(20):
@@ -355,6 +368,7 @@ def _suite_solver(args):
 
 
 def _oracle_rows(cases, budget, product):
+    budget = _or_default(budget, TUPLE_BUDGET_DEFAULT)
     rows = []
     ok = True
     for n, r in cases:
@@ -373,21 +387,24 @@ def _oracle_rows(cases, budget, product):
     return rows, 0.0 if ok else 1.0, ok, 0.0
 
 
-def _suite_oracle_single(args):
-    r_values = [args.r] if args.r else [1, 2, 3]
+def _suite_oracle_single(r=None, seed=0, tol=None, budget=None):
+    """expectation_perm equals the oracle exactly for n <= 5, r <= 3."""
+    r_values = _r_values(r, [1, 2, 3])
     cases = [(n, r) for n in range(1, 6) for r in r_values]
-    return _oracle_rows(cases, args.budget or TUPLE_BUDGET_DEFAULT, product=False)
+    return _oracle_rows(cases, budget, product=False)
 
 
-def _suite_oracle_product(args):
-    r_values = [args.r] if args.r else [1, 2, 3]
+def _suite_oracle_product(r=None, seed=0, tol=None, budget=None):
+    """expectation_product equals the oracle exactly, m <= m2, for n <= 4
+    at r <= 3 and for n = 5 at r = 2."""
+    r_values = _r_values(r, [1, 2, 3])
     cases = [(n, r) for n in range(1, 5) for r in r_values]
-    if args.r is None or args.r == 2:
+    if r is None or r == 2:
         cases.append((5, 2))
-    return _oracle_rows(cases, args.budget or TUPLE_BUDGET_DEFAULT, product=True)
+    return _oracle_rows(cases, budget, product=True)
 
 
-_SUITES = {
+SUITES = {
     "stationarity": _suite_stationarity,
     "factorization": _suite_factorization,
     "solver": _suite_solver,
@@ -397,7 +414,8 @@ _SUITES = {
 
 
 def _cmd_verify(args):
-    rows, worst, passed, tol = _SUITES[args.suite](args)
+    rows, worst, passed, tol = SUITES[args.suite](
+        r=args.r, seed=args.seed, tol=args.tol, budget=args.budget)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "op": "verify",
@@ -431,7 +449,6 @@ def _add_common(sub, *names):
         "n": (("--n",), {"type": int, "required": True, "help": "matrix dimension"}),
         "n_list": (("--n",), {"type": int, "action": "append",
                               "help": "dimension, repeatable"}),
-        "n_opt": (("--n",), {"type": int, "help": "matrix dimension"}),
         "r": (("--r",), {"type": int, "required": True,
                          "help": "number of summed permutations"}),
         "r_opt": (("--r",), {"type": int, "help": "restrict to one r"}),
@@ -460,7 +477,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("expect", help="exact E(perm_m)")
-    _add_common(sub, "n", "r", "m", "budget")
+    _add_common(sub, "n", "r", "m")
     sub.set_defaults(func=_cmd_expect)
 
     sub = subs.add_parser("product", help="exact E(perm_m perm_m2)")
@@ -496,7 +513,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_argmax)
 
     sub = subs.add_parser("verify", help="run a verification suite")
-    sub.add_argument("--suite", choices=sorted(_SUITES), required=True)
+    sub.add_argument("--suite", choices=sorted(SUITES), required=True)
     _add_common(sub, "r_opt", "seed", "tol", "budget")
     sub.set_defaults(func=_cmd_verify)
 

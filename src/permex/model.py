@@ -9,7 +9,6 @@ partitioned across workers.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -70,23 +69,6 @@ class SquareMatrix:
 
     def max_entry(self):
         return max(map(max, self.entries))
-
-    def to_dict(self):
-        return {"n": self.n, "entries": [list(row) for row in self.entries]}
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data):
-        mat = cls.from_rows(data["entries"])
-        if mat.n != data["n"]:
-            raise DomainError("matrix dimension field disagrees with entries")
-        return mat
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def sample_stream(spec: EnsembleSpec, sample_index: int) -> np.random.Generator:

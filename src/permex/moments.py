@@ -32,7 +32,7 @@ from functools import cached_property
 from math import comb, factorial
 
 from .errors import CapacityError, DomainError
-from .permanents import ExactMoment, MomentKey
+from .permanents import ExactMoment, moment_key
 
 TERM_BUDGET_DEFAULT = 10**9
 PROGRESS_EVERY = 10**6
@@ -223,10 +223,7 @@ class ColorProfile:
 
 def profile_iterator(n, r, m, m2):
     """Yield every feasible ColorProfile exactly once, in nested lex order."""
-    if not (0 <= m <= n and 0 <= m2 <= n):
-        raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
+    moment_key(n, r, m, m2)
     yield from _iter_profiles(n, r, m, m2)
 
 
@@ -328,12 +325,17 @@ def validate_profile(profile, n, r, m, m2):
 # the seven counting factors
 
 
-def factor_base(profile, n, r, m) -> Fraction:
-    """First-placement weight: location choices, color split, 1/(n!)^r."""
+def _base_integer(profile, n, m) -> int:
+    """First-placement choices: locations and color split, before 1/(n!)^r."""
     w = comb(n, m) ** 2 * factorial(m) * factorial(m)
     for mi in profile.base:
         w //= factorial(mi)
-    return Fraction(w, factorial(n) ** r)
+    return w
+
+
+def factor_base(profile, n, r, m) -> Fraction:
+    """First-placement weight: location choices, color split, 1/(n!)^r."""
+    return Fraction(_base_integer(profile, n, m), factorial(n) ** r)
 
 
 def factor_fresh(profile, n, m) -> int:
@@ -427,10 +429,10 @@ def factor_completion(profile, n) -> int:
     return w
 
 
-def term_value(profile, n, r, m) -> Fraction:
-    """Full weight of one profile: the product of all seven factors."""
+def _term_integer(profile, n, r, m) -> int:
+    """term_value numerator over the common denominator (n!)^r."""
     return (
-        factor_base(profile, n, r, m)
+        _base_integer(profile, n, m)
         * factor_fresh(profile, n, m)
         * factor_dup(profile)
         * factor_row_hits(profile, n, m)
@@ -440,18 +442,9 @@ def term_value(profile, n, r, m) -> Fraction:
     )
 
 
-def _term_integer(profile, n, r, m):
-    """term_value numerator over the common denominator (n!)^r."""
-    w = comb(n, m) ** 2 * factorial(m) * factorial(m)
-    for mi in profile.base:
-        w //= factorial(mi)
-    w *= factor_fresh(profile, n, m)
-    w *= factor_dup(profile)
-    w *= factor_row_hits(profile, n, m)
-    w *= factor_col_hits(profile, n, m)
-    w *= factor_cross(profile)
-    w *= factor_completion(profile, n)
-    return w
+def term_value(profile, n, r, m) -> Fraction:
+    """Full weight of one profile: the product of all seven factors."""
+    return Fraction(_term_integer(profile, n, r, m), factorial(n) ** r)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +453,7 @@ def _term_integer(profile, n, r, m):
 
 def expectation_perm(n, r, m) -> ExactMoment:
     """Exact E(perm_m) as a sum over color splits of a single placement."""
-    if not 0 <= m <= n:
-        raise DomainError(f"m must lie in 0..{n}, got {m}")
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
+    key = moment_key(n, r, m)
     total = 0
     count = 0
     for parts in _compositions(m, r):
@@ -473,19 +463,24 @@ def expectation_perm(n, r, m) -> ExactMoment:
         total += w
         count += 1
     value = Fraction(comb(n, m) ** 2 * factorial(m) * total, factorial(n) ** r)
-    return ExactMoment(value=value, term_count=count, meta=MomentKey(n, r, m, 0))
+    return ExactMoment(value=value, term_count=count, meta=key)
+
+
+def _weighted_profiles(n, r, m, m2, term_budget, m1_range=None):
+    """Yield (profile, _term_integer) per profile; CapacityError past the budget."""
+    for count, profile in enumerate(_iter_profiles(n, r, m, m2, m1_range=m1_range), 1):
+        if count > term_budget:
+            raise CapacityError(
+                f"profile count exceeded budget {term_budget} at (n={n}, r={r}, m={m}, m2={m2})"
+            )
+        yield profile, _term_integer(profile, n, r, m)
 
 
 def _product_sum_range(n, r, m, m2, m1_range, term_budget, progress=None):
     total = 0
     count = 0
-    for profile in _iter_profiles(n, r, m, m2, m1_range=m1_range):
-        total += _term_integer(profile, n, r, m)
-        count += 1
-        if count > term_budget:
-            raise CapacityError(
-                f"profile count exceeded budget {term_budget} at (n={n}, r={r}, m={m}, m2={m2})"
-            )
+    for count, (_, w) in enumerate(_weighted_profiles(n, r, m, m2, term_budget, m1_range), 1):
+        total += w
         if progress is not None and count % PROGRESS_EVERY == 0:
             progress(count)
     return total, count
@@ -506,10 +501,7 @@ def expectation_product(
     so the result does not depend on the partitioning.  The term budget is
     then enforced per worker and once more on the merged count.
     """
-    if not (0 <= m <= n and 0 <= m2 <= n):
-        raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
+    key = moment_key(n, r, m, m2)
     if threads > 1 and r > 1 and m >= 1:
         bounds = sorted({(m + 1) * i // threads for i in range(threads + 1)})
         jobs = [
@@ -527,7 +519,7 @@ def expectation_product(
     else:
         total, count = _product_sum_range(n, r, m, m2, None, term_budget, progress)
     value = Fraction(total, factorial(n) ** r)
-    return ExactMoment(value=value, term_count=count, meta=MomentKey(n, r, m, m2))
+    return ExactMoment(value=value, term_count=count, meta=key)
 
 
 def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
@@ -536,18 +528,10 @@ def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
     Returns (profile, value).  Useful for checking that the dominant term
     spreads counts evenly across colors.
     """
-    if not (0 <= m <= n and 0 <= m2 <= n):
-        raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
+    moment_key(n, r, m, m2)
     best = None
     best_w = -1
-    count = 0
-    for profile in _iter_profiles(n, r, m, m2):
-        w = _term_integer(profile, n, r, m)
-        count += 1
-        if count > term_budget:
-            raise CapacityError(
-                f"profile count exceeded budget {term_budget} at (n={n}, r={r}, m={m}, m2={m2})"
-            )
+    for profile, w in _weighted_profiles(n, r, m, m2, term_budget):
         if w > best_w:
             best_w = w
             best = profile

@@ -22,7 +22,7 @@ from . import kernels
 from .asymptotics import single_rate_limit
 from .errors import CapacityError, DomainError
 from .model import EnsembleSpec, sample_stream, tuple_count
-from .permanents import DIM_LIMIT_DEFAULT, MomentKey, product_sum_table
+from .permanents import DIM_LIMIT_DEFAULT, MomentKey, moment_key, product_sum_table
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -105,8 +105,7 @@ def estimate_moments(
     n, r = spec.n, spec.r
     if samples < 2:
         raise DomainError(f"need samples >= 2, got {samples}")
-    if not (0 <= m <= n and 0 <= m2 <= n):
-        raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
+    key = moment_key(n, r, m, m2)
     if n > DIM_LIMIT_DEFAULT:
         # each sample's profile DP holds 2^n states
         raise CapacityError(f"profile limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
@@ -126,7 +125,7 @@ def estimate_moments(
         return MomentEstimates(
             first=exact(table[m][0], MomentKey(n, r, m, 0)),
             second=exact(table[m2][0], MomentKey(n, r, m2, 0)),
-            product=exact(table[m][m2], MomentKey(n, r, m, m2)),
+            product=exact(table[m][m2], key),
             mode="enumeration",
         )
 
@@ -145,8 +144,7 @@ def estimate_moments(
                            MomentKey(n, r, m, 0))
     second = _make_estimate(sums[2], sums[3], logsums[1], samples, n,
                             MomentKey(n, r, m2, 0))
-    product = _make_estimate(sums[4], sums[5], logsums[2], samples, n,
-                             MomentKey(n, r, m, m2))
+    product = _make_estimate(sums[4], sums[5], logsums[2], samples, n, key)
     return MomentEstimates(first=first, second=second, product=product,
                            mode="sampling")
 

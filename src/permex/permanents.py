@@ -31,6 +31,18 @@ class MomentKey(NamedTuple):
     m2: int
 
 
+def moment_key(n: int, r: int, m: int, m2: int = 0) -> MomentKey:
+    """Check the arguments of a moment and return them as its key.
+
+    n = 0 passes here; operations that need n >= 1 check it themselves.
+    """
+    if not (0 <= m <= n and 0 <= m2 <= n):
+        raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
+    if r < 1:
+        raise DomainError(f"r must be >= 1, got {r}")
+    return MomentKey(n, r, m, m2)
+
+
 @dataclass(frozen=True)
 class SubpermanentVector:
     """perm_0 .. perm_n of one matrix; index m holds perm_m."""
@@ -150,12 +162,7 @@ def ensemble_average_bruteforce(
     tuple_budget: int = TUPLE_BUDGET_DEFAULT,
 ) -> ExactMoment:
     """Exact E(perm_m * perm_m2) over all (n!)^r tuples, from the oracle table."""
-    if not (0 <= m <= n and 0 <= m2 <= n):
-        raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
+    key = moment_key(n, r, m, m2)
     table = product_sum_table(n, r, tuple_budget=tuple_budget)
     total = tuple_count(n, r)
-    return ExactMoment(
-        value=Fraction(table[m][m2], total),
-        term_count=total,
-        meta=MomentKey(n, r, m, m2),
-    )
+    return ExactMoment(value=Fraction(table[m][m2], total), term_count=total, meta=key)

@@ -10,21 +10,15 @@ import numpy as np
 
 from permex import (
     EnsembleSpec,
-    analytic_solution,
     argmax_profile,
-    ensemble_average_bruteforce,
     estimate_moments,
-    expectation_perm,
     expectation_product,
     single_rate,
-    solve_stationary,
     subpermanent_bruteforce,
     subpermanent_profile,
 )
+from permex.cli import SUITES
 from permex.model import SquareMatrix
-
-GRID_DENSITIES = [i / 10 for i in range(1, 10)]
-GRID_R = [2, 3, 4, 5, 6]
 
 
 def report(num, name, passed, detail):
@@ -33,77 +27,50 @@ def report(num, name, passed, detail):
     assert passed, line
 
 
+# Criteria 1-5 are the `permex verify` suites.  Each test pins the suite's
+# point count and tolerance, so a suite that shrinks its grid or loosens a
+# tolerance fails here.
+
+
+def _oracle_criterion(num, name, suite, points):
+    rows, _, passed, tol = SUITES[suite]()
+    assert (len(rows), tol) == (points, 0.0)
+    bad = [row for row in rows if not row["equal"]]
+    report(num, name, passed and not bad,
+           f"{len(rows)} cases exactly equal" if not bad else f"first mismatch {bad[0]}")
+
+
 def test_criterion_1_oracle_equality_single():
-    checked = 0
-    worst = None
-    for n in range(1, 6):
-        for r in range(1, 4):
-            for m in range(n + 1):
-                got = expectation_perm(n, r, m).value
-                want = ensemble_average_bruteforce(n, r, m, 0).value
-                if got != want:
-                    worst = (n, r, m, got, want)
-                checked += 1
-    report(1, "oracle equality, single", worst is None,
-           f"{checked} cases exactly equal" if worst is None else f"first mismatch {worst}")
+    _oracle_criterion(1, "oracle equality, single", "oracle-single", 60)
 
 
 def test_criterion_2_oracle_equality_product():
-    cases = [(n, r) for n in range(1, 5) for r in range(1, 4)] + [(5, 2)]
-    checked = 0
-    worst = None
-    for n, r in cases:
-        for m in range(n + 1):
-            for m2 in range(m, n + 1):
-                got = expectation_product(n, r, m, m2).value
-                want = ensemble_average_bruteforce(n, r, m, m2).value
-                if got != want:
-                    worst = (n, r, m, m2, got, want)
-                checked += 1
-    report(2, "oracle equality, product", worst is None,
-           f"{checked} cases exactly equal" if worst is None else f"first mismatch {worst}")
+    _oracle_criterion(2, "oracle equality, product", "oracle-product", 123)
 
 
 def test_criterion_3_stationarity_residuals():
-    worst = 0.0
-    for r in GRID_R:
-        for p in GRID_DENSITIES:
-            for q in GRID_DENSITIES:
-                worst = max(worst, analytic_solution(p, q, r).residual_max)
-    report(3, "stationarity of the closed form", worst < 1e-9,
-           f"max relative residual {worst:.3e} over 405 grid points")
+    rows, _, passed, tol = SUITES["stationarity"]()
+    assert (len(rows), tol) == (405, 1e-9)
+    worst = max(row["residual_max"] for row in rows)
+    report(3, "stationarity of the closed form", passed and worst < 1e-9,
+           f"max relative residual {worst:.3e} over {len(rows)} grid points")
 
 
 def test_criterion_4_factorization():
-    worst_analytic = 0.0
-    worst_solver = 0.0
-    for r in GRID_R:
-        for p in GRID_DENSITIES:
-            for q in GRID_DENSITIES:
-                target = single_rate(p, r) + single_rate(q, r)
-                sol = analytic_solution(p, q, r)
-                worst_analytic = max(worst_analytic, abs(sol.s_over_n - target))
-                num = solve_stationary(p, q, r)
-                worst_solver = max(worst_solver, abs(num.s_over_n - target))
-    passed = worst_analytic < 1e-9 and worst_solver < 1e-6
-    report(4, "rate factorization", passed,
-           f"analytic gap {worst_analytic:.3e}, solver gap {worst_solver:.3e}")
+    rows, _, passed, tol = SUITES["factorization"]()
+    assert (len(rows), tol) == (405, 1e-9)
+    worst = max(row["gap"] for row in rows)
+    worst_solver = max(row["solver_gap"] for row in rows)
+    report(4, "rate factorization", passed and worst < 1e-9 and worst_solver < 1e-6,
+           f"analytic gap {worst:.3e}, solver gap {worst_solver:.3e}")
 
 
 def test_criterion_5_solver_agreement():
-    rng = np.random.Generator(np.random.Philox(key=2718))
-    worst = 0.0
-    for _ in range(20):
-        p = float(rng.uniform(0.05, 0.95))
-        q = float(rng.uniform(0.05, 0.95))
-        r = int(rng.integers(2, 7))
-        ref = analytic_solution(p, q, r)
-        sol = solve_stationary(p, q, r)
-        diff = max(abs(sol.a - ref.a), abs(sol.b - ref.b), abs(sol.d - ref.d),
-                   abs(sol.e - ref.e), abs(sol.L - ref.L))
-        worst = max(worst, diff)
-    report(5, "solver matches closed form", worst < 1e-8,
-           f"max coordinate difference {worst:.3e} on 20 seeded triples")
+    rows, _, passed, tol = SUITES["solver"](seed=2718)
+    assert (len(rows), tol) == (20, 1e-8)
+    worst = max(row["coord_diff"] for row in rows)
+    report(5, "solver matches closed form", passed and worst < 1e-8,
+           f"max coordinate difference {worst:.3e} on {len(rows)} seeded triples")
 
 
 def test_criterion_6_finite_size_trend():

@@ -124,23 +124,33 @@ def test_verify_solver_json_serializable(capsys):
 
 
 def test_unknown_flag_exits_1(capsys):
-    code, _, err = run(capsys, "expect", "--n", "2", "--r", "2", "--m", "2",
-                       "--bogus", "1")
-    assert code == 1
-    assert "usage" in err
+    # expect has no work budget, so --budget is unknown to it
+    for flag in ("--bogus", "--budget"):
+        code, _, err = run(capsys, "expect", "--n", "2", "--r", "2", "--m", "2",
+                           flag, "1")
+        assert code == 1
+        assert "usage" in err
 
 
 def test_domain_error_exits_1(capsys):
-    code, _, err = run(capsys, "expect", "--n", "2", "--r", "2", "--m", "5")
-    assert code == 1
-    assert "error" in err
+    # an explicit --r 0 is a value, not "use the default grid"
+    for argv in (("expect", "--n", "2", "--r", "2", "--m", "5"),
+                 ("argmax", "--n", "2", "--r", "0", "--m", "0"),
+                 ("argmax", "--n", "2", "--r", "-1", "--m", "0"),
+                 ("verify", "--suite", "stationarity", "--r", "0")):
+        code, _, err = run(capsys, *argv, "--threads", "1")
+        assert code == 1
+        assert "error:" in err
 
 
 def test_capacity_error_exits_2(capsys):
-    code, _, err = run(capsys, "oracle", "--n", "10", "--r", "3", "--m", "2",
-                       "--m2", "0")
-    assert code == 2
-    assert "error" in err
+    # an explicit --budget 0 is a value, not "use the default budget"
+    for argv in (("oracle", "--n", "10", "--r", "3", "--m", "2", "--m2", "0"),
+                 ("product", "--n", "3", "--r", "2", "--m", "1", "--m2", "1",
+                  "--budget", "0", "--threads", "1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error" in err
 
 
 def test_bad_backend_name_exits_1(capsys, monkeypatch):

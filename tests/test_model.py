@@ -112,12 +112,6 @@ def test_enumerate_budget():
     assert "n=5" in str(err.value) and "r=3" in str(err.value)
 
 
-def test_matrix_json_roundtrip():
-    mat = sample_matrix(EnsembleSpec(n=4, r=3, seed=1), 0)
-    again = SquareMatrix.from_json(mat.to_json())
-    assert again == mat
-
-
 def test_matrix_validation():
     with pytest.raises(DomainError):
         SquareMatrix.from_rows([[1, 2], [3]])
