@@ -52,7 +52,6 @@ from .montecarlo import (
 from .permanents import (
     ExactMoment,
     MomentKey,
-    SubpermanentVector,
     ensemble_average_bruteforce,
     permanent,
     subpermanent_bruteforce,
@@ -77,7 +76,6 @@ __all__ = [
     "SolverError",
     "SquareMatrix",
     "StationarySolution",
-    "SubpermanentVector",
     "analytic_solution",
     "argmax_profile",
     "assemble_matrix",

@@ -1,23 +1,19 @@
-"""The subpermanent profile kernel, its backend certification, and the oracle.
+"""The subpermanent profile kernel, the arithmetic it runs on, and the oracle.
 
 Every profile, sampled or enumerated, comes from one vectorised numpy DP,
-``subperm_profiles``, run over a block of matrices.  Each call certifies
-its block once: when ``profile_value_bound`` proves that all values fit,
-the DP runs on int64, and otherwise on ``object`` arrays of exact Python
-integers.  ``PERMEX_BACKEND=pure`` forces Python integers and ``auto``
-(the default) uses int64 when certified.  ``_pykernels`` keeps the
+``subperm_profiles``, run over a block of matrices.  Each call picks its
+arithmetic from its input, once per block: when ``profile_value_bound``
+proves that all values fit, the DP runs on int64, and otherwise on
+``object`` arrays of exact Python integers.  ``_pykernels`` keeps the
 pure-Python DP as the reference the tests compare against.
 """
 
 import itertools
-import os
 from collections import Counter
 from math import comb, factorial
 from operator import mul
 
 import numpy as np
-
-from .errors import DomainError
 
 I64_SAFE_BOUND = 1 << 62
 
@@ -42,13 +38,6 @@ def compiled_available() -> bool:
     return False
 
 
-def backend_mode() -> str:
-    mode = os.environ.get("PERMEX_BACKEND", "auto").lower()
-    if mode not in ("auto", "pure"):
-        raise DomainError(f"PERMEX_BACKEND must be auto|pure, got {mode!r}")
-    return mode
-
-
 def profile_value_bound(n: int, max_entry: int) -> int:
     """Exact upper bound on any subpermanent sum: max_m C(n,m)^2 m! max_entry^m."""
     best = 1
@@ -59,14 +48,9 @@ def profile_value_bound(n: int, max_entry: int) -> int:
     return best
 
 
-def _fixed_width(bound: int) -> bool:
-    """Whether values up to ``bound`` run on int64 under PERMEX_BACKEND."""
-    return backend_mode() == "auto" and bound < I64_SAFE_BOUND
-
-
 def profile_backend_name(n: int, max_entry: int) -> str:
     """The arithmetic ``subperm_profiles`` certifies: "int64", or "pure" Python ints."""
-    return "int64" if _fixed_width(profile_value_bound(n, max_entry)) else "pure"
+    return "int64" if profile_value_bound(n, max_entry) < I64_SAFE_BOUND else "pure"
 
 
 def subperm_profile(rows, n: int, max_entry=None):
@@ -84,7 +68,7 @@ def subperm_profiles(mats, n: int, max_entry: int):
     i to every subset that lacks it is one numpy op on a reshaped view.
     Returns n + 1 lists of Python ints; entry [m][b] is perm_m of matrix b.
     """
-    dtype = np.int64 if _fixed_width(profile_value_bound(n, max_entry)) else object
+    dtype = np.int64 if profile_backend_name(n, max_entry) == "int64" else object
     # cols[j, i] holds entry (i, j) of every matrix in the block
     cols = np.ascontiguousarray(np.asarray(mats).transpose(2, 1, 0), dtype=dtype)
     size, batch = 1 << n, cols.shape[-1]

@@ -29,13 +29,12 @@ import concurrent.futures
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, perm, prod
 
 from .errors import CapacityError, DomainError
 from .permanents import ExactMoment, moment_key
 
 TERM_BUDGET_DEFAULT = 10**9
-PROGRESS_EVERY = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -355,70 +354,52 @@ def factor_dup(profile) -> int:
     return w
 
 
-def _hit_factor(profile, n, m, hits, hit_colors, hit_hosts, total) -> int:
-    r = len(profile.base)
-    a = profile.fresh_total
-    # fresh lines for the hits, split by color, then grouped per host
-    w = comb(n - m - a, total) * factorial(total)
-    for i in range(r):
-        w //= factorial(hit_colors[i])
-    for i in range(r):
-        w *= factorial(hit_colors[i])
-        for k in range(r):
-            if k != i:
-                w //= factorial(hits[i][k])
-    # host lines: pick which of each color's unduplicated lines get stood on
-    for i in range(r):
-        w *= comb(profile.base[i] - profile.dup[i], hit_hosts[i])
-        w *= factorial(hit_hosts[i])
-        for k in range(r):
-            if k != i:
-                w //= factorial(hits[k][i])
-    # regrouping of the per-pair cells
-    for i in range(r):
-        for k in range(r):
-            if k != i:
-                w *= factorial(hits[i][k])
-    return w
+def _entry_factorials(*mats) -> int:
+    """Product of v! over every entry v of the given count matrices."""
+    return prod(factorial(v) for mat in mats for row in mat for v in row)
+
+
+def _hit_factor(profile, n, m, hits, hit_hosts, total) -> int:
+    """Fresh lines for the hits, their host lines, and the per-pair grouping.
+
+    C(n-m-a, T) T! prod_i C(base_i - dup_i, hosts_i) hosts_i! divided by
+    prod_{i != k} hits[i][k]!, for a fresh cells and T hits; perm(k, j) is
+    C(k, j) j!, and the one division is exact.
+    """
+    w = perm(n - m - profile.fresh_total, total)
+    # host lines: which of each color's unduplicated lines get stood on
+    for base, dup, hosts in zip(profile.base, profile.dup, hit_hosts):
+        w *= perm(base - dup, hosts)
+    return w // _entry_factorials(hits)
 
 
 def factor_row_hits(profile, n, m) -> int:
     """Row hits: fresh columns for them, host rows, and the pairing."""
     return _hit_factor(
-        profile, n, m, profile.row_hits, profile.row_hit_colors,
-        profile.row_hit_hosts, profile.row_hit_total,
+        profile, n, m, profile.row_hits, profile.row_hit_hosts, profile.row_hit_total
     )
 
 
 def factor_col_hits(profile, n, m) -> int:
     """Col hits: the row-hit count with rows and columns swapped."""
     return _hit_factor(
-        profile, n, m, profile.col_hits, profile.col_hit_colors,
-        profile.col_hit_hosts, profile.col_hit_total,
+        profile, n, m, profile.col_hits, profile.col_hit_hosts, profile.col_hit_total
     )
 
 
 def factor_cross(profile) -> int:
-    """Cross hits: host rows, host columns, and the per-color pairing."""
-    r = len(profile.base)
-    w = 1
-    for i in range(r):
-        avail_rows = profile.base[i] - profile.dup[i] - profile.row_hit_hosts[i]
-        w *= comb(avail_rows, profile.cross_row_hosts[i])
-        w *= factorial(profile.cross_row_hosts[i])
-        for k in range(r):
-            if k != i:
-                w //= factorial(profile.cross_rows[k][i])
-    for i in range(r):
-        avail_cols = profile.base[i] - profile.dup[i] - profile.col_hit_hosts[i]
-        w *= comb(avail_cols, profile.cross_col_hosts[i])
-        w *= factorial(profile.cross_col_hosts[i])
-        for k in range(r):
-            if k != i:
-                w //= factorial(profile.cross_cols[k][i])
-    for di in profile.cross_colors:
-        w *= factorial(di)
-    return w
+    """Cross hits: host rows, host columns, and the per-color pairing.
+
+    prod_i cross_colors_i! C(avail_rows_i, row_hosts_i) row_hosts_i!
+    C(avail_cols_i, col_hosts_i) col_hosts_i!, divided by the factorial of
+    every cross_rows and cross_cols entry; the one division is exact.
+    """
+    p = profile
+    w = prod(map(factorial, p.cross_colors))
+    for i, (base, dup) in enumerate(zip(p.base, p.dup)):
+        w *= perm(base - dup - p.row_hit_hosts[i], p.cross_row_hosts[i])
+        w *= perm(base - dup - p.col_hit_hosts[i], p.cross_col_hosts[i])
+    return w // _entry_factorials(p.cross_rows, p.cross_cols)
 
 
 def factor_completion(profile, n) -> int:
@@ -452,18 +433,23 @@ def term_value(profile, n, r, m) -> Fraction:
 
 
 def expectation_perm(n, r, m) -> ExactMoment:
-    """Exact E(perm_m) as a sum over color splits of a single placement."""
+    """Exact E(perm_m) as a sum over color splits of a single placement.
+
+    The split m_1 + .. + m_r = m weighs m!/prod m_i! * prod (n - m_i)!.
+    Summed over all C(m+r-1, r-1) splits (the term count), that is entry m
+    of the r-fold binomial convolution power of a_j = (n - j)!, where
+    (f * g)_k = sum_j C(k, j) f_j g_(k-j): O(r m^2) work for any r.
+    """
     key = moment_key(n, r, m)
-    total = 0
-    count = 0
-    for parts in _compositions(m, r):
-        w = factorial(m)
-        for mi in parts:
-            w = w // factorial(mi) * factorial(n - mi)
-        total += w
-        count += 1
-    value = Fraction(comb(n, m) ** 2 * factorial(m) * total, factorial(n) ** r)
-    return ExactMoment(value=value, term_count=count, meta=key)
+    a = [factorial(n - j) for j in range(m + 1)]
+    power = a
+    for _ in range(r - 1):
+        power = [
+            sum(comb(k, j) * power[j] * a[k - j] for j in range(k + 1))
+            for k in range(m + 1)
+        ]
+    value = Fraction(comb(n, m) ** 2 * factorial(m) * power[m], factorial(n) ** r)
+    return ExactMoment(value=value, term_count=comb(m + r - 1, r - 1), meta=key)
 
 
 def _weighted_profiles(n, r, m, m2, term_budget, m1_range=None):
@@ -476,13 +462,10 @@ def _weighted_profiles(n, r, m, m2, term_budget, m1_range=None):
         yield profile, _term_integer(profile, n, r, m)
 
 
-def _product_sum_range(n, r, m, m2, m1_range, term_budget, progress=None):
-    total = 0
-    count = 0
+def _product_sum_range(n, r, m, m2, m1_range, term_budget):
+    total = count = 0
     for count, (_, w) in enumerate(_weighted_profiles(n, r, m, m2, term_budget, m1_range), 1):
         total += w
-        if progress is not None and count % PROGRESS_EVERY == 0:
-            progress(count)
     return total, count
 
 
@@ -492,7 +475,7 @@ def _product_worker(args):
 
 
 def expectation_product(
-    n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT, threads=1, progress=None
+    n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT, threads=1
 ) -> ExactMoment:
     """Exact E(perm_m * perm_m2) by summing term_value over all profiles.
 
@@ -517,7 +500,7 @@ def expectation_product(
                 f"profile count {count} exceeded budget {term_budget}"
             )
     else:
-        total, count = _product_sum_range(n, r, m, m2, None, term_budget, progress)
+        total, count = _product_sum_range(n, r, m, m2, None, term_budget)
     value = Fraction(total, factorial(n) ** r)
     return ExactMoment(value=value, term_count=count, meta=key)
 

@@ -44,18 +44,6 @@ def moment_key(n: int, r: int, m: int, m2: int = 0) -> MomentKey:
 
 
 @dataclass(frozen=True)
-class SubpermanentVector:
-    """perm_0 .. perm_n of one matrix; index m holds perm_m."""
-
-    n: int
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != self.n + 1:
-            raise DomainError("profile must have n + 1 values")
-
-
-@dataclass(frozen=True)
 class ExactMoment:
     """An exact rational expectation plus how many terms produced it."""
 
@@ -64,11 +52,11 @@ class ExactMoment:
     meta: MomentKey
 
 
-def permanent(matrix: SquareMatrix, dim_limit: int = DIM_LIMIT_DEFAULT) -> int:
+def permanent(matrix: SquareMatrix) -> int:
     """Permanent by inclusion-exclusion over column subsets (Gray-code order)."""
     n = matrix.n
-    if n > dim_limit:
-        raise CapacityError(f"permanent limited to n <= {dim_limit}, got {n}")
+    if n > DIM_LIMIT_DEFAULT:
+        raise CapacityError(f"permanent limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
     rows = matrix.entries
     sums = [0] * n
     total = 0
@@ -94,15 +82,12 @@ def permanent(matrix: SquareMatrix, dim_limit: int = DIM_LIMIT_DEFAULT) -> int:
     return total
 
 
-def subpermanent_profile(
-    matrix: SquareMatrix, dim_limit: int = DIM_LIMIT_DEFAULT
-) -> SubpermanentVector:
-    """All perm_m at once via the subset dynamic program (2^n states)."""
+def subpermanent_profile(matrix: SquareMatrix) -> tuple:
+    """(perm_0, .., perm_n) via the subset dynamic program (2^n states)."""
     n = matrix.n
-    if n > dim_limit:
-        raise CapacityError(f"profile limited to n <= {dim_limit}, got {n}")
-    values = kernels.subperm_profile(matrix.entries, n, matrix.max_entry())
-    return SubpermanentVector(n=n, values=tuple(values))
+    if n > DIM_LIMIT_DEFAULT:
+        raise CapacityError(f"profile limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
+    return tuple(kernels.subperm_profile(matrix.entries, n, matrix.max_entry()))
 
 
 def subpermanent_bruteforce(matrix: SquareMatrix, m: int) -> int:
@@ -131,14 +116,13 @@ _table_lock = threading.Lock()
 def product_sum_table(n: int, r: int, tuple_budget: int = TUPLE_BUDGET_DEFAULT):
     """Exact (n+1) x (n+1) table of sums of perm_m * perm_m2 over all tuples.
 
-    Cached per (n, r).  PERMEX_BACKEND and the budget are checked on every
-    call, cached or not, so whether an input is refused does not depend on
-    earlier calls.  The budget bounds the (n!)^r tuples the table sums
-    over, although the oracle evaluates only p(n) (n!)^(r-2) matrices.
+    Cached per (n, r).  The budget is checked on every call, cached or not,
+    so whether an input is refused does not depend on earlier calls.  It
+    bounds the (n!)^r tuples the table sums over, although the oracle
+    evaluates only p(n) (n!)^(r-2) matrices.
     """
     if n < 1 or r < 1:
         raise DomainError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
-    kernels.backend_mode()
     total = tuple_count(n, r)
     if total > tuple_budget:
         raise CapacityError(

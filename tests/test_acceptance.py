@@ -134,7 +134,7 @@ def test_criterion_9_profile_cross_check():
         mat = SquareMatrix.from_rows(rows)
         prof = subpermanent_profile(mat)
         for m in range(n + 1):
-            if prof.values[m] != subpermanent_bruteforce(mat, m):
+            if prof[m] != subpermanent_bruteforce(mat, m):
                 worst = (mat, m)
         checked += 1
     report(9, "profile vs brute force", worst is None,

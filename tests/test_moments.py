@@ -57,6 +57,8 @@ def test_expectation_perm_examples():
 def test_expectation_perm_term_count():
     assert expectation_perm(4, 2, 3).term_count == 4
     assert expectation_perm(5, 3, 2).term_count == 6
+    # one term per color split, counted without enumerating the splits
+    assert expectation_perm(40, 12, 20).term_count == 84_672_315
 
 
 def test_expectation_perm_domain():

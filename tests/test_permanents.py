@@ -7,7 +7,6 @@ import pytest
 
 from permex import (
     CapacityError,
-    DomainError,
     EnsembleSpec,
     SquareMatrix,
     assemble_matrix,
@@ -19,12 +18,13 @@ from permex import (
     subpermanent_profile,
 )
 from permex import _pykernels, kernels, permanents
-from permex.permanents import product_sum_table
+from permex.permanents import DIM_LIMIT_DEFAULT, product_sum_table
 
 IDENTITY3 = SquareMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 ONES3 = SquareMatrix.from_rows([[1, 1, 1]] * 3)
 ONES2 = SquareMatrix.from_rows([[1, 1], [1, 1]])
 DIAG2 = SquareMatrix.from_rows([[2, 0], [0, 2]])
+TOO_BIG = SquareMatrix.from_rows([[1] * (DIM_LIMIT_DEFAULT + 1)] * (DIM_LIMIT_DEFAULT + 1))
 
 
 def perm_by_definition(mat):
@@ -60,16 +60,15 @@ def test_permanent_matches_definition():
 
 
 def test_permanent_capacity():
-    mat = SquareMatrix.from_rows([[1] * 5] * 5)
     with pytest.raises(CapacityError):
-        permanent(mat, dim_limit=4)
+        permanent(TOO_BIG)
 
 
 @pytest.mark.parametrize(
     "mat,values", [(ONES2, (1, 4, 2)), (DIAG2, (1, 4, 4))]
 )
 def test_profile_examples(mat, values):
-    assert subpermanent_profile(mat).values == values
+    assert subpermanent_profile(mat) == values
 
 
 def test_profile_basic_identities():
@@ -80,9 +79,9 @@ def test_profile_basic_identities():
         n = int(rng.integers(1, 7))
         mat = random_matrix(rng, n)
         prof = subpermanent_profile(mat)
-        assert prof.values[0] == 1
-        assert prof.values[1] == mat.entry_total()
-        assert prof.values[-1] == permanent(mat)
+        assert prof[0] == 1
+        assert prof[1] == mat.entry_total()
+        assert prof[-1] == permanent(mat)
 
 
 @pytest.mark.parametrize(
@@ -102,12 +101,12 @@ def test_profile_vs_bruteforce_spot():
         mat = random_matrix(rng, n)
         prof = subpermanent_profile(mat)
         for m in range(n + 1):
-            assert prof.values[m] == subpermanent_bruteforce(mat, m)
+            assert prof[m] == subpermanent_bruteforce(mat, m)
 
 
 def test_profile_capacity():
     with pytest.raises(CapacityError):
-        subpermanent_profile(ONES3, dim_limit=2)
+        subpermanent_profile(TOO_BIG)
     with pytest.raises(CapacityError):
         subpermanent_bruteforce(SquareMatrix.from_rows([[1] * 9] * 9), 2)
 
@@ -131,9 +130,9 @@ def test_profile_monotone_bound():
         for i in range(5):
             mat = sample_matrix(spec, i)
             prof = subpermanent_profile(mat)
-            assert prof.values[1] == r * n
+            assert prof[1] == r * n
             for m in range(n + 1):
-                assert prof.values[m] <= comb(n, m) ** 2 * factorial(m) * r**m
+                assert prof[m] <= comb(n, m) ** 2 * factorial(m) * r**m
 
 
 @functools.cache
@@ -187,11 +186,11 @@ def assert_batch_matches_reference(mats, n, max_entry):
 
 @pytest.mark.parametrize("mode", ["auto", "pure"])
 def test_batched_profiles_match_reference(monkeypatch, mode):
-    monkeypatch.setenv("PERMEX_BACKEND", mode)
+    if mode == "pure":  # no bound certifies int64, so every block runs on Python ints
+        monkeypatch.setattr(kernels, "I64_SAFE_BOUND", 0)
     rng = np.random.default_rng(21)
     for n in range(1, 10):
-        # int64 under auto, Python ints when forced pure
-        assert kernels._fixed_width(kernels.profile_value_bound(n, 3)) == (mode == "auto")
+        assert kernels.profile_backend_name(n, 3) == ("int64" if mode == "auto" else "pure")
         for block in (1, 3, 11):
             mats = rng.integers(0, 4, size=(block, n, n))
             assert_batch_matches_reference(mats, n, 3)
@@ -201,32 +200,15 @@ def test_batched_profiles_beyond_int64():
     rng = np.random.default_rng(22)
     big = 1 << 40
     for n in (2, 4, 6):
-        assert not kernels._fixed_width(kernels.profile_value_bound(n, big))
+        assert kernels.profile_backend_name(n, big) == "pure"
         mats = rng.integers(big - 8, big + 1, size=(5, n, n))
         assert max(kernels.subperm_profiles(mats, n, big)[n]) >= 1 << 63
         assert_batch_matches_reference(mats, n, big)
 
 
-def test_backend_name_reports_certified_arithmetic(monkeypatch):
-    monkeypatch.delenv("PERMEX_BACKEND", raising=False)
+def test_backend_name_reports_certified_arithmetic():
     assert kernels.profile_backend_name(6, 2) == "int64"
     assert kernels.profile_backend_name(6, 1 << 40) == "pure"
-
-
-def test_backend_checked_on_cache_hit(monkeypatch):
-    # The second call finds (3, 2) cached and must still refuse the name.
-    monkeypatch.delenv("PERMEX_BACKEND", raising=False)
-    assert ensemble_average_bruteforce(3, 2, 1, 2).value == 60
-    monkeypatch.setenv("PERMEX_BACKEND", "bogus")
-    with pytest.raises(DomainError):
-        ensemble_average_bruteforce(3, 2, 1, 2)
-
-
-def test_pure_backend_forced(monkeypatch):
-    monkeypatch.setenv("PERMEX_BACKEND", "pure")
-    assert kernels.profile_backend_name(4, 2) == "pure"
-    prof = subpermanent_profile(ONES2)
-    assert prof.values == (1, 4, 2)
 
 
 def test_product_table_cached_and_symmetric():
