@@ -95,7 +95,6 @@ def _cmd_product(args):
     moment = expectation_product(
         args.n, args.r, args.m, args.m2,
         term_budget=_or_default(args.budget, TERM_BUDGET_DEFAULT),
-        threads=args.threads,
     )
     header, rows = _moment_csv(moment)
     _emit(args, _moment_payload("product", moment), header, rows)

@@ -114,6 +114,13 @@ def _cycle_classes(n: int):
         yield tuple(perm), factorial(n) // centralizer
 
 
+def oracle_matrix_count(n: int, r: int) -> int:
+    """Matrices ``oracle_product_sums`` evaluates: p(n) (n!)^(r-2), or 1 at r = 1."""
+    if r == 1:
+        return 1
+    return sum(1 for _ in _partitions(n, n)) * factorial(n) ** (r - 2)
+
+
 def oracle_product_sums(n: int, r: int):
     """Exact sums of perm_m * perm_m2 over all (n!)^r permutation tuples.
 
@@ -140,7 +147,7 @@ def oracle_product_sums(n: int, r: int):
     tails = nfact**tail_len
     if tail_len:  # n! x n x n entries; r <= 2 needs none
         perms = eye[list(itertools.permutations(range(n)))]
-    count, block = len(weights) * tails, block_size(n)
+    count, block = oracle_matrix_count(n, r), block_size(n)
     table = [[0] * (n + 1) for _ in range(n + 1)]
     for start in range(0, count, block):
         head, tail = np.divmod(np.arange(start, min(start + block, count)), tails)

@@ -23,15 +23,38 @@ feasible profiles of a product of seven exact counting factors, divided by
 (n!)^r.  The factors count, in order: first-placement choices, fresh
 cells, dup choices, row hits, col hits, cross hits, and the number of ways
 to complete each permutation around its forced cells.
+
+``profile_iterator`` enumerates the profiles and stays the reference;
+``expectation_product`` sums the same terms without visiting them one by
+one.  A prefix (base, fresh, dup, row_hits, col_hits) fixes the first five
+factors, W, and what is left per color: ``loads`` free cells and
+``lcaps``/``rcaps`` free host rows/columns for cross hits.  With the cross
+hits per color fixed at dvec, the last two factors are
+
+  prod_i (loads_i - d_i)! d_i! * H(lmat, lcaps) * H(rmat, rcaps),
+
+  H(mat, caps) = prod_i C(caps_i, h_i) h_i! / prod_{i != k} mat[i][k]!,
+
+where h_i are mat's column sums and (lmat, rmat) range independently over
+off-diagonal matrices with row sums dvec and column sums h_i <= caps_i.  So
+the prefix contributes W sum_dvec prod_i (loads_i - d_i)! d_i! L(dvec, lcaps)
+L(dvec, rcaps), with L(dvec, caps) = sum_mat H(mat, caps), and L and the
+matrix count come from a table built once per (dvec, caps) in each call.
+Relabelling the colors maps profiles onto profiles of equal weight, so the
+sum for a base split equals that for any rearrangement of it: only
+non-increasing splits are visited, each weighted by its number of distinct
+rearrangements r! / prod (multiplicity)!.  The term count stays the raw
+profile count, sum Lc * Rc times that orbit weight.
 """
 
-import concurrent.futures
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, perm, prod
 
 from .errors import CapacityError, DomainError
+from .kernels import _partitions
 from .permanents import ExactMoment, moment_key
 
 TERM_BUDGET_DEFAULT = 10**9
@@ -52,15 +75,15 @@ def _compositions(total, parts):
 
 
 def _capped_compositions(total, caps):
-    """Compositions of `total` with part i at most caps[i]."""
-    if not caps:
-        if total == 0:
-            yield ()
+    """Compositions of `total` into len(caps) >= 1 parts, part i at most caps[i]."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
         return
-    hi = min(caps[0], total)
-    for v in range(hi + 1):
-        for rest in _capped_compositions(total - v, caps[1:]):
-            yield (v,) + rest
+    rest = caps[1:]
+    for v in range(max(0, total - sum(rest)), min(caps[0], total) + 1):
+        for tail in _capped_compositions(total - v, rest):
+            yield (v,) + tail
 
 
 def _bounded_tuples(caps, budget):
@@ -72,6 +95,10 @@ def _bounded_tuples(caps, budget):
     for v in range(hi + 1):
         for rest in _bounded_tuples(caps[1:], budget - v):
             yield (v,) + rest
+
+
+def _column_sums(mat):
+    return [sum(col) for col in zip(*mat)]
 
 
 def _offdiag_cells(r):
@@ -220,58 +247,64 @@ class ColorProfile:
                 + self.col_hit_total + self.cross_total)
 
 
-def profile_iterator(n, r, m, m2):
-    """Yield every feasible ColorProfile exactly once, in nested lex order."""
-    moment_key(n, r, m, m2)
-    yield from _iter_profiles(n, r, m, m2)
+def _prefixes(n, r, m, m2, bases):
+    """Every profile prefix (base, fresh, dup, rowh, colh) for the given base splits.
 
-
-def _iter_profiles(n, r, m, m2, m1_range=None):
-    if m1_range is None:
-        base_iter = _compositions(m, r)
-    else:
-        lo, hi = m1_range
-        base_iter = (
-            (m1,) + rest
-            for m1 in range(lo, hi)
-            for rest in _compositions(m - m1, r - 1)
-        )
-    for base in base_iter:
+    Yields the prefix, its weight w (the base, fresh, dup, row-hit and
+    col-hit factors, each computed once at its own loop level), the number
+    d of cross hits still to place, the cells each color can still take
+    (``loads``), and the host lines left for cross rows and cross columns
+    (``lcaps``, ``rcaps``).
+    """
+    for base in bases:
+        w_base = _base_integer(base, n, m)
         fresh_caps = [n - bi for bi in base]
         for a in range(min(n - m, m2) + 1):
+            free = n - m - a
             for fresh in _capped_compositions(a, fresh_caps):
+                w_fresh = w_base * _fresh_integer(fresh, n, m)
                 for dup in _bounded_tuples(base, m2 - a):
                     e = sum(dup)
                     hosts = [base[i] - dup[i] for i in range(r)]
-                    rh_budget = min(n - m - a, m2 - a - e)
+                    w_dup = w_fresh * _dup_integer(base, dup)
+                    rh_budget = min(free, m2 - a - e)
                     for rowh in _offdiag_matrices(r, rh_budget, hosts):
                         b = sum(map(sum, rowh))
-                        rh_rows = [sum(row) for row in rowh]
-                        rh_cols = [sum(rowh[k][i] for k in range(r)) for i in range(r)]
-                        ch_budget = min(n - m - a, m2 - a - e - b)
+                        rh_cols = _column_sums(rowh)
+                        w_row = w_dup * _hit_integer(free, hosts, rowh, rh_cols, b)
+                        ch_budget = min(free, m2 - a - e - b)
                         for colh in _offdiag_matrices(r, ch_budget, hosts):
                             c = sum(map(sum, colh))
-                            ch_rows = [sum(row) for row in colh]
-                            ch_cols = [sum(colh[k][i] for k in range(r)) for i in range(r)]
-                            d = m2 - a - e - b - c
-                            loads = [
-                                n - base[i] - fresh[i] - rh_rows[i] - ch_rows[i]
+                            ch_cols = _column_sums(colh)
+                            w = w_row * _hit_integer(free, hosts, colh, ch_cols, c)
+                            loads = tuple(
+                                n - base[i] - fresh[i] - sum(rowh[i]) - sum(colh[i])
                                 for i in range(r)
-                            ]
-                            lcaps = [hosts[i] - rh_cols[i] for i in range(r)]
-                            rcaps = [hosts[i] - ch_cols[i] for i in range(r)]
-                            for dvec in _capped_compositions(d, loads):
-                                for lmat in _offdiag_rowsum_matrices(r, dvec, lcaps):
-                                    for rmat in _offdiag_rowsum_matrices(r, dvec, rcaps):
-                                        yield ColorProfile(
-                                            base=base,
-                                            fresh=fresh,
-                                            dup=dup,
-                                            row_hits=rowh,
-                                            col_hits=colh,
-                                            cross_rows=lmat,
-                                            cross_cols=rmat,
-                                        )
+                            )
+                            lcaps = tuple(hosts[i] - rh_cols[i] for i in range(r))
+                            rcaps = tuple(hosts[i] - ch_cols[i] for i in range(r))
+                            yield (base, fresh, dup, rowh, colh,
+                                   w, m2 - a - e - b - c, loads, lcaps, rcaps)
+
+
+def profile_iterator(n, r, m, m2):
+    """Yield every feasible ColorProfile exactly once, in nested lex order."""
+    moment_key(n, r, m, m2)
+    for base, fresh, dup, rowh, colh, _, d, loads, lcaps, rcaps in _prefixes(
+        n, r, m, m2, _compositions(m, r)
+    ):
+        for dvec in _capped_compositions(d, loads):
+            for lmat in _offdiag_rowsum_matrices(r, dvec, lcaps):
+                for rmat in _offdiag_rowsum_matrices(r, dvec, rcaps):
+                    yield ColorProfile(
+                        base=base,
+                        fresh=fresh,
+                        dup=dup,
+                        row_hits=rowh,
+                        col_hits=colh,
+                        cross_rows=lmat,
+                        cross_cols=rmat,
+                    )
 
 
 def validate_profile(profile, n, r, m, m2):
@@ -324,82 +357,94 @@ def validate_profile(profile, n, r, m, m2):
 # the seven counting factors
 
 
-def _base_integer(profile, n, m) -> int:
+def _base_integer(base, n, m) -> int:
     """First-placement choices: locations and color split, before 1/(n!)^r."""
     w = comb(n, m) ** 2 * factorial(m) * factorial(m)
-    for mi in profile.base:
+    for mi in base:
         w //= factorial(mi)
     return w
 
 
 def factor_base(profile, n, r, m) -> Fraction:
     """First-placement weight: location choices, color split, 1/(n!)^r."""
-    return Fraction(_base_integer(profile, n, m), factorial(n) ** r)
+    return Fraction(_base_integer(profile.base, n, m), factorial(n) ** r)
+
+
+def _fresh_integer(fresh, n, m) -> int:
+    a = sum(fresh)
+    w = comb(n - m, a) ** 2 * factorial(a) * factorial(a)
+    for ai in fresh:
+        w //= factorial(ai)
+    return w
 
 
 def factor_fresh(profile, n, m) -> int:
     """Fresh cells: choose rows and columns off the base, pair, and color."""
-    a = profile.fresh_total
-    w = comb(n - m, a) ** 2 * factorial(a) * factorial(a)
-    for ai in profile.fresh:
-        w //= factorial(ai)
+    return _fresh_integer(profile.fresh, n, m)
+
+
+def _dup_integer(base, dup) -> int:
+    w = 1
+    for mi, ei in zip(base, dup):
+        w *= comb(mi, ei)
     return w
 
 
 def factor_dup(profile) -> int:
     """Duplicated cells: pick which base cells of each color to copy."""
-    w = 1
-    for mi, ei in zip(profile.base, profile.dup):
-        w *= comb(mi, ei)
-    return w
+    return _dup_integer(profile.base, profile.dup)
 
 
-def _entry_factorials(*mats) -> int:
-    """Product of v! over every entry v of the given count matrices."""
-    return prod(factorial(v) for mat in mats for row in mat for v in row)
+def _host_integer(caps, mat, mat_hosts) -> int:
+    """prod_i C(caps_i, hosts_i) hosts_i! over prod of mat's entry factorials.
+
+    Picks which of color i's caps_i free lines host the mat_hosts_i cells
+    standing on them, and splits those cells by color; the division is exact
+    (each column contributes a binomial times a multinomial).
+    """
+    return prod(map(perm, caps, mat_hosts)) // prod(factorial(v) for row in mat for v in row)
 
 
-def _hit_factor(profile, n, m, hits, hit_hosts, total) -> int:
+def _hit_integer(free, caps, hits, hit_hosts, total) -> int:
     """Fresh lines for the hits, their host lines, and the per-pair grouping.
 
-    C(n-m-a, T) T! prod_i C(base_i - dup_i, hosts_i) hosts_i! divided by
-    prod_{i != k} hits[i][k]!, for a fresh cells and T hits; perm(k, j) is
-    C(k, j) j!, and the one division is exact.
+    C(free, T) T! times ``_host_integer`` over the unduplicated base lines,
+    for T hits and ``free`` = n - m - a lines left by a fresh cells.
     """
-    w = perm(n - m - profile.fresh_total, total)
-    # host lines: which of each color's unduplicated lines get stood on
-    for base, dup, hosts in zip(profile.base, profile.dup, hit_hosts):
-        w *= perm(base - dup, hosts)
-    return w // _entry_factorials(hits)
+    return perm(free, total) * _host_integer(caps, hits, hit_hosts)
+
+
+def _undup(profile):
+    return [b - e for b, e in zip(profile.base, profile.dup)]
 
 
 def factor_row_hits(profile, n, m) -> int:
     """Row hits: fresh columns for them, host rows, and the pairing."""
-    return _hit_factor(
-        profile, n, m, profile.row_hits, profile.row_hit_hosts, profile.row_hit_total
-    )
+    p = profile
+    return _hit_integer(n - m - p.fresh_total, _undup(p), p.row_hits, p.row_hit_hosts,
+                        p.row_hit_total)
 
 
 def factor_col_hits(profile, n, m) -> int:
     """Col hits: the row-hit count with rows and columns swapped."""
-    return _hit_factor(
-        profile, n, m, profile.col_hits, profile.col_hit_hosts, profile.col_hit_total
-    )
+    p = profile
+    return _hit_integer(n - m - p.fresh_total, _undup(p), p.col_hits, p.col_hit_hosts,
+                        p.col_hit_total)
 
 
 def factor_cross(profile) -> int:
     """Cross hits: host rows, host columns, and the per-color pairing.
 
-    prod_i cross_colors_i! C(avail_rows_i, row_hosts_i) row_hosts_i!
-    C(avail_cols_i, col_hosts_i) col_hosts_i!, divided by the factorial of
-    every cross_rows and cross_cols entry; the one division is exact.
+    prod_i cross_colors_i! times ``_host_integer`` of the row hosts (over
+    the lines the row hits left) and of the column hosts (likewise).
     """
     p = profile
-    w = prod(map(factorial, p.cross_colors))
-    for i, (base, dup) in enumerate(zip(p.base, p.dup)):
-        w *= perm(base - dup - p.row_hit_hosts[i], p.cross_row_hosts[i])
-        w *= perm(base - dup - p.col_hit_hosts[i], p.cross_col_hosts[i])
-    return w // _entry_factorials(p.cross_rows, p.cross_cols)
+    undup = _undup(p)
+    lcaps = [u - h for u, h in zip(undup, p.row_hit_hosts)]
+    rcaps = [u - h for u, h in zip(undup, p.col_hit_hosts)]
+    return (prod(map(factorial, p.cross_colors))
+            * _host_integer(lcaps, p.cross_rows, p.cross_row_hosts)
+            * _host_integer(rcaps, p.cross_cols, p.cross_col_hosts))
 
 
 def factor_completion(profile, n) -> int:
@@ -413,7 +458,7 @@ def factor_completion(profile, n) -> int:
 def _term_integer(profile, n, r, m) -> int:
     """term_value numerator over the common denominator (n!)^r."""
     return (
-        _base_integer(profile, n, m)
+        _base_integer(profile.base, n, m)
         * factor_fresh(profile, n, m)
         * factor_dup(profile)
         * factor_row_hits(profile, n, m)
@@ -452,57 +497,68 @@ def expectation_perm(n, r, m) -> ExactMoment:
     return ExactMoment(value=value, term_count=comb(m + r - 1, r - 1), meta=key)
 
 
-def _weighted_profiles(n, r, m, m2, term_budget, m1_range=None):
+def _check_budget(count, term_budget, n, r, m, m2):
+    if count > term_budget:
+        raise CapacityError(
+            f"profile count exceeded budget {term_budget} at (n={n}, r={r}, m={m}, m2={m2})"
+        )
+
+
+def _weighted_profiles(n, r, m, m2, term_budget):
     """Yield (profile, _term_integer) per profile; CapacityError past the budget."""
-    for count, profile in enumerate(_iter_profiles(n, r, m, m2, m1_range=m1_range), 1):
-        if count > term_budget:
-            raise CapacityError(
-                f"profile count exceeded budget {term_budget} at (n={n}, r={r}, m={m}, m2={m2})"
-            )
+    for count, profile in enumerate(profile_iterator(n, r, m, m2), 1):
+        _check_budget(count, term_budget, n, r, m, m2)
         yield profile, _term_integer(profile, n, r, m)
 
 
-def _product_sum_range(n, r, m, m2, m1_range, term_budget):
-    total = count = 0
-    for count, (_, w) in enumerate(_weighted_profiles(n, r, m, m2, term_budget, m1_range), 1):
-        total += w
-    return total, count
+def _sorted_splits(m, r):
+    """Non-increasing color splits of m, each with its number of rearrangements."""
+    for parts in _partitions(m, m):
+        if len(parts) <= r:
+            base = parts + (0,) * (r - len(parts))
+            yield base, factorial(r) // prod(map(factorial, Counter(base).values()))
 
 
-def _product_worker(args):
-    n, r, m, m2, lo, hi, budget = args
-    return _product_sum_range(n, r, m, m2, (lo, hi), budget)
+def expectation_product(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT) -> ExactMoment:
+    """Exact E(perm_m * perm_m2): the profile sum, collapsed over cross hits and colors.
 
-
-def expectation_product(
-    n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT, threads=1
-) -> ExactMoment:
-    """Exact E(perm_m * perm_m2) by summing term_value over all profiles.
-
-    With threads > 1 the outermost color-split coordinate is partitioned
-    across worker processes; exact integer partial sums merge associatively,
-    so the result does not depend on the partitioning.  The term budget is
-    then enforced per worker and once more on the merged count.
+    term_count is the raw profile count.  CapacityError as soon as the
+    running count passes term_budget; it is checked after each cross-hit
+    split, and a cross-hit table stops growing past term_budget matrices.
     """
     key = moment_key(n, r, m, m2)
-    if threads > 1 and r > 1 and m >= 1:
-        bounds = sorted({(m + 1) * i // threads for i in range(threads + 1)})
-        jobs = [
-            (n, r, m, m2, bounds[i], bounds[i + 1], term_budget)
-            for i in range(len(bounds) - 1)
-        ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_product_worker, jobs))
-        total = sum(p[0] for p in parts)
-        count = sum(p[1] for p in parts)
-        if count > term_budget:
-            raise CapacityError(
-                f"profile count {count} exceeded budget {term_budget}"
-            )
-    else:
-        total, count = _product_sum_range(n, r, m, m2, None, term_budget)
-    value = Fraction(total, factorial(n) ** r)
-    return ExactMoment(value=value, term_count=count, meta=key)
+    cross = {}  # (dvec, caps) -> (L, number of cross matrices)
+
+    def cross_sum(dvec, caps):
+        hit = cross.get((dvec, caps))
+        if hit is None:
+            weight = count = 0
+            for mat in _offdiag_rowsum_matrices(r, dvec, caps):
+                count += 1
+                if count > term_budget:  # over budget unless the other side is empty
+                    weight = None
+                    break
+                weight += _host_integer(caps, mat, _column_sums(mat))
+            hit = cross[dvec, caps] = (weight, count)
+        return hit
+
+    total = count = 0
+    for base, orbit in _sorted_splits(m, r):
+        for *_, w, d, loads, lcaps, rcaps in _prefixes(n, r, m, m2, [base]):
+            part = 0
+            for dvec in _capped_compositions(d, loads):
+                lw, lc = cross_sum(dvec, lcaps)
+                if not lc:
+                    continue
+                rw, rc = cross_sum(dvec, rcaps)
+                if not rc:
+                    continue
+                count += orbit * lc * rc
+                _check_budget(count, term_budget, n, r, m, m2)
+                done = prod(factorial(load - di) * factorial(di) for load, di in zip(loads, dvec))
+                part += done * lw * rw
+            total += orbit * w * part
+    return ExactMoment(value=Fraction(total, factorial(n) ** r), term_count=count, meta=key)
 
 
 def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):

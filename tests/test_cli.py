@@ -25,12 +25,27 @@ def test_expect_json(capsys):
 
 
 def test_product_and_oracle_agree(capsys):
-    code, out1, _ = run(capsys, "product", "--n", "3", "--r", "2", "--m", "2", "--m2", "2")
+    # (8!)^2 tuples, but the oracle evaluates only p(8) = 22 matrices
+    for n, m in (("3", "2"), ("8", "4")):
+        argv = ("--n", n, "--r", "2", "--m", m, "--m2", m)
+        code, out1, _ = run(capsys, "product", *argv)
+        assert code == 0
+        code, out2, _ = run(capsys, "oracle", *argv)
+        assert code == 0
+        a, b = json.loads(out1), json.loads(out2)
+        assert (a["value_num"], a["value_den"]) == (b["value_num"], b["value_den"])
+
+
+def test_product_budget_boundary(capsys):
+    # (4, 3, 2, 3) has 1,173 profiles: a budget of exactly that many passes
+    argv = ("product", "--n", "4", "--r", "3", "--m", "2", "--m2", "3", "--threads", "1")
+    code, out, _ = run(capsys, *argv, "--budget", "1173")
     assert code == 0
-    code, out2, _ = run(capsys, "oracle", "--n", "3", "--r", "2", "--m", "2", "--m2", "2")
-    assert code == 0
-    a, b = json.loads(out1), json.loads(out2)
-    assert (a["value_num"], a["value_den"]) == (b["value_num"], b["value_den"])
+    assert json.loads(out)["terms"] == 1173
+    code, out, err = run(capsys, *argv, "--budget", "1172")
+    assert code == 2
+    assert out == ""
+    assert "budget 1172" in err
 
 
 def test_rate_value(capsys):

@@ -15,6 +15,7 @@ from permex import (
     term_value,
     validate_profile,
 )
+from permex.cli import SUITES
 from permex.moments import (
     _term_integer,
     factor_base,
@@ -218,18 +219,57 @@ def test_product_reduces_to_single():
             assert expectation_product(n, r, m, 0).value == expectation_perm(n, r, m).value
 
 
+def test_product_oracle_equality_larger():
+    # beyond the oracle-product suite: tables of 1,399, 7,920 and 100,800 matrices
+    for n, r, m, m2 in [(8, 2, 4, 4), (6, 3, 3, 3), (5, 4, 2, 3)]:
+        got = expectation_product(n, r, m, m2)
+        assert got.value == ensemble_average_bruteforce(n, r, m, m2).value, (n, r, m, m2)
+
+
+def profile_sum(n, r, m, m2):
+    """The reference: every profile enumerated, its seven factors multiplied."""
+    total = count = 0
+    for profile in profile_iterator(n, r, m, m2):
+        total += _term_integer(profile, n, r, m)
+        count += 1
+    return Fraction(total, factorial(n) ** r), count
+
+
+def test_product_collapse_matches_profile_sum():
+    # r = 3 with m != m2, and r = 4, 5 (orbits of up to 12 color splits)
+    for point in [(7, 3, 3, 4), (3, 4, 3, 3), (4, 4, 1, 3), (3, 5, 1, 3), (0, 3, 0, 0)]:
+        got = expectation_product(*point)
+        assert (got.value, got.term_count) == profile_sum(*point), point
+    # r = 2 at large n and the oracle-product suite: the value against the
+    # oracle (the faster reference here), the count against the enumerator
+    rows = SUITES["oracle-product"]()[0]
+    points = [(row["n"], row["r"], row["m"], row["m2"]) for row in rows]
+    assert len(points) == 123
+    for point in points + [(14, 2, 7, 7), (12, 2, 6, 6)]:
+        got = expectation_product(*point)
+        assert got.value == ensemble_average_bruteforce(*point).value, point
+        assert got.term_count == sum(1 for _ in profile_iterator(*point)), point
+
+
 def test_product_domain_and_budget():
     with pytest.raises(DomainError):
         expectation_product(3, 2, 4, 0)
     with pytest.raises(CapacityError):
         expectation_product(4, 2, 3, 3, term_budget=10)
-
-
-def test_product_parallel_matches_serial():
-    serial = expectation_product(4, 2, 3, 3)
-    parallel = expectation_product(4, 2, 3, 3, threads=2)
-    assert serial.value == parallel.value
-    assert serial.term_count == parallel.term_count
+    # the budget bounds the raw profile count, orbit weights included
+    count = expectation_product(4, 3, 2, 3).term_count
+    assert count == 1173
+    assert expectation_product(4, 3, 2, 3, term_budget=count).term_count == count
+    with pytest.raises(CapacityError):
+        expectation_product(4, 3, 2, 3, term_budget=count - 1)
+    # tiny budgets also cap the cross-hit tables: every budget below the count refuses
+    count = expectation_product(4, 2, 2, 2).term_count
+    for budget in range(count):
+        with pytest.raises(CapacityError):
+            expectation_product(4, 2, 2, 2, term_budget=budget)
+    # checked as the sum runs: refused long before the full sum would end
+    with pytest.raises(CapacityError):
+        expectation_product(16, 4, 8, 8, term_budget=1000)
 
 
 # ---------------------------------------------------------------------------

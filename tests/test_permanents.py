@@ -163,12 +163,23 @@ def test_oracle_blocks_end_part_way(monkeypatch, n, r):
     assert product_sum_table(n, r) == full_enumeration_table(n, r)
 
 
-def test_oracle_budget_counts_all_tuples(monkeypatch):
-    # (5!)^3 tuples exceed the budget even though far fewer matrices are
-    # evaluated.  A cached (5, 3) table would skip the budget check.
+def test_oracle_budget_counts_evaluated_matrices(monkeypatch):
+    # (5, 3) sums over (5!)^3 tuples but evaluates p(5) * 5! = 840 matrices;
+    # the budget is on the matrices, at both edges.  A cached table would
+    # skip the evaluation, not the budget check.
     monkeypatch.setattr(permanents, "_table_cache", {})
+    assert kernels.oracle_matrix_count(5, 3) == 7 * 120
+    assert kernels.oracle_matrix_count(5, 1) == 1
+    moment = ensemble_average_bruteforce(5, 3, 1, 1, tuple_budget=840)
+    assert moment.term_count == factorial(5) ** 3
     with pytest.raises(CapacityError):
-        ensemble_average_bruteforce(5, 3, 1, 1, tuple_budget=10**6)
+        ensemble_average_bruteforce(5, 3, 1, 1, tuple_budget=839)
+
+
+def test_oracle_dimension_limit():
+    # one matrix at r = 1 passes any budget, but its DP holds 2^n states
+    with pytest.raises(CapacityError):
+        product_sum_table(DIM_LIMIT_DEFAULT + 1, 1)
 
 
 def test_oracle_budget_checked_on_cache_hit():
