@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time the subpermanent-profile kernel against the pure-Python reference.
+"""Time the subpermanent-profile kernel and the Philox sample stream.
 
 Every profile in the package comes from the batched numpy kernel
 ``kernels.subperm_profiles``: Monte Carlo sampling and the oracle run it
 on blocks of ``kernels.block_size(n)`` matrices, and the per-matrix API
 ``kernels.subperm_profile`` runs it on a block of one.  Both are timed
 here against ``_pykernels.subperm_profile``, and both must reproduce its
-values.  Run after an editable install:
+values.  Monte Carlo draws its permutations with ``model.sample_block``,
+one pass of ``kernels.PASS_SAMPLES`` samples at a time; it is timed
+against the per-sample reference stream ``model.sample_stream`` and must
+reproduce its permutations.  Run after an editable install:
 
     python benchmarks/benchmark_backends.py
 """
@@ -15,8 +18,9 @@ import time
 
 import numpy as np
 
-from permex import EnsembleSpec, sample_matrix
+from permex import EnsembleSpec, sample_matrix, sample_permutation, sample_stream
 from permex import _pykernels, kernels
+from permex.model import sample_block
 
 
 def time_call(fn, *args, repeat=1):
@@ -61,8 +65,31 @@ def bench_profiles():
               f"{t_pure / t_batch:>7.1f}x")
 
 
+def bench_sampling():
+    count = kernels.PASS_SAMPLES
+    print(f"Philox sample stream, r = 2 ({count} samples each; us per sample)")
+    print(f"{'n':>4} {'stream':>10} {'block':>10} {'speedup':>8}")
+    for n in (6, 8, 10, 13):
+        spec = EnsembleSpec(n=n, r=2, seed=1)
+
+        def per_sample():
+            out = []
+            for i in range(count):
+                rng = sample_stream(spec, i)
+                out.append([list(sample_permutation(n, rng)) for _ in range(spec.r)])
+            return out
+
+        t_stream, want = time_call(per_sample)
+        t_block, got = time_call(sample_block, spec, 0, count, repeat=3)
+        assert got.tolist() == want
+        print(f"{n:>4} {t_stream / count * 1e6:>10.1f} {t_block / count * 1e6:>10.1f} "
+              f"{t_stream / t_block:>7.1f}x")
+
+
 if __name__ == "__main__":
     print("pure: _pykernels, one matrix per call; one: kernels.subperm_profile,")
     print("a block of one; batched: kernels.subperm_profiles, kernels.block_size(n)")
     print()
     bench_profiles()
+    print()
+    bench_sampling()

@@ -23,7 +23,7 @@ from .asymptotics import (
     solve_stationary,
 )
 from .errors import CapacityError, DomainError, SolverError
-from .model import TUPLE_BUDGET_DEFAULT, EnsembleSpec
+from .model import TUPLE_BUDGET_DEFAULT, EnsembleSpec, check_seed
 from .moments import TERM_BUDGET_DEFAULT, argmax_profile, expectation_perm, expectation_product
 from .montecarlo import convergence_scan, estimate_moments
 from .permanents import ensemble_average_bruteforce
@@ -349,19 +349,20 @@ def _suite_factorization(r=None, seed=0, tol=None, budget=None):
 def _suite_solver(r=None, seed=0, tol=None, budget=None):
     """Newton solver against the closed form at 20 Philox-seeded points."""
     tol = _or_default(tol, 1e-8)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
     rows = []
     worst = 0.0
     for _ in range(20):
         p = float(rng.uniform(0.05, 0.95))
         q = float(rng.uniform(0.05, 0.95))
-        r = int(rng.integers(2, 7))
-        ref = analytic_solution(p, q, r)
-        sol = solve_stationary(p, q, r)
+        # r is drawn even when given, so --r keeps the same (p, q) points
+        r_point = _or_default(r, int(rng.integers(2, 7)))
+        ref = analytic_solution(p, q, r_point)
+        sol = solve_stationary(p, q, r_point)
         diff = max(abs(sol.a - ref.a), abs(sol.b - ref.b), abs(sol.d - ref.d),
                    abs(sol.e - ref.e), abs(sol.L - ref.L))
         worst = max(worst, diff)
-        rows.append({"p": p, "q": q, "r": r, "coord_diff": diff,
+        rows.append({"p": p, "q": q, "r": r_point, "coord_diff": diff,
                      "iterations": sol.iterations})
     return rows, worst, worst < tol, tol
 

@@ -28,6 +28,12 @@ BLOCK_CELLS = 1 << 14
 BLOCK_MATRICES = 64
 BLOCK_MAX_N = 12
 
+# Samples per Monte Carlo sampler pass (``model.sample_block``), rounded
+# down to whole blocks, at least one.  The pass's numpy operations per
+# draw do not grow with its length: on 2 shared vCPUs it costs 17-28 us
+# per sample at 64 samples and 2.4-4.6 us at 1024 (n = 6..13, r = 2).
+PASS_SAMPLES = 1 << 10
+
 
 def block_size(n: int) -> int:
     return max(BLOCK_MATRICES, BLOCK_CELLS >> n) if n <= BLOCK_MAX_N else 1

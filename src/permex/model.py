@@ -6,6 +6,24 @@ permutation matrices, so every row sum and column sum of the result equals
 from a Philox stream whose 256-bit counter starts at ``i << 128``, which
 makes parallel sampling reproducible regardless of how samples are
 partitioned across workers.
+
+The stream contract.  ``sample_stream`` is numpy's Philox4x64-10 bit
+generator (Salmon et al., SC'11) under key ``(seed, 0)``, so output block j
+of sample i is the encryption of counter words ``(j + 1, 0, i, 0)``.  Each
+64-bit output word is consumed as two 32-bit words, low half first, and
+each of the r permutations is numpy's shuffle of ``0..n-1``: for
+i = n-1 down to 1 it takes the next word w with ``w & mask(i) <= i``,
+mask(i) the smallest all-ones mask covering i, and swaps positions i and
+``w & mask(i)``.  ``sample_stream``, ``sample_permutation`` and
+``sample_matrix`` are the reference definition of that stream.
+
+The block pass.  ``sample_block`` draws the permutations of many
+consecutive samples at once, bit-identical to the reference: it runs
+Philox on uint64 arrays, one row of words per sample, with the 64 x 64 ->
+128-bit multiply done on 32-bit halves, and then runs every row's shuffle
+in lockstep, one numpy operation per draw across all rows.  Each row gets
+``WORDS_PER_DRAW * r * (n - 1)`` words up front; rejection can exceed any
+fixed allotment, so a row that runs out is refilled with its next blocks.
 """
 
 import itertools
@@ -17,6 +35,21 @@ import numpy as np
 from .errors import CapacityError, DomainError
 
 TUPLE_BUDGET_DEFAULT = 10**8
+
+# Philox4x64-10 multipliers and Weyl key increments, as numpy's Philox uses
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+PHILOX_ROUNDS = 10
+
+# 32-bit words a block pass computes per shuffle draw up front.  A draw at
+# bound i accepts a word with probability (i + 1) / (mask(i) + 1) > 1/2,
+# so it takes under 2 words on average; rows that reject past the
+# allotment are refilled, which costs extra numpy operations.
+WORDS_PER_DRAW = 2
+
+_U64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -32,8 +65,7 @@ class EnsembleSpec:
             raise DomainError(f"n must be >= 1, got {self.n}")
         if self.r < 1:
             raise DomainError(f"r must be >= 1, got {self.r}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -69,6 +101,13 @@ class SquareMatrix:
 
     def max_entry(self):
         return max(map(max, self.entries))
+
+
+def check_seed(seed: int) -> int:
+    """The seed rule of every seeded stream: 0 <= seed < 2^64."""
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
+    return seed
 
 
 def sample_stream(spec: EnsembleSpec, sample_index: int) -> np.random.Generator:
@@ -107,6 +146,89 @@ def sample_matrix(spec: EnsembleSpec, sample_index: int = 0) -> SquareMatrix:
     """Draw sample ``sample_index`` of the ensemble (r stacked permutations)."""
     rng = sample_stream(spec, sample_index)
     return assemble_matrix(sample_permutation(spec.n, rng) for _ in range(spec.r))
+
+
+def _mulhilo(m: int, x):
+    """Low and high 64-bit words of the 128-bit products m * x, uint64 x."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    lh, hl = x_lo * m_hi, x_hi * m_lo
+    mid = ((x_lo * m_lo) >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
+    hi = x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return x * np.uint64(m), hi
+
+
+def _philox_words(seed: int, index, first_block, blocks: int):
+    """32-bit words of Philox blocks first_block..first_block+blocks-1.
+
+    Row b belongs to sample ``index[b]`` and starts at its block
+    ``first_block[b]``; block j encrypts counter (j + 1, 0, index, 0) under
+    key (seed, 0).  Returns a (rows, 8 * blocks) uint32 array.
+    """
+    c0 = first_block[:, None] + np.arange(1, blocks + 1, dtype=np.uint64)
+    c2 = np.broadcast_to(index[:, None], c0.shape)
+    c1 = c3 = np.zeros_like(c0)
+    for k in range(PHILOX_ROUNDS):
+        k0 = np.uint64((seed + k * PHILOX_W[0]) & _U64)
+        k1 = np.uint64((k * PHILOX_W[1]) & _U64)
+        lo0, hi0 = _mulhilo(PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    out = np.stack([c0, c1, c2, c3], axis=-1)
+    # little-endian 64-bit words read as 32-bit pairs: low half first
+    return out.astype("<u8").view("<u4").reshape(len(index), -1)
+
+
+def sample_block(spec: EnsembleSpec, start: int, count: int):
+    """Permutations of samples start..start+count-1, in one vectorised pass.
+
+    Returns a (count, r, n) int64 array whose entry [b, k] is the k-th
+    permutation ``sample_permutation(n, sample_stream(spec, start + b))``
+    draws; see the module docstring for the stream both follow.
+    """
+    n, r = spec.n, spec.r
+    if start < 0 or count < 0:
+        raise DomainError(f"need start >= 0 and count >= 0, got {start}, {count}")
+    if start + count > 2**64:
+        raise DomainError(f"sample indices must stay below 2^64, got {start + count}")
+    out = np.empty((count, r, n), dtype=np.int64)
+    out[:] = np.arange(n)
+    draws = r * (n - 1)
+    if count == 0 or draws == 0:
+        return out
+    blocks = -(-WORDS_PER_DRAW * draws // 8)
+    index = np.uint64(start) + np.arange(count, dtype=np.uint64)
+    first = np.zeros(count, dtype=np.uint64)
+    words = _philox_words(spec.seed, index, first, blocks)
+    width = words.shape[1]
+    pos = np.zeros(count, dtype=np.intp)
+    rows = np.arange(count)
+
+    def take(sel):
+        """The next word of each row in ``sel``."""
+        at = pos[sel]
+        spent = sel[at == width]
+        if spent.size:
+            first[spent] += np.uint64(blocks)
+            words[spent] = _philox_words(spec.seed, index[spent], first[spent], blocks)
+            pos[spent] = 0
+            at = pos[sel]
+        pos[sel] = at + 1
+        return words[sel, at]
+
+    for k in range(r):
+        perm = out[:, k]
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = take(rows) & mask
+            bad = np.flatnonzero(j > i)
+            while bad.size:
+                j[bad] = take(bad) & mask
+                bad = bad[j[bad] > i]
+            held = perm[rows, j]
+            perm[rows, j] = perm[:, i]
+            perm[:, i] = held
+    return out
 
 
 def tuple_count(n: int, r: int) -> int:

@@ -3,12 +3,14 @@
 Integer statistics (sums and sums of squares) are accumulated exactly and
 only converted to floats at the very end, so no precision is lost to
 cancellation no matter how large the subpermanent values grow.  Samples
-are drawn in blocks of ``kernels.block_size(n)`` matrices; each block's
-profiles come from one call of the batched numpy kernel
-``kernels.subperm_profiles``, which certifies int64 or Python-int
-arithmetic once for the block.  When the whole tuple space is smaller
-than the requested sample count, estimation switches to enumeration mode
-and returns the exact ensemble average with zero standard error.
+are drawn in passes of about ``kernels.PASS_SAMPLES``: one
+``model.sample_block`` call gives a pass's permutations, which fill blocks
+of ``kernels.block_size(n)`` matrices; each block's profiles come from one
+call of the batched numpy kernel ``kernels.subperm_profiles``, which
+certifies int64 or Python-int arithmetic once for the block.  When the
+whole tuple space is smaller than the requested sample count, estimation
+switches to enumeration mode and returns the exact ensemble average with
+zero standard error.
 """
 
 import concurrent.futures
@@ -21,7 +23,8 @@ import numpy as np
 from . import kernels
 from .asymptotics import single_rate_limit
 from .errors import CapacityError, DomainError
-from .model import EnsembleSpec, sample_stream, tuple_count
+# sample_stream is not called here; perfbench traces it under this name
+from .model import EnsembleSpec, sample_block, sample_stream, tuple_count  # noqa: F401
 from .permanents import DIM_LIMIT_DEFAULT, MomentKey, moment_key, product_sum_table
 
 @dataclass(frozen=True)
@@ -60,21 +63,25 @@ def _mc_worker(args):
     n, r, seed, m, m2, lo, hi = args
     spec = EnsembleSpec(n=n, r=r, seed=seed)
     block = kernels.block_size(n)
+    span = max(1, kernels.PASS_SAMPLES // block) * block
+    batch = np.arange(block)[:, None]
     rows = np.arange(n)
     sums = [0] * 6
     logs = ([], [], [])
-    for start in range(lo, hi, block):
-        mats = np.zeros((min(block, hi - start), n, n), dtype=np.int64)
-        for b, mat in enumerate(mats):
-            rng = sample_stream(spec, start + b)
-            for _ in range(r):
-                mat[rows, rng.permutation(n)] += 1
-        prof = kernels.subperm_profiles(mats, n, r)
-        xs, ys = prof[m], prof[m2]
-        for k, vals in enumerate((xs, ys, [x * y for x, y in zip(xs, ys)])):
-            sums[2 * k] += sum(vals)
-            sums[2 * k + 1] += sum(v * v for v in vals)
-            logs[k].extend(map(math.log, vals))
+    for first in range(lo, hi, span):
+        perms = sample_block(spec, first, min(span, hi - first))
+        for start in range(0, len(perms), block):
+            chunk = perms[start:start + block]
+            mats = np.zeros((len(chunk), n, n), dtype=np.int64)
+            for k in range(r):
+                # one summand puts one entry in every row of every matrix
+                mats[batch[:len(chunk)], rows, chunk[:, k]] += 1
+            prof = kernels.subperm_profiles(mats, n, r)
+            xs, ys = prof[m], prof[m2]
+            for k, vals in enumerate((xs, ys, [x * y for x, y in zip(xs, ys)])):
+                sums[2 * k] += sum(vals)
+                sums[2 * k + 1] += sum(v * v for v in vals)
+                logs[k].extend(map(math.log, vals))
     # one fsum over the whole range, so block boundaries cannot move a bit
     return sums, [math.fsum(ls) for ls in logs]
 

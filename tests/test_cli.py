@@ -139,6 +139,21 @@ def test_verify_solver_json_serializable(capsys):
     assert len(payload["rows"]) == 20
 
 
+def test_verify_solver_honours_r(capsys):
+    # the drawn r is replaced, not skipped, so the (p, q) points stay put
+    code, out, _ = run(capsys, "verify", "--suite", "solver")
+    assert code == 0
+    default = json.loads(out)["rows"]
+    code, out, _ = run(capsys, "verify", "--suite", "solver", "--r", "3")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["r"] for row in rows] == [3] * 20
+    assert [(row["p"], row["q"]) for row in rows] == [(row["p"], row["q"]) for row in default]
+    code, _, err = run(capsys, "verify", "--suite", "solver", "--r", "1")
+    assert code == 1
+    assert "error:" in err
+
+
 def test_unknown_flag_exits_1(capsys):
     # expect has no work budget, so --budget is unknown to it
     for flag in ("--bogus", "--budget"):
@@ -153,7 +168,9 @@ def test_domain_error_exits_1(capsys):
     for argv in (("expect", "--n", "2", "--r", "2", "--m", "5"),
                  ("argmax", "--n", "2", "--r", "0", "--m", "0"),
                  ("argmax", "--n", "2", "--r", "-1", "--m", "0"),
-                 ("verify", "--suite", "stationarity", "--r", "0")):
+                 ("verify", "--suite", "stationarity", "--r", "0"),
+                 ("verify", "--suite", "solver", "--seed", "-1"),
+                 ("verify", "--suite", "solver", "--seed", "18446744073709551616")):
         code, _, err = run(capsys, *argv, "--threads", "1")
         assert code == 1
         assert "error:" in err

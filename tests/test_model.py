@@ -15,6 +15,17 @@ from permex import (
     sample_stream,
     tuple_count,
 )
+from permex import model
+from permex.model import sample_block
+
+
+def _stream_block(spec, start, count):
+    """sample_block's answer, drawn one sample_stream at a time."""
+    out = []
+    for i in range(start, start + count):
+        rng = sample_stream(spec, i)
+        out.append([list(sample_permutation(spec.n, rng)) for _ in range(spec.r)])
+    return out
 
 
 def test_spec_validation():
@@ -61,6 +72,32 @@ def test_permutation_frequencies_n3():
     sigma = math.sqrt(draws * (1 / 6) * (5 / 6))
     for perm, c in counts.items():
         assert abs(c - expected) <= 3 * sigma, (perm, c)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 1000, 2**40])
+def test_block_sampler_matches_stream(seed, start):
+    for n in range(1, 15):
+        for r in range(1, 6):
+            spec = EnsembleSpec(n=n, r=r, seed=seed)
+            block = sample_block(spec, start, 5)
+            assert block.shape == (5, r, n)
+            assert block.tolist() == _stream_block(spec, start, 5)
+    with pytest.raises(DomainError):
+        sample_block(EnsembleSpec(n=3, r=1), -1, 1)
+
+
+def test_block_sampler_refills_rows(monkeypatch):
+    # 24 words for 3 * 7 draws that take about 25 on average: many rows run
+    # out, each after its own number of rejections, and are refilled
+    monkeypatch.setattr(model, "WORDS_PER_DRAW", 1)
+    passes = []
+    philox = model._philox_words
+    monkeypatch.setattr(model, "_philox_words",
+                        lambda *args: passes.append(args) or philox(*args))
+    spec = EnsembleSpec(n=8, r=3, seed=31)
+    assert sample_block(spec, 17, 200).tolist() == _stream_block(spec, 17, 200)
+    assert len(passes) > 1
 
 
 @pytest.mark.parametrize(

@@ -79,6 +79,8 @@ def test_worker_count_independence():
     (8, 2, 4, 3, 150),  # blocks of 64: two boundaries
     (10, 2, 5, 4, block_size(10) + 6),  # blocks held at 64 matrices
     (13, 2, 6, 7, 4),  # blocks of one matrix
+    (6, 2, 3, 3, 2300),  # sampler passes of 1024: ends in the third pass
+    (4, 3, 2, 2, 1500),  # one block per pass: ends part way through the second
 ])
 def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
     spec = EnsembleSpec(n, r, seed=7)
