@@ -9,18 +9,40 @@ here against ``_pykernels.subperm_profile``, and both must reproduce its
 values.  Monte Carlo draws its permutations with ``model.sample_block``,
 one pass of ``kernels.PASS_SAMPLES`` samples at a time; it is timed
 against the per-sample reference stream ``model.sample_stream`` and must
-reproduce its permutations.  Run after an editable install:
+reproduce its permutations.  The start-up table times ``permex <sub>
+--help`` for every subcommand, and one ``rate`` run, in fresh child
+processes, and shows whether each loaded numpy.  Run after an editable
+install:
 
     python benchmarks/benchmark_backends.py
 """
 
+import os
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import permex
 from permex import EnsembleSpec, sample_matrix, sample_permutation, sample_stream
 from permex import _pykernels, kernels
 from permex.model import sample_block
+
+SUBCOMMANDS = ("expect", "product", "oracle", "rate", "solve", "analytic", "mc",
+               "scan", "argmax", "verify")
+STARTUP_RUNS = 5
+
+# Runs `permex <argv>` as the console script does; at exit, after main()'s
+# sys.exit, writes to stderr whether numpy was imported.
+_CHILD = """
+import atexit, sys
+atexit.register(lambda: sys.stderr.write(f"\\nnumpy={'numpy' in sys.modules}\\n"))
+from permex.cli import main
+main()
+"""
 
 
 def time_call(fn, *args, repeat=1):
@@ -31,6 +53,27 @@ def time_call(fn, *args, repeat=1):
         result = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def bench_startup():
+    env = dict(os.environ)
+    src = str(Path(permex.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    print(f"start-up: median wall time of {STARTUP_RUNS} fresh processes")
+    print(f"{'command':<28} {'wall':>8} {'numpy':>6}")
+    commands = [[sub, "--help"] for sub in SUBCOMMANDS]
+    commands.append(["rate", "--r", "2", "--p", "0.5"])
+    for argv in commands:
+        walls = []
+        for _ in range(STARTUP_RUNS):
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            walls.append(time.perf_counter() - t0)
+            assert proc.returncode == 0, proc.stderr.decode()
+        loaded = proc.stderr.decode().rsplit("numpy=", 1)[1].strip()
+        print(f"{' '.join(argv):<28} {statistics.median(walls):>7.3f}s "
+              f"{'yes' if loaded == 'True' else 'no':>6}")
 
 
 def bench_profiles():
@@ -87,6 +130,8 @@ def bench_sampling():
 
 
 if __name__ == "__main__":
+    bench_startup()
+    print()
     print("pure: _pykernels, one matrix per call; one: kernels.subperm_profile,")
     print("a block of one; batched: kernels.subperm_profiles, kernels.block_size(n)")
     print()

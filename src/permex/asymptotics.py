@@ -12,8 +12,6 @@ single-subpermanent rates.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InfeasiblePointError, SolverError
 
 
@@ -207,6 +205,8 @@ def analytic_solution(p, q, r) -> StationarySolution:
 
 def _residual_jacobian(a, b, d, e, L, p, r):
     """Analytic Jacobian of the raw residuals wrt (a, b, d, e, L)."""
+    import numpy as np
+
     u = 1 - p - a - b
     w = (p - e - b - d) / r
     t = 1 - (p + a + 2 * b + d) / r
@@ -256,6 +256,8 @@ def solve_stationary(p, q, r, init=None, tol=DEFAULT_SOLVER_TOL) -> StationarySo
     attempt starts from a mildly perturbed closed-form point.  Raises
     SolverError (carrying the best point) when both attempts fail.
     """
+    import numpy as np
+
     if not 0 < p < 1 or not 0 < q < 1:
         raise DomainError(f"need p, q in (0, 1), got p={p}, q={q}")
     if r < 2:
@@ -273,49 +275,52 @@ def solve_stationary(p, q, r, init=None, tol=DEFAULT_SOLVER_TOL) -> StationarySo
     best = None
     best_norm = math.inf
     total_iters = 0
-    for attempt, start in enumerate(starts):
-        if start is None:
-            ref = analytic_solution(p, q, r)
-            wiggle = (1.1, 0.9, 1.1, 0.9, 1.1)
-            start = tuple(v * f for v, f in zip((ref.a, ref.b, ref.d, ref.e, ref.L), wiggle))
-        x = np.log(np.asarray(start, dtype=float))
-        for _ in range(MAX_NEWTON_ITERATIONS):
-            a, b, d, e, L = (float(v) for v in np.exp(x))
-            g, firsts = _raw_residuals(a, b, d, e, L, p, q, r)
-            rel = _rel_norm(g, firsts)
-            total_iters += 1
-            if rel < best_norm:
-                best_norm = rel
-                best = (a, b, d, e, L)
-            if rel < tol:
-                res = stationarity_residuals(a, b, d, e, L, p, q, r)
-                s = rate_components(p, q, r, a, b, d, e).total
-                return StationarySolution(
-                    a=a, b=b, d=d, e=e, L=L, s_over_n=s,
-                    residuals=res, iterations=total_iters,
-                )
-            jac = _residual_jacobian(a, b, d, e, L, p, r) * np.exp(x)[None, :]
-            try:
-                step = np.linalg.solve(jac, -np.asarray(g))
-            except np.linalg.LinAlgError:
-                break
-            # backtracking damping on the relative residual norm
-            scale = 1.0
-            moved = False
-            for _ in range(40):
-                xn = x + scale * step
-                an, bn, dn, en, Ln = np.exp(xn)
-                if en < p and (p - en - bn - dn) > 0 and (1 - p - an - bn) > 0 \
-                        and (1 - (p + an + 2 * bn + dn) / r) > 0:
-                    gn, fn = _raw_residuals(an, bn, dn, en, Ln, p, q, r)
-                    reln = _rel_norm(gn, fn)
-                    if reln < rel:
-                        x = xn
-                        moved = True
-                        break
-                scale *= 0.5
-            if not moved:
-                break
+    # A full step can overshoot far enough that a trial exp overflows; the
+    # feasibility test then rejects it, so the overflow is not an error.
+    with np.errstate(over="ignore"):
+        for start in starts:
+            if start is None:
+                ref = analytic_solution(p, q, r)
+                wiggle = (1.1, 0.9, 1.1, 0.9, 1.1)
+                start = tuple(v * f for v, f in zip((ref.a, ref.b, ref.d, ref.e, ref.L), wiggle))
+            x = np.log(np.asarray(start, dtype=float))
+            for _ in range(MAX_NEWTON_ITERATIONS):
+                a, b, d, e, L = (float(v) for v in np.exp(x))
+                g, firsts = _raw_residuals(a, b, d, e, L, p, q, r)
+                rel = _rel_norm(g, firsts)
+                total_iters += 1
+                if rel < best_norm:
+                    best_norm = rel
+                    best = (a, b, d, e, L)
+                if rel < tol:
+                    res = stationarity_residuals(a, b, d, e, L, p, q, r)
+                    s = rate_components(p, q, r, a, b, d, e).total
+                    return StationarySolution(
+                        a=a, b=b, d=d, e=e, L=L, s_over_n=s,
+                        residuals=res, iterations=total_iters,
+                    )
+                jac = _residual_jacobian(a, b, d, e, L, p, r) * np.exp(x)[None, :]
+                try:
+                    step = np.linalg.solve(jac, -np.asarray(g))
+                except np.linalg.LinAlgError:
+                    break
+                # backtracking damping on the relative residual norm
+                scale = 1.0
+                moved = False
+                for _ in range(40):
+                    xn = x + scale * step
+                    an, bn, dn, en, Ln = np.exp(xn)
+                    if en < p and (p - en - bn - dn) > 0 and (1 - p - an - bn) > 0 \
+                            and (1 - (p + an + 2 * bn + dn) / r) > 0:
+                        gn, fn = _raw_residuals(an, bn, dn, en, Ln, p, q, r)
+                        reln = _rel_norm(gn, fn)
+                        if reln < rel:
+                            x = xn
+                            moved = True
+                            break
+                    scale *= 0.5
+                if not moved:
+                    break
     raise SolverError(
         f"stationarity solve failed at (p={p}, q={q}, r={r}); "
         f"best relative residual {best_norm:.3e}",

@@ -3,8 +3,8 @@
 Reports go to standard output (JSON by default, CSV on request) and are
 byte-identical for identical invocations.  Exact rationals are serialized
 as decimal numerator/denominator strings, never as floats.  Exit codes:
-0 success, 1 domain or usage error (or a failed verification), 2 capacity
-or solver failure.
+0 success, 1 domain or usage error (or a failed verification, or a closed
+standard output), 2 capacity or solver failure.
 """
 
 import argparse
@@ -13,8 +13,6 @@ import io
 import json
 import os
 import sys
-
-import numpy as np
 
 from .asymptotics import (
     analytic_solution,
@@ -348,6 +346,8 @@ def _suite_factorization(r=None, seed=0, tol=None, budget=None):
 
 def _suite_solver(r=None, seed=0, tol=None, budget=None):
     """Newton solver against the closed form at 20 Philox-seeded points."""
+    import numpy as np
+
     tol = _or_default(tol, 1e-8)
     rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
     rows = []
@@ -541,7 +541,15 @@ def dispatch(argv) -> int:
 
 
 def main():
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Python flushes stdout again at exit, so
+        # point it at devnull, or that flush fails too and prints a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,6 @@ from collections import Counter
 from math import comb, factorial
 from operator import mul
 
-import numpy as np
-
 I64_SAFE_BOUND = 1 << 62
 
 # Matrices per kernel call, for sampled and oracle blocks alike (both have
@@ -74,6 +72,8 @@ def subperm_profiles(mats, n: int, max_entry: int):
     i to every subset that lacks it is one numpy op on a reshaped view.
     Returns n + 1 lists of Python ints; entry [m][b] is perm_m of matrix b.
     """
+    import numpy as np
+
     dtype = np.int64 if profile_backend_name(n, max_entry) == "int64" else object
     # cols[j, i] holds entry (i, j) of every matrix in the block
     cols = np.ascontiguousarray(np.asarray(mats).transpose(2, 1, 0), dtype=dtype)
@@ -141,6 +141,8 @@ def oracle_product_sums(n: int, r: int):
     k // (n!)^(r-2) plus the tail whose base-n! digits are k % (n!)^(r-2).
     Returns an (n+1) x (n+1) symmetric table of exact integers.
     """
+    import numpy as np
+
     eye = np.eye(n, dtype=np.int64)
     nfact = factorial(n)
     if r == 1:

@@ -30,8 +30,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapacityError, DomainError
 
 TUPLE_BUDGET_DEFAULT = 10**8
@@ -48,8 +46,8 @@ PHILOX_ROUNDS = 10
 WORDS_PER_DRAW = 2
 
 _U64 = (1 << 64) - 1
-_LO32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+_LO32 = 0xFFFFFFFF
+_SHIFT32 = 32
 
 
 @dataclass(frozen=True)
@@ -110,15 +108,17 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def sample_stream(spec: EnsembleSpec, sample_index: int) -> np.random.Generator:
+def sample_stream(spec: EnsembleSpec, sample_index: int) -> "np.random.Generator":
     """Philox stream for one sample; streams of distinct indices never overlap."""
+    import numpy as np
+
     if sample_index < 0:
         raise DomainError(f"sample_index must be >= 0, got {sample_index}")
     bitgen = np.random.Philox(key=spec.seed, counter=sample_index << 128)
     return np.random.Generator(bitgen)
 
 
-def sample_permutation(n: int, rng: np.random.Generator):
+def sample_permutation(n: int, rng: "np.random.Generator"):
     """Draw one uniform permutation of {0..n-1} from an explicit stream."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -150,12 +150,12 @@ def sample_matrix(spec: EnsembleSpec, sample_index: int = 0) -> SquareMatrix:
 
 def _mulhilo(m: int, x):
     """Low and high 64-bit words of the 128-bit products m * x, uint64 x."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    m_lo, m_hi = m & _LO32, m >> _SHIFT32
     x_lo, x_hi = x & _LO32, x >> _SHIFT32
     lh, hl = x_lo * m_hi, x_hi * m_lo
     mid = ((x_lo * m_lo) >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
     hi = x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    return x * np.uint64(m), hi
+    return x * m, hi
 
 
 def _philox_words(seed: int, index, first_block, blocks: int):
@@ -165,6 +165,8 @@ def _philox_words(seed: int, index, first_block, blocks: int):
     ``first_block[b]``; block j encrypts counter (j + 1, 0, index, 0) under
     key (seed, 0).  Returns a (rows, 8 * blocks) uint32 array.
     """
+    import numpy as np
+
     c0 = first_block[:, None] + np.arange(1, blocks + 1, dtype=np.uint64)
     c2 = np.broadcast_to(index[:, None], c0.shape)
     c1 = c3 = np.zeros_like(c0)
@@ -186,6 +188,8 @@ def sample_block(spec: EnsembleSpec, start: int, count: int):
     permutation ``sample_permutation(n, sample_stream(spec, start + b))``
     draws; see the module docstring for the stream both follow.
     """
+    import numpy as np
+
     n, r = spec.n, spec.r
     if start < 0 or count < 0:
         raise DomainError(f"need start >= 0 and count >= 0, got {start}, {count}")

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernels
 from .asymptotics import single_rate_limit
 from .errors import CapacityError, DomainError
@@ -60,6 +58,8 @@ def _log_fraction(fr: Fraction) -> float:
 
 
 def _mc_worker(args):
+    import numpy as np
+
     n, r, seed, m, m2, lo, hi = args
     spec = EnsembleSpec(n=n, r=r, seed=seed)
     block = kernels.block_size(n)
@@ -137,6 +137,10 @@ def estimate_moments(
         )
 
     if threads > 1 and samples >= 2 * threads:
+        # load numpy before the pool forks its workers, so that they inherit
+        # it rather than each import it again
+        import numpy  # noqa: F401
+
         bounds = [samples * i // threads for i in range(threads + 1)]
         jobs = [(n, r, spec.seed, m, m2, bounds[i], bounds[i + 1])
                 for i in range(threads)]

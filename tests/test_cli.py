@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from permex import kernels
 from permex.cli import dispatch
 from permex.permanents import DIM_LIMIT_DEFAULT
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -152,6 +159,64 @@ def test_verify_solver_honours_r(capsys):
     code, _, err = run(capsys, "verify", "--suite", "solver", "--r", "1")
     assert code == 1
     assert "error:" in err
+
+
+def test_verify_solver_warns_nothing(capsys):
+    # at r = 3 some full Newton steps overflow a trial exp before the
+    # feasibility test rejects them; that must stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "verify", "--suite", "solver", "--r", "3")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def _child(*args, stdout=subprocess.PIPE):
+    """Run ``python *args`` with this checkout's permex importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child("-m", "permex.cli", "rate", "--p", "0.5", "--r", "3",
+                      stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+
+
+def _loads_numpy(*commands):
+    """Whether dispatching ``commands`` in a fresh interpreter imports numpy."""
+    proc = _child(
+        "-c",
+        "import contextlib, io, sys\n"
+        "import permex, permex.cli\n"
+        f"for argv in {[list(c) for c in commands]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert permex.cli.dispatch(argv + ['--threads', '1']) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return {b"True\n": True, b"False\n": False}[proc.stdout]
+
+
+def test_startup_without_numpy():
+    assert not _loads_numpy(
+        ("rate", "--r", "2", "--p", "0.5", "--q", "0.3"),
+        ("analytic", "--r", "3", "--p", "0.4", "--q", "0.6"),
+        ("expect", "--n", "4", "--r", "2", "--m", "2"),
+        ("product", "--n", "3", "--r", "2", "--m", "1", "--m2", "2"),
+        ("argmax", "--n", "3", "--r", "2", "--m", "1", "--m2", "2"),
+        ("verify", "--help"),
+    )
+    # the same check sees numpy once a command builds arrays
+    assert _loads_numpy(("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "4"))
 
 
 def test_unknown_flag_exits_1(capsys):
