@@ -9,10 +9,10 @@ here against ``_pykernels.subperm_profile``, and both must reproduce its
 values.  Monte Carlo draws its permutations with ``model.sample_block``,
 one pass of ``kernels.PASS_SAMPLES`` samples at a time; it is timed
 against the per-sample reference stream ``model.sample_stream`` and must
-reproduce its permutations.  The start-up table times ``permex <sub>
---help`` for every subcommand, and one ``rate`` run, in fresh child
-processes, and shows whether each loaded numpy.  Run after an editable
-install:
+reproduce its permutations.  The fresh-process table times ``permex <sub>
+--help`` for every subcommand, one ``rate`` run and two ``argmax`` runs
+(the per-profile term path of ``moments``) in fresh child processes, and
+shows whether each loaded numpy.  Run after an editable install:
 
     python benchmarks/benchmark_backends.py
 """
@@ -59,10 +59,12 @@ def bench_startup():
     env = dict(os.environ)
     src = str(Path(permex.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    print(f"start-up: median wall time of {STARTUP_RUNS} fresh processes")
-    print(f"{'command':<28} {'wall':>8} {'numpy':>6}")
+    print(f"fresh processes: median wall time of {STARTUP_RUNS} each")
+    print(f"{'command':<36} {'wall':>8} {'numpy':>6}")
     commands = [[sub, "--help"] for sub in SUBCOMMANDS]
     commands.append(["rate", "--r", "2", "--p", "0.5"])
+    for n, m in ((10, 5), (12, 6)):
+        commands.append(["argmax", "--n", str(n), "--r", "2", "--m", str(m), "--m2", str(m)])
     for argv in commands:
         walls = []
         for _ in range(STARTUP_RUNS):
@@ -72,7 +74,7 @@ def bench_startup():
             walls.append(time.perf_counter() - t0)
             assert proc.returncode == 0, proc.stderr.decode()
         loaded = proc.stderr.decode().rsplit("numpy=", 1)[1].strip()
-        print(f"{' '.join(argv):<28} {statistics.median(walls):>7.3f}s "
+        print(f"{' '.join(argv):<36} {statistics.median(walls):>7.3f}s "
               f"{'yes' if loaded == 'True' else 'no':>6}")
 
 

@@ -248,12 +248,12 @@ DEFAULT_SOLVER_TOL = 1e-10
 MAX_NEWTON_ITERATIONS = 200
 
 
-def solve_stationary(p, q, r, init=None, tol=DEFAULT_SOLVER_TOL) -> StationarySolution:
+def solve_stationary(p, q, r, tol=DEFAULT_SOLVER_TOL) -> StationarySolution:
     """Damped Newton iteration on the stationarity system.
 
     Works in log coordinates so all five unknowns stay positive.  The
-    default start is (q/2, q/8, q/8, q/8, 1); if that stalls, a second
-    attempt starts from a mildly perturbed closed-form point.  Raises
+    first attempt starts at (q/2, q/8, q/8, q/8, 1); if that stalls, a
+    second starts from a mildly perturbed closed-form point.  Raises
     SolverError (carrying the best point) when both attempts fail.
     """
     import numpy as np
@@ -262,23 +262,13 @@ def solve_stationary(p, q, r, init=None, tol=DEFAULT_SOLVER_TOL) -> StationarySo
         raise DomainError(f"need p, q in (0, 1), got p={p}, q={q}")
     if r < 2:
         raise DomainError(f"need r >= 2, got {r}")
-    if init is None:
-        starts = [(q / 2, q / 8, q / 8, q / 8, 1.0), None]
-    else:
-        a0, b0, d0, e0, L0 = init
-        for name, v in (("a", a0), ("b", b0), ("d", d0), ("e", e0), ("L", L0)):
-            if v <= 0:
-                raise InfeasiblePointError(f"{name} > 0", v)
-        if e0 >= p:
-            raise InfeasiblePointError("p - e >= 0", p - e0)
-        starts = [tuple(init)]
     best = None
     best_norm = math.inf
     total_iters = 0
     # A full step can overshoot far enough that a trial exp overflows; the
     # feasibility test then rejects it, so the overflow is not an error.
     with np.errstate(over="ignore"):
-        for start in starts:
+        for start in [(q / 2, q / 8, q / 8, q / 8, 1.0), None]:
             if start is None:
                 ref = analytic_solution(p, q, r)
                 wiggle = (1.1, 0.9, 1.1, 0.9, 1.1)

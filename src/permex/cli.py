@@ -259,6 +259,13 @@ def _cmd_argmax(args):
         args.n, args.r, args.m, args.m2,
         term_budget=_or_default(args.budget, TERM_BUDGET_DEFAULT),
     )
+    totals = {
+        "fresh": sum(profile.fresh),
+        "dup": sum(profile.dup),
+        "row_hits": sum(map(sum, profile.row_hits)),
+        "col_hits": sum(map(sum, profile.col_hits)),
+        "cross": sum(map(sum, profile.cross_rows)),
+    }
     payload = {
         "schema_version": SCHEMA_VERSION,
         "op": "argmax",
@@ -276,13 +283,7 @@ def _cmd_argmax(args):
             "col_hits": [list(row) for row in profile.col_hits],
             "cross_rows": [list(row) for row in profile.cross_rows],
             "cross_cols": [list(row) for row in profile.cross_cols],
-            "totals": {
-                "fresh": profile.fresh_total,
-                "dup": profile.dup_total,
-                "row_hits": profile.row_hit_total,
-                "col_hits": profile.col_hit_total,
-                "cross": profile.cross_total,
-            },
+            "totals": totals,
         },
     }
     header = ["n", "r", "m", "m2", "value_num", "value_den", "base", "fresh",
@@ -290,7 +291,7 @@ def _cmd_argmax(args):
     rows = [[args.n, args.r, args.m, args.m2, str(value.numerator),
              str(value.denominator), "|".join(map(str, profile.base)),
              "|".join(map(str, profile.fresh)), "|".join(map(str, profile.dup)),
-             profile.row_hit_total, profile.col_hit_total, profile.cross_total]]
+             totals["row_hits"], totals["col_hits"], totals["cross"]]]
     _emit(args, payload, header, rows)
     return 0
 

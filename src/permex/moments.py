@@ -50,7 +50,6 @@ profile count, sum Lc * Rc times that orbit weight.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, factorial, perm, prod
 
 from .errors import CapacityError, DomainError
@@ -62,16 +61,6 @@ TERM_BUDGET_DEFAULT = 10**9
 
 # ---------------------------------------------------------------------------
 # constrained enumeration helpers
-
-
-def _compositions(total, parts):
-    """All tuples of `parts` non-negative ints summing to `total`, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for v in range(total + 1):
-        for rest in _compositions(total - v, parts - 1):
-            yield (v,) + rest
 
 
 def _capped_compositions(total, caps):
@@ -95,6 +84,10 @@ def _bounded_tuples(caps, budget):
     for v in range(hi + 1):
         for rest in _bounded_tuples(caps[1:], budget - v):
             yield (v,) + rest
+
+
+def _row_sums(mat):
+    return [sum(row) for row in mat]
 
 
 def _column_sums(mat):
@@ -175,76 +168,17 @@ class ColorProfile:
     cross_rows: tuple
     cross_cols: tuple
 
-    @cached_property
-    def fresh_total(self):
-        return sum(self.fresh)
 
-    @cached_property
-    def dup_total(self):
-        return sum(self.dup)
-
-    @cached_property
-    def row_hit_total(self):
-        return sum(map(sum, self.row_hits))
-
-    @cached_property
-    def col_hit_total(self):
-        return sum(map(sum, self.col_hits))
-
-    @cached_property
-    def cross_total(self):
-        return sum(map(sum, self.cross_rows))
-
-    @cached_property
-    def row_hit_colors(self):
-        """Row hits of each color (row sums of row_hits)."""
-        return tuple(map(sum, self.row_hits))
-
-    @cached_property
-    def row_hit_hosts(self):
-        """Row hits standing on each color's rows (column sums of row_hits)."""
-        r = len(self.base)
-        return tuple(sum(self.row_hits[k][i] for k in range(r)) for i in range(r))
-
-    @cached_property
-    def col_hit_colors(self):
-        return tuple(map(sum, self.col_hits))
-
-    @cached_property
-    def col_hit_hosts(self):
-        r = len(self.base)
-        return tuple(sum(self.col_hits[k][i] for k in range(r)) for i in range(r))
-
-    @cached_property
-    def cross_colors(self):
-        """Cross hits of each color (row sums of cross_rows and cross_cols)."""
-        return tuple(map(sum, self.cross_rows))
-
-    @cached_property
-    def cross_row_hosts(self):
-        r = len(self.base)
-        return tuple(sum(self.cross_rows[k][i] for k in range(r)) for i in range(r))
-
-    @cached_property
-    def cross_col_hosts(self):
-        r = len(self.base)
-        return tuple(sum(self.cross_cols[k][i] for k in range(r)) for i in range(r))
-
-    @cached_property
-    def loads(self):
-        """Forced cells per color: how much of each permutation is pinned."""
-        return tuple(
-            b + f + rh + ch + x
-            for b, f, rh, ch, x in zip(
-                self.base, self.fresh, self.row_hit_colors,
-                self.col_hit_colors, self.cross_colors,
-            )
+def _loads(profile):
+    """Forced cells per color: how much of each permutation is pinned."""
+    p = profile
+    return [
+        b + f + rh + ch + x
+        for b, f, rh, ch, x in zip(
+            p.base, p.fresh, _row_sums(p.row_hits), _row_sums(p.col_hits),
+            _row_sums(p.cross_rows),
         )
-
-    @cached_property
-    def second_total(self):
-        return (self.fresh_total + self.dup_total + self.row_hit_total
-                + self.col_hit_total + self.cross_total)
+    ]
 
 
 def _prefixes(n, r, m, m2, bases):
@@ -291,7 +225,7 @@ def profile_iterator(n, r, m, m2):
     """Yield every feasible ColorProfile exactly once, in nested lex order."""
     moment_key(n, r, m, m2)
     for base, fresh, dup, rowh, colh, _, d, loads, lcaps, rcaps in _prefixes(
-        n, r, m, m2, _compositions(m, r)
+        n, r, m, m2, _capped_compositions(m, (m,) * r)
     ):
         for dvec in _capped_compositions(d, loads):
             for lmat in _offdiag_rowsum_matrices(r, dvec, lcaps):
@@ -324,33 +258,37 @@ def validate_profile(profile, n, r, m, m2):
         ensure(all(v >= 0 for row in mat for v in row), "counts are non-negative")
     ensure(all(v >= 0 for f in fields for v in f), "counts are non-negative")
     ensure(sum(p.base) == m, "base sizes sum to m")
-    ensure(p.second_total == m2, "second-placement classes sum to m2")
+    row_hosts, col_hosts, cross_row_hosts, cross_col_hosts = map(_column_sums, mats)
+    fresh, row_hit, col_hit = sum(p.fresh), sum(row_hosts), sum(col_hosts)
+    ensure(fresh + sum(p.dup) + row_hit + col_hit + sum(cross_row_hosts) == m2,
+           "second-placement classes sum to m2")
     ensure(
-        tuple(map(sum, p.cross_cols)) == p.cross_colors,
+        _row_sums(p.cross_cols) == _row_sums(p.cross_rows),
         "cross row sums match across the two host matrices",
     )
-    ensure(p.fresh_total <= n - m, "fresh count fits outside used rows/columns")
-    ensure(p.fresh_total + p.row_hit_total + m <= n, "row hits fit on fresh columns")
-    ensure(p.fresh_total + p.col_hit_total + m <= n, "col hits fit on fresh rows")
+    ensure(fresh <= n - m, "fresh count fits outside used rows/columns")
+    ensure(fresh + row_hit + m <= n, "row hits fit on fresh columns")
+    ensure(fresh + col_hit + m <= n, "col hits fit on fresh rows")
+    loads = _loads(p)
     for i in range(r):
         ensure(p.dup[i] <= p.base[i], "dups fit in the base cells of their color")
         ensure(
-            p.dup[i] + p.row_hit_hosts[i] <= p.base[i],
+            p.dup[i] + row_hosts[i] <= p.base[i],
             "row hits fit on undup'd rows of the host color",
         )
         ensure(
-            p.dup[i] + p.col_hit_hosts[i] <= p.base[i],
+            p.dup[i] + col_hosts[i] <= p.base[i],
             "col hits fit on undup'd columns of the host color",
         )
         ensure(
-            p.dup[i] + p.row_hit_hosts[i] + p.cross_row_hosts[i] <= p.base[i],
+            p.dup[i] + row_hosts[i] + cross_row_hosts[i] <= p.base[i],
             "cross hits fit on remaining rows of the host color",
         )
         ensure(
-            p.dup[i] + p.col_hit_hosts[i] + p.cross_col_hosts[i] <= p.base[i],
+            p.dup[i] + col_hosts[i] + cross_col_hosts[i] <= p.base[i],
             "cross hits fit on remaining columns of the host color",
         )
-        ensure(p.loads[i] <= n, "forced cells of each color fit in the matrix")
+        ensure(loads[i] <= n, "forced cells of each color fit in the matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +303,8 @@ def _base_integer(base, n, m) -> int:
     return w
 
 
-def factor_base(profile, n, r, m) -> Fraction:
-    """First-placement weight: location choices, color split, 1/(n!)^r."""
-    return Fraction(_base_integer(profile.base, n, m), factorial(n) ** r)
-
-
 def _fresh_integer(fresh, n, m) -> int:
+    """Fresh cells: choose rows and columns off the base, pair, and color."""
     a = sum(fresh)
     w = comb(n - m, a) ** 2 * factorial(a) * factorial(a)
     for ai in fresh:
@@ -378,21 +312,12 @@ def _fresh_integer(fresh, n, m) -> int:
     return w
 
 
-def factor_fresh(profile, n, m) -> int:
-    """Fresh cells: choose rows and columns off the base, pair, and color."""
-    return _fresh_integer(profile.fresh, n, m)
-
-
 def _dup_integer(base, dup) -> int:
+    """Duplicated cells: pick which base cells of each color to copy."""
     w = 1
     for mi, ei in zip(base, dup):
         w *= comb(mi, ei)
     return w
-
-
-def factor_dup(profile) -> int:
-    """Duplicated cells: pick which base cells of each color to copy."""
-    return _dup_integer(profile.base, profile.dup)
 
 
 def _host_integer(caps, mat, mat_hosts) -> int:
@@ -414,57 +339,32 @@ def _hit_integer(free, caps, hits, hit_hosts, total) -> int:
     return perm(free, total) * _host_integer(caps, hits, hit_hosts)
 
 
-def _undup(profile):
-    return [b - e for b, e in zip(profile.base, profile.dup)]
+def _term_integer(profile, n, r, m) -> int:
+    """term_value numerator over the common denominator (n!)^r.
 
-
-def factor_row_hits(profile, n, m) -> int:
-    """Row hits: fresh columns for them, host rows, and the pairing."""
-    p = profile
-    return _hit_integer(n - m - p.fresh_total, _undup(p), p.row_hits, p.row_hit_hosts,
-                        p.row_hit_total)
-
-
-def factor_col_hits(profile, n, m) -> int:
-    """Col hits: the row-hit count with rows and columns swapped."""
-    p = profile
-    return _hit_integer(n - m - p.fresh_total, _undup(p), p.col_hits, p.col_hit_hosts,
-                        p.col_hit_total)
-
-
-def factor_cross(profile) -> int:
-    """Cross hits: host rows, host columns, and the per-color pairing.
-
-    prod_i cross_colors_i! times ``_host_integer`` of the row hosts (over
-    the lines the row hits left) and of the column hosts (likewise).
+    The per-profile reference for ``expectation_product``: the seven
+    factors, each built from the profile's own counts.  Row hits take fresh
+    columns and host rows off the undup'd base lines; col hits mirror them.
+    Cross hits pick host rows and host columns off the lines the hits left,
+    and pair them per color; completion finishes each permutation outside
+    its forced cells.
     """
     p = profile
-    undup = _undup(p)
-    lcaps = [u - h for u, h in zip(undup, p.row_hit_hosts)]
-    rcaps = [u - h for u, h in zip(undup, p.col_hit_hosts)]
-    return (prod(map(factorial, p.cross_colors))
-            * _host_integer(lcaps, p.cross_rows, p.cross_row_hosts)
-            * _host_integer(rcaps, p.cross_cols, p.cross_col_hosts))
-
-
-def factor_completion(profile, n) -> int:
-    """Ways to finish each permutation outside its forced cells."""
-    w = 1
-    for load in profile.loads:
-        w *= factorial(n - load)
-    return w
-
-
-def _term_integer(profile, n, r, m) -> int:
-    """term_value numerator over the common denominator (n!)^r."""
+    free = n - m - sum(p.fresh)
+    undup = [b - e for b, e in zip(p.base, p.dup)]
+    row_hosts, col_hosts = _column_sums(p.row_hits), _column_sums(p.col_hits)
+    lcaps = [u - h for u, h in zip(undup, row_hosts)]
+    rcaps = [u - h for u, h in zip(undup, col_hosts)]
     return (
-        _base_integer(profile.base, n, m)
-        * factor_fresh(profile, n, m)
-        * factor_dup(profile)
-        * factor_row_hits(profile, n, m)
-        * factor_col_hits(profile, n, m)
-        * factor_cross(profile)
-        * factor_completion(profile, n)
+        _base_integer(p.base, n, m)
+        * _fresh_integer(p.fresh, n, m)
+        * _dup_integer(p.base, p.dup)
+        * _hit_integer(free, undup, p.row_hits, row_hosts, sum(row_hosts))
+        * _hit_integer(free, undup, p.col_hits, col_hosts, sum(col_hosts))
+        * prod(map(factorial, _row_sums(p.cross_rows)))
+        * _host_integer(lcaps, p.cross_rows, _column_sums(p.cross_rows))
+        * _host_integer(rcaps, p.cross_cols, _column_sums(p.cross_cols))
+        * prod(factorial(n - load) for load in _loads(p))
     )
 
 
@@ -502,13 +402,6 @@ def _check_budget(count, term_budget, n, r, m, m2):
         raise CapacityError(
             f"profile count exceeded budget {term_budget} at (n={n}, r={r}, m={m}, m2={m2})"
         )
-
-
-def _weighted_profiles(n, r, m, m2, term_budget):
-    """Yield (profile, _term_integer) per profile; CapacityError past the budget."""
-    for count, profile in enumerate(profile_iterator(n, r, m, m2), 1):
-        _check_budget(count, term_budget, n, r, m, m2)
-        yield profile, _term_integer(profile, n, r, m)
 
 
 def _sorted_splits(m, r):
@@ -567,10 +460,11 @@ def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
     Returns (profile, value).  Useful for checking that the dominant term
     spreads counts evenly across colors.
     """
-    moment_key(n, r, m, m2)
     best = None
     best_w = -1
-    for profile, w in _weighted_profiles(n, r, m, m2, term_budget):
+    for count, profile in enumerate(profile_iterator(n, r, m, m2), 1):
+        _check_budget(count, term_budget, n, r, m, m2)
+        w = _term_integer(profile, n, r, m)
         if w > best_w:
             best_w = w
             best = profile

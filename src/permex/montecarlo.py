@@ -30,8 +30,7 @@ class MCEstimate:
     """Sample mean and error of one statistic; exact mean carried alongside.
 
     ``log_mean_over_n`` is (1/n) ln(mean), computed from the exact rational
-    mean via big-integer logarithms.  ``mean_log_over_n`` is the average of
-    (1/n) ln(value) over samples (None in enumeration mode).
+    mean via big-integer logarithms.
     """
 
     mean: float
@@ -40,7 +39,6 @@ class MCEstimate:
     spec: MomentKey
     log_mean_over_n: float
     mean_exact: Fraction
-    mean_log_over_n: float | None = None
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,6 @@ def _mc_worker(args):
     batch = np.arange(block)[:, None]
     rows = np.arange(n)
     sums = [0] * 6
-    logs = ([], [], [])
     for first in range(lo, hi, span):
         perms = sample_block(spec, first, min(span, hi - first))
         for start in range(0, len(perms), block):
@@ -81,12 +78,10 @@ def _mc_worker(args):
             for k, vals in enumerate((xs, ys, [x * y for x, y in zip(xs, ys)])):
                 sums[2 * k] += sum(vals)
                 sums[2 * k + 1] += sum(v * v for v in vals)
-                logs[k].extend(map(math.log, vals))
-    # one fsum over the whole range, so block boundaries cannot move a bit
-    return sums, [math.fsum(ls) for ls in logs]
+    return sums
 
 
-def _make_estimate(total, total_sq, log_total, count, n, key) -> MCEstimate:
+def _make_estimate(total, total_sq, count, n, key) -> MCEstimate:
     mean_exact = Fraction(total, count)
     var_num = count * total_sq - total * total
     stderr_sq = Fraction(var_num, count * count * (count - 1)) if count > 1 else Fraction(0)
@@ -97,7 +92,6 @@ def _make_estimate(total, total_sq, log_total, count, n, key) -> MCEstimate:
         spec=key,
         log_mean_over_n=_log_fraction(mean_exact) / n,
         mean_exact=mean_exact,
-        mean_log_over_n=log_total / (count * n) if log_total is not None else None,
     )
 
 
@@ -146,16 +140,13 @@ def estimate_moments(
                 for i in range(threads)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_mc_worker, jobs))
-        sums = [sum(p[0][k] for p in parts) for k in range(6)]
-        logsums = [math.fsum(p[1][k] for p in parts) for k in range(3)]
+        sums = [sum(p[k] for p in parts) for k in range(6)]
     else:
-        sums, logsums = _mc_worker((n, r, spec.seed, m, m2, 0, samples))
+        sums = _mc_worker((n, r, spec.seed, m, m2, 0, samples))
 
-    first = _make_estimate(sums[0], sums[1], logsums[0], samples, n,
-                           MomentKey(n, r, m, 0))
-    second = _make_estimate(sums[2], sums[3], logsums[1], samples, n,
-                            MomentKey(n, r, m2, 0))
-    product = _make_estimate(sums[4], sums[5], logsums[2], samples, n, key)
+    first = _make_estimate(sums[0], sums[1], samples, n, MomentKey(n, r, m, 0))
+    second = _make_estimate(sums[2], sums[3], samples, n, MomentKey(n, r, m2, 0))
+    product = _make_estimate(sums[4], sums[5], samples, n, key)
     return MomentEstimates(first=first, second=second, product=product,
                            mode="sampling")
 

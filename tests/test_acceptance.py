@@ -109,9 +109,10 @@ def test_criterion_8_dominant_term_balance():
         m = n // 2
         profile, _ = argmax_profile(n, 2, m, m)
         ok = abs(profile.base[0] - m / 2) <= 1
-        ok = ok and abs(profile.row_hit_total - profile.col_hit_total) <= 2
+        row_hits, col_hits = (sum(map(sum, mat)) for mat in (profile.row_hits, profile.col_hits))
+        ok = ok and abs(row_hits - col_hits) <= 2
         for counts in (profile.base, profile.fresh, profile.dup,
-                       profile.cross_colors):
+                       tuple(map(sum, profile.cross_rows))):
             ok = ok and _balance_ok(counts, 2)
         for mat in (profile.row_hits, profile.col_hits,
                     profile.cross_rows, profile.cross_cols):

@@ -198,13 +198,6 @@ def test_solver_matches_analytic():
         assert sol.residual_max < 1e-10
 
 
-def test_solver_rejects_infeasible_init():
-    with pytest.raises(InfeasiblePointError):
-        solve_stationary(0.3, 0.5, 2, init=(0.1, 0.05, 0.05, 0.45, 1.0))
-    with pytest.raises(InfeasiblePointError):
-        solve_stationary(0.3, 0.5, 2, init=(0.1, -0.05, 0.05, 0.1, 1.0))
-
-
 def test_solver_domain():
     with pytest.raises(DomainError):
         solve_stationary(0.0, 0.5, 2)

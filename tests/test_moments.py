@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -17,14 +17,14 @@ from permex import (
 )
 from permex.cli import SUITES
 from permex.moments import (
+    _base_integer,
+    _column_sums,
+    _dup_integer,
+    _fresh_integer,
+    _hit_integer,
+    _host_integer,
+    _loads,
     _term_integer,
-    factor_base,
-    factor_col_hits,
-    factor_completion,
-    factor_cross,
-    factor_dup,
-    factor_fresh,
-    factor_row_hits,
 )
 
 
@@ -71,8 +71,6 @@ def test_expectation_perm_domain():
 
 def test_expectation_perm_r1_is_binomial():
     # a single permutation matrix has C(n, m) placements of every size
-    from math import comb
-
     for n in range(1, 6):
         for m in range(n + 1):
             assert expectation_perm(n, 1, m).value == comb(n, m)
@@ -115,30 +113,37 @@ def test_validator_rejects_unbalanced_cross():
 
 
 def test_factor_base_examples():
-    assert factor_base(make_profile(2, (1, 1)), 2, 2, 2) == 1
-    assert factor_base(make_profile(1, (0,)), 2, 1, 0) == Fraction(1, 2)
-    assert factor_base(make_profile(2, (2, 0)), 2, 2, 2) == Fraction(1, 2)
+    def base(b, n, r, m):
+        return Fraction(_base_integer(b, n, m), factorial(n) ** r)
+
+    assert base((1, 1), 2, 2, 2) == 1
+    assert base((0,), 2, 1, 0) == Fraction(1, 2)
+    assert base((2, 0), 2, 2, 2) == Fraction(1, 2)
 
 
 def test_factor_fresh_examples():
-    assert factor_fresh(make_profile(2, (1, 0)), 3, 1) == 1
-    assert factor_fresh(make_profile(2, (1, 0), fresh=(1, 0)), 3, 1) == 4
-    assert factor_fresh(make_profile(2, (1, 0), fresh=(1, 1)), 3, 1) == 4
+    assert _fresh_integer((0, 0), 3, 1) == 1
+    assert _fresh_integer((1, 0), 3, 1) == 4
+    assert _fresh_integer((1, 1), 3, 1) == 4
 
 
 def test_factor_dup_examples():
-    assert factor_dup(make_profile(2, (2, 1))) == 1
-    assert factor_dup(make_profile(1, (2,), dup=(1,))) == 2
-    assert factor_dup(make_profile(2, (2, 1), dup=(1, 1))) == 2
+    assert _dup_integer((2, 1), (0, 0)) == 1
+    assert _dup_integer((2,), (1,)) == 2
+    assert _dup_integer((2, 1), (1, 1)) == 2
 
 
 def test_factor_row_hits_examples():
-    assert factor_row_hits(make_profile(2, (1, 1)), 3, 2) == 1
-    profile = make_profile(2, (0, 1), row_hits=((0, 1), (0, 0)))
-    assert factor_row_hits(profile, 3, 1) == 2
+    # n = 3, m = 2, no fresh cells: one free column and nothing to place
+    assert _hit_integer(1, [1, 1], zeros(2), [0, 0], 0) == 1
+    # n = 3, m = 1: one color-0 row hit on color 1's row, two free columns
+    hits = ((0, 1), (0, 0))
+    assert _hit_integer(2, [0, 1], hits, _column_sums(hits), 1) == 2
 
 
 def test_factor_col_hits_mirrors_row_hits():
+    # swapping rows and columns swaps the row-hit and col-hit factors and
+    # the two cross host factors, so every term is unchanged
     checked = 0
     for profile in profile_iterator(4, 2, 3, 3):
         swapped = ColorProfile(
@@ -146,7 +151,7 @@ def test_factor_col_hits_mirrors_row_hits():
             row_hits=profile.col_hits, col_hits=profile.row_hits,
             cross_rows=profile.cross_cols, cross_cols=profile.cross_rows,
         )
-        assert factor_col_hits(profile, 4, 3) == factor_row_hits(swapped, 4, 3)
+        assert _term_integer(swapped, 4, 2, 3) == _term_integer(profile, 4, 2, 3)
         checked += 1
         if checked >= 100:
             break
@@ -154,35 +159,64 @@ def test_factor_col_hits_mirrors_row_hits():
 
 
 def test_factor_cross_examples():
-    assert factor_cross(make_profile(2, (1, 1))) == 1
-    profile = make_profile(
-        2, (1, 1),
-        cross_rows=((0, 1), (0, 0)),
-        cross_cols=((0, 1), (0, 0)),
-    )
-    assert factor_cross(profile) == 1
+    assert _host_integer((1, 1), zeros(2), (0, 0)) == 1
+    cross = ((0, 1), (0, 0))
+    assert _host_integer((1, 1), cross, _column_sums(cross)) == 1
 
 
 def test_factor_completion_examples():
-    assert factor_completion(make_profile(2, (0, 0)), 2) == 4
-    assert factor_completion(make_profile(2, (2, 0)), 2) == 2
+    def completion(profile, n):
+        return prod(factorial(n - load) for load in _loads(profile))
+
+    assert completion(make_profile(2, (0, 0)), 2) == 4
+    assert completion(make_profile(2, (2, 0)), 2) == 2
+
+
+def reference_term(p, n, m):
+    """The seven factors written out in binomials and factorials, one by one."""
+    r = len(p.base)
+
+    def multinomial(parts):
+        return factorial(sum(parts)) // prod(map(factorial, parts))
+
+    def hosts(mat):
+        """Split the cells standing on each host color's lines by their color."""
+        return prod(multinomial([mat[i][k] for i in range(r)]) for k in range(r))
+
+    def choose_lines(caps, mat):
+        return prod(comb(caps[k], sum(mat[i][k] for i in range(r))) for k in range(r))
+
+    a = sum(p.fresh)
+    free = n - m - a
+    undup = [b - e for b, e in zip(p.base, p.dup)]
+    rows_left = [u - sum(p.row_hits[i][k] for i in range(r)) for k, u in enumerate(undup)]
+    cols_left = [u - sum(p.col_hits[i][k] for i in range(r)) for k, u in enumerate(undup)]
+    base = comb(n, m) ** 2 * factorial(m) * multinomial(p.base)
+    fresh = comb(n - m, a) ** 2 * factorial(a) * multinomial(p.fresh)
+    dup = prod(comb(b, e) for b, e in zip(p.base, p.dup))
+
+    def hit_factor(mat):
+        """Fresh lines for the hits, in order, then their host lines."""
+        t = sum(map(sum, mat))
+        return comb(free, t) * factorial(t) * choose_lines(undup, mat) * hosts(mat)
+
+    row_hits, col_hits = hit_factor(p.row_hits), hit_factor(p.col_hits)
+    cross = (prod(factorial(sum(row)) for row in p.cross_rows)
+             * choose_lines(rows_left, p.cross_rows) * hosts(p.cross_rows)
+             * choose_lines(cols_left, p.cross_cols) * hosts(p.cross_cols))
+    loads = [p.base[i] + p.fresh[i] + sum(p.row_hits[i]) + sum(p.col_hits[i])
+             + sum(p.cross_rows[i]) for i in range(r)]
+    completion = prod(factorial(n - load) for load in loads)
+    return base * fresh * dup * row_hits * col_hits * cross * completion
 
 
 def test_term_value_is_product_of_factors():
-    n, r, m, m2 = 3, 2, 2, 2
-    norm = factorial(n) ** r
-    for profile in profile_iterator(n, r, m, m2):
-        expected = (
-            factor_base(profile, n, r, m)
-            * factor_fresh(profile, n, m)
-            * factor_dup(profile)
-            * factor_row_hits(profile, n, m)
-            * factor_col_hits(profile, n, m)
-            * factor_cross(profile)
-            * factor_completion(profile, n)
-        )
-        assert term_value(profile, n, r, m) == expected
-        assert expected == Fraction(_term_integer(profile, n, r, m), norm)
+    for n, r, m, m2 in [(3, 2, 2, 2), (4, 3, 2, 3)]:
+        norm = factorial(n) ** r
+        for profile in profile_iterator(n, r, m, m2):
+            expected = reference_term(profile, n, m)
+            assert _term_integer(profile, n, r, m) == expected
+            assert term_value(profile, n, r, m) == Fraction(expected, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +313,9 @@ def test_product_domain_and_budget():
 def test_argmax_trivial():
     profile, value = argmax_profile(2, 2, 0, 0)
     assert profile.base == (0, 0)
-    assert profile.second_total == 0
+    assert sum(profile.fresh) + sum(profile.dup) == 0
+    assert all(sum(map(sum, mat)) == 0 for mat in (
+        profile.row_hits, profile.col_hits, profile.cross_rows, profile.cross_cols))
     assert value == Fraction(
         _term_integer(profile, 2, 2, 0), factorial(2) ** 2
     )
@@ -288,7 +324,7 @@ def test_argmax_trivial():
 def test_argmax_balanced_at_n8():
     profile, value = argmax_profile(8, 2, 4, 4)
     assert abs(profile.base[0] - 2) <= 1
-    assert abs(profile.row_hit_total - profile.col_hit_total) <= 2
+    assert abs(sum(map(sum, profile.row_hits)) - sum(map(sum, profile.col_hits))) <= 2
     assert value > 0
 
 
