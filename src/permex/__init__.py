@@ -7,7 +7,6 @@ from .asymptotics import (
     RateComponents,
     StationarySolution,
     analytic_solution,
-    finite_rate_single,
     product_rate,
     rate_components,
     single_rate,
@@ -39,7 +38,6 @@ from .moments import (
     expectation_perm,
     expectation_product,
     profile_iterator,
-    term_value,
     validate_profile,
 )
 from .montecarlo import (
@@ -53,7 +51,6 @@ from .permanents import (
     ExactMoment,
     MomentKey,
     ensemble_average_bruteforce,
-    permanent,
     subpermanent_bruteforce,
     subpermanent_profile,
 )
@@ -85,8 +82,6 @@ __all__ = [
     "estimate_moments",
     "expectation_perm",
     "expectation_product",
-    "finite_rate_single",
-    "permanent",
     "product_rate",
     "profile_iterator",
     "rate_components",
@@ -100,7 +95,6 @@ __all__ = [
     "stirling_f",
     "subpermanent_bruteforce",
     "subpermanent_profile",
-    "term_value",
     "tuple_count",
     "validate_profile",
     "__version__",

@@ -47,24 +47,6 @@ def single_rate_limit(p: float, r: int) -> float:
     return single_rate(p, r)
 
 
-def finite_rate_single(n: int, m: int, r: int) -> float:
-    """The n-scaled log-weight of the balanced color split, via stirling_f.
-
-    Algebraically identical to single_rate(m / n, r): the explicit n cancels.
-    """
-    if not 0 < m < n:
-        raise DomainError(f"need 0 < m < n, got m={m}, n={n}")
-    mi = m / r
-    value = (
-        -r * stirling_f(n)
-        + 2 * stirling_f(n)
-        - 2 * stirling_f(n - m)
-        - r * stirling_f(mi)
-        + r * stirling_f(n - mi)
-    )
-    return value / n
-
-
 @dataclass(frozen=True)
 class RateComponents:
     """The six density-scale components of the dominant log-weight."""

@@ -300,17 +300,18 @@ def _cmd_argmax(args):
 # verification suites
 #
 # Each suite is the one definition of an acceptance criterion (criteria 1-5
-# of tests/test_acceptance.py).  It takes keyword overrides, None meaning
-# "use the suite's default", and returns (rows, worst, passed, tol).
+# of tests/test_acceptance.py), its tolerance included.  It takes keyword
+# overrides, None meaning "use the suite's default", and returns
+# (rows, worst, passed, tol).
 
 
 def _r_values(r, default):
     return default if r is None else [r]
 
 
-def _suite_stationarity(r=None, seed=0, tol=None, budget=None):
+def _suite_stationarity(r=None, seed=0, budget=None):
     """Relative stationarity residuals of the closed form over the grid."""
-    tol = _or_default(tol, 1e-9)
+    tol = 1e-9
     rows = []
     worst = 0.0
     for r in _r_values(r, GRID_R):
@@ -323,10 +324,10 @@ def _suite_stationarity(r=None, seed=0, tol=None, budget=None):
     return rows, worst, worst < tol, tol
 
 
-def _suite_factorization(r=None, seed=0, tol=None, budget=None):
+def _suite_factorization(r=None, seed=0, budget=None):
     """product_rate(p, q) against single_rate(p) + single_rate(q) over the
     grid; the Newton solver's rate must agree within 1e-6."""
-    tol = _or_default(tol, 1e-9)
+    tol = 1e-9
     solver_tol = 1e-6
     rows = []
     worst = 0.0
@@ -345,11 +346,11 @@ def _suite_factorization(r=None, seed=0, tol=None, budget=None):
     return rows, worst, ok, tol
 
 
-def _suite_solver(r=None, seed=0, tol=None, budget=None):
+def _suite_solver(r=None, seed=0, budget=None):
     """Newton solver against the closed form at 20 Philox-seeded points."""
     import numpy as np
 
-    tol = _or_default(tol, 1e-8)
+    tol = 1e-8
     rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
     rows = []
     worst = 0.0
@@ -388,14 +389,14 @@ def _oracle_rows(cases, budget, product):
     return rows, 0.0 if ok else 1.0, ok, 0.0
 
 
-def _suite_oracle_single(r=None, seed=0, tol=None, budget=None):
+def _suite_oracle_single(r=None, seed=0, budget=None):
     """expectation_perm equals the oracle exactly for n <= 5, r <= 3."""
     r_values = _r_values(r, [1, 2, 3])
     cases = [(n, r) for n in range(1, 6) for r in r_values]
     return _oracle_rows(cases, budget, product=False)
 
 
-def _suite_oracle_product(r=None, seed=0, tol=None, budget=None):
+def _suite_oracle_product(r=None, seed=0, budget=None):
     """expectation_product equals the oracle exactly, m <= m2, for n <= 4
     at r <= 3 and for n = 5 at r = 2."""
     r_values = _r_values(r, [1, 2, 3])
@@ -416,7 +417,7 @@ SUITES = {
 
 def _cmd_verify(args):
     rows, worst, passed, tol = SUITES[args.suite](
-        r=args.r, seed=args.seed, tol=args.tol, budget=args.budget)
+        r=args.r, seed=args.seed, budget=args.budget)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "op": "verify",
@@ -515,7 +516,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("verify", help="run a verification suite")
     sub.add_argument("--suite", choices=sorted(SUITES), required=True)
-    _add_common(sub, "r_opt", "seed", "tol", "budget")
+    _add_common(sub, "r_opt", "seed", "budget")
     sub.set_defaults(func=_cmd_verify)
 
     return parser

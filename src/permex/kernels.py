@@ -153,16 +153,19 @@ def oracle_product_sums(n: int, r: int):
         weights = [nfact * size for _, size in classes]
     tail_len = max(r - 2, 0)
     tails = nfact**tail_len
-    if tail_len:  # n! x n x n entries; r <= 2 needs none
-        perms = eye[list(itertools.permutations(range(n)))]
+    if tail_len:  # perms[k, i]: the column permutation k puts in row i
+        cells = itertools.chain.from_iterable(itertools.permutations(range(n)))
+        perms = np.fromiter(cells, dtype=np.int8, count=nfact * n).reshape(nfact, n)
+    rows = np.arange(n)
     count, block = oracle_matrix_count(n, r), block_size(n)
     table = [[0] * (n + 1) for _ in range(n + 1)]
     for start in range(0, count, block):
         head, tail = np.divmod(np.arange(start, min(start + block, count)), tails)
         mats = heads[head]
+        batch = np.arange(len(head))[:, None]
         for _ in range(tail_len):
             tail, digit = np.divmod(tail, nfact)
-            mats += perms[digit]
+            mats[batch, rows, perms[digit]] += 1
         prof = subperm_profiles(mats, n, r)
         weight = [weights[h] for h in head.tolist()]
         for m in range(n + 1):

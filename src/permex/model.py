@@ -88,15 +88,6 @@ class SquareMatrix:
         entries = tuple(tuple(int(v) for v in row) for row in rows)
         return cls(n=len(entries), entries=entries)
 
-    def row_sums(self):
-        return tuple(sum(row) for row in self.entries)
-
-    def col_sums(self):
-        return tuple(sum(row[j] for row in self.entries) for j in range(self.n))
-
-    def entry_total(self):
-        return sum(map(sum, self.entries))
-
     def max_entry(self):
         return max(map(max, self.entries))
 

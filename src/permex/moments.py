@@ -24,9 +24,9 @@ feasible profiles of a product of seven exact counting factors, divided by
 cells, dup choices, row hits, col hits, cross hits, and the number of ways
 to complete each permutation around its forced cells.
 
-``profile_iterator`` enumerates the profiles and stays the reference;
-``expectation_product`` sums the same terms without visiting them one by
-one.  A prefix (base, fresh, dup, row_hits, col_hits) fixes the first five
+``profile_iterator`` enumerates the profiles; ``expectation_product`` and
+``argmax_profile`` reach the same terms without visiting them one by one.
+A prefix (base, fresh, dup, row_hits, col_hits) fixes the first five
 factors, W, and what is left per color: ``loads`` free cells and
 ``lcaps``/``rcaps`` free host rows/columns for cross hits.  With the cross
 hits per color fixed at dvec, the last two factors are
@@ -38,8 +38,10 @@ hits per color fixed at dvec, the last two factors are
 where h_i are mat's column sums and (lmat, rmat) range independently over
 off-diagonal matrices with row sums dvec and column sums h_i <= caps_i.  So
 the prefix contributes W sum_dvec prod_i (loads_i - d_i)! d_i! L(dvec, lcaps)
-L(dvec, rcaps), with L(dvec, caps) = sum_mat H(mat, caps), and L and the
-matrix count come from a table built once per (dvec, caps) in each call.
+L(dvec, rcaps), with L(dvec, caps) = sum_mat H(mat, caps), and its largest
+term is W prod_i (loads_i - d_i)! d_i! times the largest H on each side.  L,
+the matrix count and the first matrix of largest H come from a table built
+once per (dvec, caps) in each call.
 Relabelling the colors maps profiles onto profiles of equal weight, so the
 sum for a base split equals that for any rearrangement of it: only
 non-increasing splits are visited, each weighted by its number of distinct
@@ -94,13 +96,9 @@ def _column_sums(mat):
     return [sum(col) for col in zip(*mat)]
 
 
-def _offdiag_cells(r):
-    return [(i, k) for i in range(r) for k in range(r) if k != i]
-
-
 def _offdiag_matrices(r, budget, col_caps):
     """Off-diagonal r x r count matrices with total <= budget, col sums capped."""
-    cells = _offdiag_cells(r)
+    cells = [(i, k) for i in range(r) for k in range(r) if k != i]
     mat = [[0] * r for _ in range(r)]
     cols = [0] * r
 
@@ -230,15 +228,7 @@ def profile_iterator(n, r, m, m2):
         for dvec in _capped_compositions(d, loads):
             for lmat in _offdiag_rowsum_matrices(r, dvec, lcaps):
                 for rmat in _offdiag_rowsum_matrices(r, dvec, rcaps):
-                    yield ColorProfile(
-                        base=base,
-                        fresh=fresh,
-                        dup=dup,
-                        row_hits=rowh,
-                        col_hits=colh,
-                        cross_rows=lmat,
-                        cross_cols=rmat,
-                    )
+                    yield ColorProfile(base, fresh, dup, rowh, colh, lmat, rmat)
 
 
 def validate_profile(profile, n, r, m, m2):
@@ -339,40 +329,6 @@ def _hit_integer(free, caps, hits, hit_hosts, total) -> int:
     return perm(free, total) * _host_integer(caps, hits, hit_hosts)
 
 
-def _term_integer(profile, n, r, m) -> int:
-    """term_value numerator over the common denominator (n!)^r.
-
-    The per-profile reference for ``expectation_product``: the seven
-    factors, each built from the profile's own counts.  Row hits take fresh
-    columns and host rows off the undup'd base lines; col hits mirror them.
-    Cross hits pick host rows and host columns off the lines the hits left,
-    and pair them per color; completion finishes each permutation outside
-    its forced cells.
-    """
-    p = profile
-    free = n - m - sum(p.fresh)
-    undup = [b - e for b, e in zip(p.base, p.dup)]
-    row_hosts, col_hosts = _column_sums(p.row_hits), _column_sums(p.col_hits)
-    lcaps = [u - h for u, h in zip(undup, row_hosts)]
-    rcaps = [u - h for u, h in zip(undup, col_hosts)]
-    return (
-        _base_integer(p.base, n, m)
-        * _fresh_integer(p.fresh, n, m)
-        * _dup_integer(p.base, p.dup)
-        * _hit_integer(free, undup, p.row_hits, row_hosts, sum(row_hosts))
-        * _hit_integer(free, undup, p.col_hits, col_hosts, sum(col_hosts))
-        * prod(map(factorial, _row_sums(p.cross_rows)))
-        * _host_integer(lcaps, p.cross_rows, _column_sums(p.cross_rows))
-        * _host_integer(rcaps, p.cross_cols, _column_sums(p.cross_cols))
-        * prod(factorial(n - load) for load in _loads(p))
-    )
-
-
-def term_value(profile, n, r, m) -> Fraction:
-    """Full weight of one profile: the product of all seven factors."""
-    return Fraction(_term_integer(profile, n, r, m), factorial(n) ** r)
-
-
 # ---------------------------------------------------------------------------
 # expectations
 
@@ -412,6 +368,47 @@ def _sorted_splits(m, r):
             yield base, factorial(r) // prod(map(factorial, Counter(base).values()))
 
 
+def _cross_walk(r, term_budget):
+    """The cross-hit splits of a prefix, over one per-call table of cross-hit sums.
+
+    splits(d, loads, lcaps, rcaps) yields (done, left, right) for each split
+    dvec of d cross hits with both sides non-empty: done is
+    prod_i (loads_i - d_i)! d_i!, left and right the entries of (dvec, lcaps)
+    and (dvec, rcaps).  An entry (L, count, Hmax, first) sums H over its
+    matrices, counts them, and keeps the first of largest H; past
+    term_budget matrices it stops, L and first None, its count over budget.
+    """
+    table = {}
+
+    def cross(dvec, caps):
+        hit = table.get((dvec, caps))
+        if hit is None:
+            total = count = top = 0
+            first = None
+            for mat in _offdiag_rowsum_matrices(r, dvec, caps):
+                count += 1
+                if count > term_budget:
+                    total = first = None
+                    break
+                h = _host_integer(caps, mat, _column_sums(mat))
+                total += h
+                if h > top:
+                    top, first = h, mat
+            hit = table[dvec, caps] = (total, count, top, first)
+        return hit
+
+    def splits(d, loads, lcaps, rcaps):
+        for dvec in _capped_compositions(d, loads):
+            left = cross(dvec, lcaps)
+            if left[1]:
+                right = cross(dvec, rcaps)
+                if right[1]:
+                    done = prod(factorial(ld - di) * factorial(di) for ld, di in zip(loads, dvec))
+                    yield done, left, right
+
+    return splits
+
+
 def expectation_product(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT) -> ExactMoment:
     """Exact E(perm_m * perm_m2): the profile sum, collapsed over cross hits and colors.
 
@@ -420,52 +417,40 @@ def expectation_product(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT) -> ExactMo
     split, and a cross-hit table stops growing past term_budget matrices.
     """
     key = moment_key(n, r, m, m2)
-    cross = {}  # (dvec, caps) -> (L, number of cross matrices)
-
-    def cross_sum(dvec, caps):
-        hit = cross.get((dvec, caps))
-        if hit is None:
-            weight = count = 0
-            for mat in _offdiag_rowsum_matrices(r, dvec, caps):
-                count += 1
-                if count > term_budget:  # over budget unless the other side is empty
-                    weight = None
-                    break
-                weight += _host_integer(caps, mat, _column_sums(mat))
-            hit = cross[dvec, caps] = (weight, count)
-        return hit
-
+    splits = _cross_walk(r, term_budget)
     total = count = 0
     for base, orbit in _sorted_splits(m, r):
         for *_, w, d, loads, lcaps, rcaps in _prefixes(n, r, m, m2, [base]):
             part = 0
-            for dvec in _capped_compositions(d, loads):
-                lw, lc = cross_sum(dvec, lcaps)
-                if not lc:
-                    continue
-                rw, rc = cross_sum(dvec, rcaps)
-                if not rc:
-                    continue
+            for done, (lw, lc, _, _), (rw, rc, _, _) in splits(d, loads, lcaps, rcaps):
                 count += orbit * lc * rc
                 _check_budget(count, term_budget, n, r, m, m2)
-                done = prod(factorial(load - di) * factorial(di) for load, di in zip(loads, dvec))
                 part += done * lw * rw
             total += orbit * w * part
     return ExactMoment(value=Fraction(total, factorial(n) ** r), term_count=count, meta=key)
 
 
 def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
-    """The profile with the largest term_value, first one on ties.
+    """The profile with the largest term, first one in profile_iterator order on ties.
 
-    Returns (profile, value).  Useful for checking that the dominant term
-    spreads counts evenly across colors.
+    Returns (profile, value).  Walks every base split's prefixes in
+    profile_iterator's order.  For a prefix and a cross-hit split the term is
+    W * done * H(lmat, lcaps) * H(rmat, rcaps) with lmat and rmat ranging
+    independently, so the split's first largest term pairs the first lmat
+    and the first rmat of largest H.  The budget is expectation_product's.
+    Useful for checking that the dominant term spreads counts evenly.
     """
-    best = None
-    best_w = -1
-    for count, profile in enumerate(profile_iterator(n, r, m, m2), 1):
-        _check_budget(count, term_budget, n, r, m, m2)
-        w = _term_integer(profile, n, r, m)
-        if w > best_w:
-            best_w = w
-            best = profile
+    moment_key(n, r, m, m2)
+    splits = _cross_walk(r, term_budget)
+    best, best_w, count = None, -1, 0
+    for base, fresh, dup, rowh, colh, w, d, loads, lcaps, rcaps in _prefixes(
+        n, r, m, m2, _capped_compositions(m, (m,) * r)
+    ):
+        for done, (_, lc, lh, lmat), (_, rc, rh, rmat) in splits(d, loads, lcaps, rcaps):
+            count += lc * rc
+            _check_budget(count, term_budget, n, r, m, m2)
+            value = w * done * lh * rh
+            if value > best_w:
+                best_w = value
+                best = ColorProfile(base, fresh, dup, rowh, colh, lmat, rmat)
     return best, Fraction(best_w, factorial(n) ** r)

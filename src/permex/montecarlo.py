@@ -15,6 +15,7 @@ zero standard error.
 
 import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,6 +112,8 @@ def estimate_moments(
         # each sample's profile DP holds 2^n states
         raise CapacityError(f"profile limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
 
+    # the pool starts all its workers at once; more than the CPUs gain nothing
+    threads = min(threads, os.cpu_count() or 1)
     space = tuple_count(n, r)
     if space <= samples:
         # enumeration covers the whole space: means exact, no sampling error

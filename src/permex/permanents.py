@@ -1,4 +1,4 @@
-"""Exact permanents, subpermanent profiles, and the ensemble oracle.
+"""Subpermanent profiles, a brute-force reference, and the ensemble oracle.
 
 perm_m of an n x n matrix is the sum, over all ways to pick m rows and m
 columns, of the permanent of the selected m x m submatrix.  The oracle
@@ -50,36 +50,6 @@ class ExactMoment:
     value: Fraction
     term_count: int
     meta: MomentKey
-
-
-def permanent(matrix: SquareMatrix) -> int:
-    """Permanent by inclusion-exclusion over column subsets (Gray-code order)."""
-    n = matrix.n
-    if n > DIM_LIMIT_DEFAULT:
-        raise CapacityError(f"permanent limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
-    rows = matrix.entries
-    sums = [0] * n
-    total = 0
-    prev = 0
-    ones = 0
-    for g in range(1, 1 << n):
-        gray = g ^ (g >> 1)
-        bit = gray ^ prev
-        j = bit.bit_length() - 1
-        prev = gray
-        if gray & bit:
-            ones += 1
-            for i in range(n):
-                sums[i] += rows[i][j]
-        else:
-            ones -= 1
-            for i in range(n):
-                sums[i] -= rows[i][j]
-        prod = 1
-        for v in sums:
-            prod *= v
-        total += prod if (n - ones) % 2 == 0 else -prod
-    return total
 
 
 def subpermanent_profile(matrix: SquareMatrix) -> tuple:

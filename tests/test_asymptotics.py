@@ -8,7 +8,6 @@ from permex import (
     DomainError,
     InfeasiblePointError,
     analytic_solution,
-    finite_rate_single,
     product_rate,
     rate_components,
     single_rate,
@@ -52,28 +51,30 @@ def test_single_rate_limits():
     assert abs(single_rate_limit(1.0, 3) - want) < 1e-15
 
 
+def log_weight(n, m, parts):
+    """n-scaled Stirling log-weight of a single placement split into ``parts``."""
+    val = -len(parts) * stirling_f(n) + 2 * stirling_f(n) - 2 * stirling_f(n - m)
+    for mi in parts:
+        val += -stirling_f(mi) + stirling_f(n - mi)
+    return val / n
+
+
 def test_finite_rate_matches_density_rate():
-    assert abs(finite_rate_single(1000, 500, 2) - single_rate(0.5, 2)) < 1e-12
-    assert abs(finite_rate_single(10, 5, 2) - single_rate(0.5, 2)) < 1e-12
-    assert abs(finite_rate_single(12, 4, 3) - single_rate(1 / 3, 3)) < 1e-12
+    # at the balanced split the explicit n cancels: single_rate(m / n, r)
+    for n, m, r in [(1000, 500, 2), (10, 5, 2), (12, 4, 3)]:
+        assert abs(log_weight(n, m, (m / r,) * r) - single_rate(m / n, r)) < 1e-12
 
 
 def test_balanced_split_dominates():
     # the balanced color split maximizes the single-placement log-weight
     n, m, r = 1000, 500, 2
-    best = finite_rate_single(n, m, r)
-
-    def log_weight(parts):
-        val = -r * stirling_f(n) + 2 * stirling_f(n) - 2 * stirling_f(n - m)
-        for mi in parts:
-            val += -stirling_f(mi) + stirling_f(n - mi)
-        return val / n
+    best = log_weight(n, m, (m / r,) * r)
 
     rng = np.random.default_rng(17)
     for _ in range(50):
         delta = int(rng.integers(1, m // 2))
         parts = (m / r + delta, m / r - delta)
-        assert log_weight(parts) <= best
+        assert log_weight(n, m, parts) <= best
 
 
 def test_rate_components_reduce_to_single_rate():

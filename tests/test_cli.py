@@ -266,6 +266,14 @@ def test_unknown_flag_exits_1(capsys):
         assert "usage" in err
 
 
+def test_verify_tolerance_is_fixed(capsys):
+    # each suite's tolerance is its criterion: verify takes no override
+    code, out, err = run(capsys, "verify", "--suite", "factorization", "--tol", "1")
+    assert code == 1
+    assert out == ""
+    assert "usage" in err
+
+
 def test_domain_error_exits_1(capsys):
     # an explicit --r 0 is a value, not "use the default grid"
     for argv in (("expect", "--n", "2", "--r", "2", "--m", "5"),

@@ -12,7 +12,6 @@ from permex import (
     expectation_perm,
     expectation_product,
     profile_iterator,
-    term_value,
     validate_profile,
 )
 from permex.cli import SUITES
@@ -24,7 +23,6 @@ from permex.moments import (
     _hit_integer,
     _host_integer,
     _loads,
-    _term_integer,
 )
 
 
@@ -151,7 +149,7 @@ def test_factor_col_hits_mirrors_row_hits():
             row_hits=profile.col_hits, col_hits=profile.row_hits,
             cross_rows=profile.cross_cols, cross_cols=profile.cross_rows,
         )
-        assert _term_integer(swapped, 4, 2, 3) == _term_integer(profile, 4, 2, 3)
+        assert reference_term(swapped, 4, 3) == reference_term(profile, 4, 3)
         checked += 1
         if checked >= 100:
             break
@@ -210,15 +208,6 @@ def reference_term(p, n, m):
     return base * fresh * dup * row_hits * col_hits * cross * completion
 
 
-def test_term_value_is_product_of_factors():
-    for n, r, m, m2 in [(3, 2, 2, 2), (4, 3, 2, 3)]:
-        norm = factorial(n) ** r
-        for profile in profile_iterator(n, r, m, m2):
-            expected = reference_term(profile, n, m)
-            assert _term_integer(profile, n, r, m) == expected
-            assert term_value(profile, n, r, m) == Fraction(expected, norm)
-
-
 # ---------------------------------------------------------------------------
 # product formula against the brute-force oracle
 
@@ -264,14 +253,15 @@ def profile_sum(n, r, m, m2):
     """The reference: every profile enumerated, its seven factors multiplied."""
     total = count = 0
     for profile in profile_iterator(n, r, m, m2):
-        total += _term_integer(profile, n, r, m)
+        total += reference_term(profile, n, m)
         count += 1
     return Fraction(total, factorial(n) ** r), count
 
 
 def test_product_collapse_matches_profile_sum():
     # r = 3 with m != m2, and r = 4, 5 (orbits of up to 12 color splits)
-    for point in [(7, 3, 3, 4), (3, 4, 3, 3), (4, 4, 1, 3), (3, 5, 1, 3), (0, 3, 0, 0)]:
+    for point in [(7, 3, 3, 4), (3, 4, 3, 3), (4, 4, 1, 3), (3, 5, 1, 3), (0, 3, 0, 0),
+                  (3, 2, 2, 2), (4, 3, 2, 3)]:
         got = expectation_product(*point)
         assert (got.value, got.term_count) == profile_sum(*point), point
     # r = 2 at large n and the oracle-product suite: the value against the
@@ -316,9 +306,7 @@ def test_argmax_trivial():
     assert sum(profile.fresh) + sum(profile.dup) == 0
     assert all(sum(map(sum, mat)) == 0 for mat in (
         profile.row_hits, profile.col_hits, profile.cross_rows, profile.cross_cols))
-    assert value == Fraction(
-        _term_integer(profile, 2, 2, 0), factorial(2) ** 2
-    )
+    assert value == Fraction(reference_term(profile, 2, 0), factorial(2) ** 2)
 
 
 def test_argmax_balanced_at_n8():
@@ -328,6 +316,29 @@ def test_argmax_balanced_at_n8():
     assert value > 0
 
 
+def reference_argmax(n, r, m, m2):
+    """Every profile enumerated and its term written out; the first largest wins."""
+    best, best_w = None, -1
+    for profile in profile_iterator(n, r, m, m2):
+        w = reference_term(profile, n, m)
+        if w > best_w:
+            best, best_w = profile, w
+    return best, Fraction(best_w, factorial(n) ** r)
+
+
+@pytest.mark.parametrize("point", [(4, 2, 2, 2), (4, 3, 2, 3), (3, 5, 1, 3), (6, 2, 3, 4),
+                                   (5, 3, 2, 2)])
+def test_argmax_matches_per_profile_reference(point):
+    assert argmax_profile(*point) == reference_argmax(*point)
+
+
 def test_argmax_budget():
     with pytest.raises(CapacityError):
         argmax_profile(8, 2, 4, 4, term_budget=5)
+    # the budget bounds the raw profile count, as for expectation_product
+    count = sum(1 for _ in profile_iterator(4, 2, 2, 2))
+    assert count == expectation_product(4, 2, 2, 2).term_count
+    for budget in range(count):
+        with pytest.raises(CapacityError):
+            argmax_profile(4, 2, 2, 2, term_budget=budget)
+    assert argmax_profile(4, 2, 2, 2, term_budget=count) == argmax_profile(4, 2, 2, 2)

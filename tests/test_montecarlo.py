@@ -10,7 +10,7 @@ from permex import (
     sample_matrix,
     single_rate_limit,
 )
-from permex import _pykernels
+from permex import _pykernels, montecarlo
 from permex.kernels import block_size
 from permex.montecarlo import _make_estimate
 from permex.permanents import MomentKey
@@ -62,6 +62,32 @@ def test_worker_count_independence():
     assert serial.product.mean_exact == parallel.product.mean_exact
     assert serial.first.mean_exact == parallel.first.mean_exact
     assert serial.second.mean_exact == parallel.second.mean_exact
+
+
+def test_worker_pool_capped_at_cpu_count(monkeypatch):
+    # the pool starts all its workers at once: never more than the CPUs
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    spec = EnsembleSpec(5, 2, seed=4)
+    capped = estimate_moments(spec, 2, 2, samples=400, threads=200)
+    assert started == [3]
+    assert capped == estimate_moments(spec, 2, 2, samples=400, threads=1)
+    assert started == [3]
 
 
 @pytest.mark.parametrize("n, r, m, m2, samples", [

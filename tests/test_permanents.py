@@ -12,7 +12,6 @@ from permex import (
     assemble_matrix,
     ensemble_average_bruteforce,
     enumerate_tuples,
-    permanent,
     sample_matrix,
     subpermanent_bruteforce,
     subpermanent_profile,
@@ -46,7 +45,8 @@ def random_matrix(rng, n, max_entry=3):
     "mat,value", [(IDENTITY3, 1), (ONES3, 6), (DIAG2, 4)]
 )
 def test_permanent_examples(mat, value):
-    assert permanent(mat) == value
+    # perm_n is the permanent itself
+    assert subpermanent_profile(mat)[-1] == value
 
 
 def test_permanent_matches_definition():
@@ -56,12 +56,7 @@ def test_permanent_matches_definition():
     for _ in range(25):
         n = int(rng.integers(1, 6))
         mat = random_matrix(rng, n)
-        assert permanent(mat) == perm_by_definition(mat)
-
-
-def test_permanent_capacity():
-    with pytest.raises(CapacityError):
-        permanent(TOO_BIG)
+        assert subpermanent_profile(mat)[-1] == perm_by_definition(mat)
 
 
 @pytest.mark.parametrize(
@@ -80,8 +75,8 @@ def test_profile_basic_identities():
         mat = random_matrix(rng, n)
         prof = subpermanent_profile(mat)
         assert prof[0] == 1
-        assert prof[1] == mat.entry_total()
-        assert prof[-1] == permanent(mat)
+        assert prof[1] == sum(map(sum, mat.entries))
+        assert prof[-1] == perm_by_definition(mat)
 
 
 @pytest.mark.parametrize(
