@@ -10,8 +10,8 @@ values.  Monte Carlo draws its permutations with ``model.sample_block``,
 one pass of ``kernels.PASS_SAMPLES`` samples at a time; it is timed
 against the per-sample reference stream ``model.sample_stream`` and must
 reproduce its permutations.  The fresh-process table times ``permex <sub>
---help`` for every subcommand, one ``rate`` run and three ``argmax`` runs
-(the collapsed walk of ``moments``, at r = 2 and r = 3) in fresh child
+--help`` for every subcommand, one ``rate`` run and four ``argmax`` runs
+(the collapsed walk of ``moments``, at r = 2, 3 and 5) in fresh child
 processes, and shows whether each loaded numpy.  Run after an editable install:
 
     python benchmarks/benchmark_backends.py
@@ -63,7 +63,7 @@ def bench_startup():
     print(f"{'command':<36} {'wall':>8} {'numpy':>6}")
     commands = [[sub, "--help"] for sub in SUBCOMMANDS]
     commands.append(["rate", "--r", "2", "--p", "0.5"])
-    for n, r, m, m2 in ((10, 2, 5, 5), (12, 2, 6, 6), (7, 3, 3, 4)):
+    for n, r, m, m2 in ((10, 2, 5, 5), (12, 2, 6, 6), (7, 3, 3, 4), (6, 5, 3, 3)):
         commands.append(["argmax", "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])
     for argv in commands:
         walls = []

@@ -244,6 +244,8 @@ def solve_stationary(p, q, r, tol=DEFAULT_SOLVER_TOL) -> StationarySolution:
         raise DomainError(f"need p, q in (0, 1), got p={p}, q={q}")
     if r < 2:
         raise DomainError(f"need r >= 2, got {r}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"need a finite tol > 0, got {tol}")
     best = None
     best_norm = math.inf
     total_iters = 0

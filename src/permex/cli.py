@@ -47,6 +47,13 @@ def _or_default(value, default):
     return default if value is None else value
 
 
+def _budget(text):
+    """--budget's type: an int >= 0 (0 refuses any work)."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {text}")
+    return int(text)
+
+
 def _emit(args, payload, csv_header, csv_rows):
     if args.format == "json":
         print(json.dumps(payload))
@@ -463,7 +470,7 @@ def _add_common(sub, *names):
                                      "help": "sample count"}),
         "seed": (("--seed",), {"type": int, "default": 0, "help": "64-bit seed"}),
         "tol": (("--tol",), {"type": float, "help": "tolerance override"}),
-        "budget": (("--budget",), {"type": int, "help": "work budget override"}),
+        "budget": (("--budget",), {"type": _budget, "help": "work budget override"}),
     }
     for name in names:
         flags, kwargs = specs[name]

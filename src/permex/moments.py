@@ -42,11 +42,11 @@ L(dvec, rcaps), with L(dvec, caps) = sum_mat H(mat, caps), and its largest
 term is W prod_i (loads_i - d_i)! d_i! times the largest H on each side.  L,
 the matrix count and the first matrix of largest H come from a table built
 once per (dvec, caps) in each call.
-Relabelling the colors maps profiles onto profiles of equal weight, so the
-sum for a base split equals that for any rearrangement of it: only
-non-increasing splits are visited, each weighted by its number of distinct
-rearrangements r! / prod (multiplicity)!.  The term count stays the raw
-profile count, sum Lc * Rc times that orbit weight.
+Relabelling the colors maps profiles onto profiles of equal weight, so
+``_walk`` visits one base split per orbit, its non-decreasing arrangement
+(the orbit's first in lex order), weighted by its r! / prod (multiplicity)!
+rearrangements; the term count stays the raw profile count.  The first
+largest term, which ``argmax_profile`` reports, lies in such a split too.
 """
 
 from collections import Counter
@@ -55,7 +55,6 @@ from fractions import Fraction
 from math import comb, factorial, perm, prod
 
 from .errors import CapacityError, DomainError
-from .kernels import _partitions
 from .permanents import ExactMoment, moment_key
 
 TERM_BUDGET_DEFAULT = 10**9
@@ -82,10 +81,19 @@ def _bounded_tuples(caps, budget):
     if not caps:
         yield ()
         return
-    hi = min(caps[0], budget)
-    for v in range(hi + 1):
+    for v in range(min(caps[0], budget) + 1):
         for rest in _bounded_tuples(caps[1:], budget - v):
             yield (v,) + rest
+
+
+def _rising_splits(total, parts, low=0):
+    """Non-decreasing splits of `total` into `parts` >= 1 parts of at least `low`, in lex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for v in range(low, total // parts + 1):
+        for tail in _rising_splits(total - v, parts - 1, v):
+            yield (v,) + tail
 
 
 def _row_sums(mat):
@@ -115,8 +123,6 @@ def _offdiag_matrices(r, budget, col_caps):
             cols[k] -= v
         mat[i][k] = 0
 
-    if budget < 0:
-        return
     yield from rec(0, budget)
 
 
@@ -360,23 +366,16 @@ def _check_budget(count, term_budget, n, r, m, m2):
         )
 
 
-def _sorted_splits(m, r):
-    """Non-increasing color splits of m, each with its number of rearrangements."""
-    for parts in _partitions(m, m):
-        if len(parts) <= r:
-            base = parts + (0,) * (r - len(parts))
-            yield base, factorial(r) // prod(map(factorial, Counter(base).values()))
+def _walk(n, r, m, m2, term_budget):
+    """The collapsed profile sum over one non-decreasing base split per orbit.
 
-
-def _cross_walk(r, term_budget):
-    """The cross-hit splits of a prefix, over one per-call table of cross-hit sums.
-
-    splits(d, loads, lcaps, rcaps) yields (done, left, right) for each split
-    dvec of d cross hits with both sides non-empty: done is
-    prod_i (loads_i - d_i)! d_i!, left and right the entries of (dvec, lcaps)
-    and (dvec, rcaps).  An entry (L, count, Hmax, first) sums H over its
-    matrices, counts them, and keeps the first of largest H; past
-    term_budget matrices it stops, L and first None, its count over budget.
+    Yields (count, orbit, prefix, wd, left, right) per prefix (base, fresh,
+    dup, rowh, colh) and cross-hit split dvec with both sides non-empty, in
+    profile_iterator's order.  count is the running raw profile count,
+    checked against term_budget; wd = W * prod_i (loads_i - d_i)! d_i!; left
+    and right are the per-call table entries (L, count, Hmax, first matrix of
+    Hmax) of (dvec, lcaps) and (dvec, rcaps), which stop past term_budget
+    matrices with L and first None and the count over budget.
     """
     table = {}
 
@@ -397,16 +396,20 @@ def _cross_walk(r, term_budget):
             hit = table[dvec, caps] = (total, count, top, first)
         return hit
 
-    def splits(d, loads, lcaps, rcaps):
-        for dvec in _capped_compositions(d, loads):
-            left = cross(dvec, lcaps)
-            if left[1]:
-                right = cross(dvec, rcaps)
-                if right[1]:
-                    done = prod(factorial(ld - di) * factorial(di) for ld, di in zip(loads, dvec))
-                    yield done, left, right
-
-    return splits
+    count = 0
+    for base in _rising_splits(m, r):
+        orbit = factorial(r) // prod(map(factorial, Counter(base).values()))
+        for *prefix, w, d, loads, lcaps, rcaps in _prefixes(n, r, m, m2, [base]):
+            for dvec in _capped_compositions(d, loads):
+                left = cross(dvec, lcaps)
+                if left[1]:
+                    right = cross(dvec, rcaps)
+                    if right[1]:
+                        count += orbit * left[1] * right[1]
+                        _check_budget(count, term_budget, n, r, m, m2)
+                        wd = prod((factorial(ld - di) * factorial(di)
+                                   for ld, di in zip(loads, dvec)), start=w)
+                        yield count, orbit, prefix, wd, left, right
 
 
 def expectation_product(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT) -> ExactMoment:
@@ -417,40 +420,28 @@ def expectation_product(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT) -> ExactMo
     split, and a cross-hit table stops growing past term_budget matrices.
     """
     key = moment_key(n, r, m, m2)
-    splits = _cross_walk(r, term_budget)
     total = count = 0
-    for base, orbit in _sorted_splits(m, r):
-        for *_, w, d, loads, lcaps, rcaps in _prefixes(n, r, m, m2, [base]):
-            part = 0
-            for done, (lw, lc, _, _), (rw, rc, _, _) in splits(d, loads, lcaps, rcaps):
-                count += orbit * lc * rc
-                _check_budget(count, term_budget, n, r, m, m2)
-                part += done * lw * rw
-            total += orbit * w * part
+    for count, orbit, _, wd, left, right in _walk(n, r, m, m2, term_budget):
+        total += orbit * wd * left[0] * right[0]
     return ExactMoment(value=Fraction(total, factorial(n) ** r), term_count=count, meta=key)
 
 
 def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
     """The profile with the largest term, first one in profile_iterator order on ties.
 
-    Returns (profile, value).  Walks every base split's prefixes in
-    profile_iterator's order.  For a prefix and a cross-hit split the term is
-    W * done * H(lmat, lcaps) * H(rmat, rcaps) with lmat and rmat ranging
-    independently, so the split's first largest term pairs the first lmat
-    and the first rmat of largest H.  The budget is expectation_product's.
+    Returns (profile, value).  Relabelling keeps a term, so the first largest
+    lies in a non-decreasing base split, which ``_walk`` visits in
+    profile_iterator's order.  Per prefix and cross-hit split the term is
+    wd * H(lmat, lcaps) * H(rmat, rcaps) with lmat and rmat independent, so
+    its first largest pairs each side's first matrix of largest H.  The
+    budget is expectation_product's.
     Useful for checking that the dominant term spreads counts evenly.
     """
     moment_key(n, r, m, m2)
-    splits = _cross_walk(r, term_budget)
-    best, best_w, count = None, -1, 0
-    for base, fresh, dup, rowh, colh, w, d, loads, lcaps, rcaps in _prefixes(
-        n, r, m, m2, _capped_compositions(m, (m,) * r)
-    ):
-        for done, (_, lc, lh, lmat), (_, rc, rh, rmat) in splits(d, loads, lcaps, rcaps):
-            count += lc * rc
-            _check_budget(count, term_budget, n, r, m, m2)
-            value = w * done * lh * rh
-            if value > best_w:
-                best_w = value
-                best = ColorProfile(base, fresh, dup, rowh, colh, lmat, rmat)
+    best, best_w = None, -1
+    for _, _, prefix, wd, (_, _, lh, lmat), (_, _, rh, rmat) in _walk(n, r, m, m2, term_budget):
+        value = wd * lh * rh
+        if value > best_w:
+            best_w = value
+            best = ColorProfile(*prefix, lmat, rmat)
     return best, Fraction(best_w, factorial(n) ** r)

@@ -204,6 +204,11 @@ def test_solver_domain():
         solve_stationary(0.0, 0.5, 2)
     with pytest.raises(DomainError):
         solve_stationary(0.5, 0.5, 1)
+    # a tol that is not finite and > 0 is refused, not run to a solver failure
+    # (tol <= 0, nan) or to the unconverged start point (inf)
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            solve_stationary(0.5, 0.5, 2, tol=tol)
 
 
 def test_product_rate_value_and_symmetry():

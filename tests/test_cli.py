@@ -281,7 +281,8 @@ def test_domain_error_exits_1(capsys):
                  ("argmax", "--n", "2", "--r", "-1", "--m", "0"),
                  ("verify", "--suite", "stationarity", "--r", "0"),
                  ("verify", "--suite", "solver", "--seed", "-1"),
-                 ("verify", "--suite", "solver", "--seed", "18446744073709551616")):
+                 ("verify", "--suite", "solver", "--seed", "18446744073709551616"),
+                 ("solve", "--r", "2", "--p", "0.5", "--q", "0.5", "--tol", "nan")):
         code, _, err = run(capsys, *argv, "--threads", "1")
         assert code == 1
         assert "error:" in err
@@ -295,6 +296,14 @@ def test_capacity_error_exits_2(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "error" in err
+    # a negative budget is a usage error on every command that takes one
+    point = ("--n", "3", "--r", "2", "--m", "1", "--m2", "1")
+    for argv in (("product", *point), ("oracle", *point), ("argmax", *point),
+                 ("verify", "--suite", "oracle-product")):
+        code, out, err = run(capsys, *argv, "--budget", "-1", "--threads", "1")
+        assert code == 1, argv
+        assert out == ""
+        assert "usage" in err and "budget must be >= 0" in err
 
 
 def test_mc_report_independent_of_backend(capsys, monkeypatch):

@@ -327,18 +327,28 @@ def reference_argmax(n, r, m, m2):
 
 
 @pytest.mark.parametrize("point", [(4, 2, 2, 2), (4, 3, 2, 3), (3, 5, 1, 3), (6, 2, 3, 4),
-                                   (5, 3, 2, 2)])
+                                   (5, 3, 2, 2), (4, 4, 2, 2)])
 def test_argmax_matches_per_profile_reference(point):
     assert argmax_profile(*point) == reference_argmax(*point)
 
 
-def test_argmax_budget():
+def refuses(fn, point, budget):
+    try:
+        fn(*point, term_budget=budget)
+    except CapacityError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("point", [(4, 2, 2, 2), (3, 3, 2, 3)])
+def test_argmax_budget(point):
     with pytest.raises(CapacityError):
         argmax_profile(8, 2, 4, 4, term_budget=5)
-    # the budget bounds the raw profile count, as for expectation_product
-    count = sum(1 for _ in profile_iterator(4, 2, 2, 2))
-    assert count == expectation_product(4, 2, 2, 2).term_count
-    for budget in range(count):
-        with pytest.raises(CapacityError):
-            argmax_profile(4, 2, 2, 2, term_budget=budget)
-    assert argmax_profile(4, 2, 2, 2, term_budget=count) == argmax_profile(4, 2, 2, 2)
+    # the budget bounds the raw profile count, as for expectation_product:
+    # both refuse exactly the budgets below it
+    count = sum(1 for _ in profile_iterator(*point))
+    assert count == expectation_product(*point).term_count
+    for budget in range(count + 1):
+        assert refuses(argmax_profile, point, budget) == (budget < count), budget
+        assert refuses(expectation_product, point, budget) == (budget < count), budget
+    assert argmax_profile(*point, term_budget=count) == argmax_profile(*point)
