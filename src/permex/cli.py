@@ -5,6 +5,12 @@ byte-identical for identical invocations.  Exact rationals are serialized
 as decimal numerator/denominator strings, never as floats.  Exit codes:
 0 success, 1 domain or usage error (or a failed verification, or a closed
 standard output), 2 capacity or solver failure.
+
+Each handler computes its report's fields; `_emit` alone adds the
+``schema_version``/``op`` envelope and writes each CSV row as one record
+(the fields, unless the handler passes its records) read at the header's
+keys.  Option defaults, budgets and the solver tolerance included, live
+in the parser.
 """
 
 import argparse
@@ -15,6 +21,7 @@ import os
 import sys
 
 from .asymptotics import (
+    DEFAULT_SOLVER_TOL,
     analytic_solution,
     product_rate,
     single_rate,
@@ -42,11 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _or_default(value, default):
-    """An option's value, or `default` when it was not given (0 counts as given)."""
-    return default if value is None else value
-
-
 def _budget(text):
     """--budget's type: an int >= 0 (0 refuses any work)."""
     if int(text) < 0:
@@ -54,144 +56,93 @@ def _budget(text):
     return int(text)
 
 
-def _emit(args, payload, csv_header, csv_rows):
+def _emit(args, fields, header, records=None):
+    """Write one report: `fields` in the JSON envelope, or a CSV of `records`.
+
+    A CSV row is one record (by default `fields`) read at the header's keys;
+    csv writes floats with repr, and None or a missing key as an empty cell.
+    """
     if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
-        sys.stdout.write(buf.getvalue())
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "op": args.command, **fields}))
+        return
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, header, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows([fields] if records is None else records)
+    sys.stdout.write(buf.getvalue())
 
 
-def _moment_payload(op, moment):
-    n, r, m, m2 = moment.meta
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "op": op,
-        "n": n,
-        "r": r,
-        "m": m,
-        "m2": m2,
+def _pick(obj, *names):
+    """The named attributes of `obj` (options, or a result's fields) as a dict."""
+    return {name: getattr(obj, name) for name in names}
+
+
+def _emit_moment(args, moment):
+    fields = {
+        **moment.meta._asdict(),
         "value_num": str(moment.value.numerator),
         "value_den": str(moment.value.denominator),
         "terms": moment.term_count,
     }
-
-
-def _moment_csv(moment):
-    n, r, m, m2 = moment.meta
-    return (
-        ["n", "r", "m", "m2", "value_num", "value_den", "value_float", "terms"],
-        [[n, r, m, m2, str(moment.value.numerator), str(moment.value.denominator),
-          repr(float(moment.value)), moment.term_count]],
-    )
+    header = ["n", "r", "m", "m2", "value_num", "value_den", "value_float", "terms"]
+    _emit(args, fields, header, [{**fields, "value_float": float(moment.value)}])
 
 
 def _cmd_expect(args):
-    moment = expectation_perm(args.n, args.r, args.m)
-    header, rows = _moment_csv(moment)
-    _emit(args, _moment_payload("expect", moment), header, rows)
-    return 0
+    _emit_moment(args, expectation_perm(args.n, args.r, args.m))
 
 
 def _cmd_product(args):
-    moment = expectation_product(
-        args.n, args.r, args.m, args.m2,
-        term_budget=_or_default(args.budget, TERM_BUDGET_DEFAULT),
-    )
-    header, rows = _moment_csv(moment)
-    _emit(args, _moment_payload("product", moment), header, rows)
-    return 0
+    _emit_moment(args, expectation_product(
+        args.n, args.r, args.m, args.m2, term_budget=args.budget))
 
 
 def _cmd_oracle(args):
-    moment = ensemble_average_bruteforce(
-        args.n, args.r, args.m, args.m2,
-        tuple_budget=_or_default(args.budget, TUPLE_BUDGET_DEFAULT),
-    )
-    header, rows = _moment_csv(moment)
-    _emit(args, _moment_payload("oracle", moment), header, rows)
-    return 0
+    _emit_moment(args, ensemble_average_bruteforce(
+        args.n, args.r, args.m, args.m2, tuple_budget=args.budget))
 
 
 def _cmd_rate(args):
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "op": "rate",
-        "r": args.r,
-        "p": args.p,
-    }
+    fields = _pick(args, "r", "p")
     if args.q is None:
-        value = single_rate(args.p, args.r)
-        payload["rate"] = value
-        header = ["p", "q", "r", "rate"]
-        rows = [[args.p, "", args.r, repr(value)]]
+        fields["rate"] = single_rate(args.p, args.r)
     else:
         value = product_rate(args.p, args.q, args.r)
         single_sum = single_rate(args.p, args.r) + single_rate(args.q, args.r)
-        payload.update({
+        fields.update({
             "q": args.q,
             "rate": value,
             "single_sum": single_sum,
             "factorization_gap": value - single_sum,
         })
-        header = ["p", "q", "r", "rate"]
-        rows = [[args.p, args.q, args.r, repr(value)]]
-    _emit(args, payload, header, rows)
-    return 0
+    _emit(args, fields, ["p", "q", "r", "rate"])
 
 
-_SOLUTION_CSV_HEADER = ["p", "q", "r", "a", "b", "d", "e", "L", "rate", "residual_max"]
-
-
-def _solution_payload(op, args, sol):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "op": op,
-        "p": args.p,
-        "q": args.q,
-        "r": args.r,
-        "a": sol.a,
-        "b": sol.b,
-        "d": sol.d,
-        "e": sol.e,
-        "L": sol.L,
+def _emit_solution(args, sol):
+    fields = {
+        **_pick(args, "p", "q", "r"),
+        **_pick(sol, "a", "b", "d", "e", "L"),
         "rate": sol.s_over_n,
         "residuals": list(sol.residuals),
         "residual_max": sol.residual_max,
         "iterations": sol.iterations,
     }
-
-
-def _solution_csv_row(args, sol):
-    return [args.p, args.q, args.r, repr(sol.a), repr(sol.b), repr(sol.d),
-            repr(sol.e), repr(sol.L), repr(sol.s_over_n), repr(sol.residual_max)]
+    _emit(args, fields, ["p", "q", "r", "a", "b", "d", "e", "L", "rate", "residual_max"])
 
 
 def _cmd_solve(args):
-    sol = solve_stationary(args.p, args.q, args.r, tol=_or_default(args.tol, 1e-10))
-    _emit(args, _solution_payload("solve", args, sol),
-          _SOLUTION_CSV_HEADER, [_solution_csv_row(args, sol)])
-    return 0
+    _emit_solution(args, solve_stationary(args.p, args.q, args.r, tol=args.tol))
 
 
 def _cmd_analytic(args):
-    sol = analytic_solution(args.p, args.q, args.r)
-    _emit(args, _solution_payload("analytic", args, sol),
-          _SOLUTION_CSV_HEADER, [_solution_csv_row(args, sol)])
-    return 0
+    _emit_solution(args, analytic_solution(args.p, args.q, args.r))
 
 
-def _estimate_payload(est):
+def _estimate_fields(est):
     return {
         "mean_num": str(est.mean_exact.numerator),
         "mean_den": str(est.mean_exact.denominator),
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "samples": est.samples,
-        "log_mean_over_n": est.log_mean_over_n,
+        **_pick(est, "mean", "stderr", "samples", "log_mean_over_n"),
     }
 
 
@@ -199,29 +150,20 @@ def _cmd_mc(args):
     spec = EnsembleSpec(n=args.n, r=args.r, seed=args.seed)
     result = estimate_moments(spec, args.m, args.m2, args.samples,
                               threads=args.threads)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "op": "mc",
-        "n": args.n,
-        "r": args.r,
-        "m": args.m,
-        "m2": args.m2,
-        "seed": args.seed,
+    first, second, product = map(_estimate_fields,
+                                 (result.first, result.second, result.product))
+    fields = {
+        **_pick(args, "n", "r", "m", "m2", "seed"),
         "mode": result.mode,
-        "first": _estimate_payload(result.first),
-        "second": _estimate_payload(result.second),
-        "product": _estimate_payload(result.product),
+        "first": first,
+        "second": second,
+        "product": product,
     }
     header = ["stat", "mean_num", "mean_den", "mean", "stderr", "samples",
               "log_mean_over_n"]
-    rows = []
-    for name, est in (("perm_m", result.first), ("perm_m2", result.second),
-                      ("product", result.product)):
-        rows.append([name, str(est.mean_exact.numerator),
-                     str(est.mean_exact.denominator), repr(est.mean),
-                     repr(est.stderr), est.samples, repr(est.log_mean_over_n)])
-    _emit(args, payload, header, rows)
-    return 0
+    records = [{"stat": "perm_m", **first}, {"stat": "perm_m2", **second},
+               {"stat": "product", **product}]
+    _emit(args, fields, header, records)
 
 
 def _cmd_scan(args):
@@ -229,43 +171,24 @@ def _cmd_scan(args):
         raise DomainError("scan needs at least one --n")
     rows = convergence_scan(args.r, args.p, args.q, args.n, args.samples,
                             seed=args.seed, threads=args.threads)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "op": "scan",
-        "r": args.r,
-        "p": args.p,
-        "q": args.q,
-        "seed": args.seed,
-        "rows": [
-            {
-                "n": row.n, "m": row.m, "m2": row.m2,
-                "samples": row.samples, "mode": row.mode,
-                "mean_num": str(row.mean_exact.numerator),
-                "mean_den": str(row.mean_exact.denominator),
-                "log_mean_over_n": row.log_mean_over_n,
-                "prediction": row.prediction,
-                "gap": row.gap,
-            }
-            for row in rows
-        ],
-    }
-    header = ["n", "m", "m2", "samples", "mode", "mean_num", "mean_den",
-              "log_mean_over_n", "prediction", "gap"]
-    csv_rows = [
-        [row.n, row.m, row.m2, row.samples, row.mode,
-         str(row.mean_exact.numerator), str(row.mean_exact.denominator),
-         repr(row.log_mean_over_n), repr(row.prediction), repr(row.gap)]
+    records = [
+        {
+            **_pick(row, "n", "m", "m2", "samples", "mode"),
+            "mean_num": str(row.mean_exact.numerator),
+            "mean_den": str(row.mean_exact.denominator),
+            **_pick(row, "log_mean_over_n", "prediction", "gap"),
+        }
         for row in rows
     ]
-    _emit(args, payload, header, csv_rows)
-    return 0
+    fields = {**_pick(args, "r", "p", "q", "seed"), "rows": records}
+    header = ["n", "m", "m2", "samples", "mode", "mean_num", "mean_den",
+              "log_mean_over_n", "prediction", "gap"]
+    _emit(args, fields, header, records)
 
 
 def _cmd_argmax(args):
     profile, value = argmax_profile(
-        args.n, args.r, args.m, args.m2,
-        term_budget=_or_default(args.budget, TERM_BUDGET_DEFAULT),
-    )
+        args.n, args.r, args.m, args.m2, term_budget=args.budget)
     totals = {
         "fresh": sum(profile.fresh),
         "dup": sum(profile.dup),
@@ -273,13 +196,8 @@ def _cmd_argmax(args):
         "col_hits": sum(map(sum, profile.col_hits)),
         "cross": sum(map(sum, profile.cross_rows)),
     }
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "op": "argmax",
-        "n": args.n,
-        "r": args.r,
-        "m": args.m,
-        "m2": args.m2,
+    fields = {
+        **_pick(args, "n", "r", "m", "m2"),
         "value_num": str(value.numerator),
         "value_den": str(value.denominator),
         "profile": {
@@ -293,14 +211,19 @@ def _cmd_argmax(args):
             "totals": totals,
         },
     }
+    # the one flat CSV record: splits joined with "|", the hit matrices totalled
+    record = {
+        **fields,
+        "base": "|".join(map(str, profile.base)),
+        "fresh": "|".join(map(str, profile.fresh)),
+        "dup": "|".join(map(str, profile.dup)),
+        "row_hits_total": totals["row_hits"],
+        "col_hits_total": totals["col_hits"],
+        "cross_total": totals["cross"],
+    }
     header = ["n", "r", "m", "m2", "value_num", "value_den", "base", "fresh",
               "dup", "row_hits_total", "col_hits_total", "cross_total"]
-    rows = [[args.n, args.r, args.m, args.m2, str(value.numerator),
-             str(value.denominator), "|".join(map(str, profile.base)),
-             "|".join(map(str, profile.fresh)), "|".join(map(str, profile.dup)),
-             totals["row_hits"], totals["col_hits"], totals["cross"]]]
-    _emit(args, payload, header, rows)
-    return 0
+    _emit(args, fields, header, [record])
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +231,15 @@ def _cmd_argmax(args):
 #
 # Each suite is the one definition of an acceptance criterion (criteria 1-5
 # of tests/test_acceptance.py), its tolerance included.  It takes keyword
-# overrides, None meaning "use the suite's default", and returns
-# (rows, worst, passed, tol).
+# overrides (r=None meaning the suite's own r values; budget bounds the
+# oracle suites' matrices) and returns (rows, worst, passed, tol).
 
 
 def _r_values(r, default):
     return default if r is None else [r]
 
 
-def _suite_stationarity(r=None, seed=0, budget=None):
+def _suite_stationarity(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     """Relative stationarity residuals of the closed form over the grid."""
     tol = 1e-9
     rows = []
@@ -331,7 +254,7 @@ def _suite_stationarity(r=None, seed=0, budget=None):
     return rows, worst, worst < tol, tol
 
 
-def _suite_factorization(r=None, seed=0, budget=None):
+def _suite_factorization(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     """product_rate(p, q) against single_rate(p) + single_rate(q) over the
     grid; the Newton solver's rate must agree within 1e-6."""
     tol = 1e-9
@@ -353,7 +276,7 @@ def _suite_factorization(r=None, seed=0, budget=None):
     return rows, worst, ok, tol
 
 
-def _suite_solver(r=None, seed=0, budget=None):
+def _suite_solver(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     """Newton solver against the closed form at 20 Philox-seeded points."""
     import numpy as np
 
@@ -364,8 +287,9 @@ def _suite_solver(r=None, seed=0, budget=None):
     for _ in range(20):
         p = float(rng.uniform(0.05, 0.95))
         q = float(rng.uniform(0.05, 0.95))
+        drawn = int(rng.integers(2, 7))
         # r is drawn even when given, so --r keeps the same (p, q) points
-        r_point = _or_default(r, int(rng.integers(2, 7)))
+        r_point = drawn if r is None else r
         ref = analytic_solution(p, q, r_point)
         sol = solve_stationary(p, q, r_point)
         diff = max(abs(sol.a - ref.a), abs(sol.b - ref.b), abs(sol.d - ref.d),
@@ -377,7 +301,6 @@ def _suite_solver(r=None, seed=0, budget=None):
 
 
 def _oracle_rows(cases, budget, product):
-    budget = _or_default(budget, TUPLE_BUDGET_DEFAULT)
     rows = []
     ok = True
     for n, r in cases:
@@ -396,14 +319,14 @@ def _oracle_rows(cases, budget, product):
     return rows, 0.0 if ok else 1.0, ok, 0.0
 
 
-def _suite_oracle_single(r=None, seed=0, budget=None):
+def _suite_oracle_single(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     """expectation_perm equals the oracle exactly for n <= 5, r <= 3."""
     r_values = _r_values(r, [1, 2, 3])
     cases = [(n, r) for n in range(1, 6) for r in r_values]
     return _oracle_rows(cases, budget, product=False)
 
 
-def _suite_oracle_product(r=None, seed=0, budget=None):
+def _suite_oracle_product(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     """expectation_product equals the oracle exactly, m <= m2, for n <= 4
     at r <= 3 and for n = 5 at r = 2."""
     r_values = _r_values(r, [1, 2, 3])
@@ -425,9 +348,7 @@ SUITES = {
 def _cmd_verify(args):
     rows, worst, passed, tol = SUITES[args.suite](
         r=args.r, seed=args.seed, budget=args.budget)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "op": "verify",
+    fields = {
         "suite": args.suite,
         "tol": tol,
         "points": len(rows),
@@ -435,18 +356,11 @@ def _cmd_verify(args):
         "pass": passed,
         "rows": rows,
     }
-    header = sorted({k for row in rows for k in row})
-    csv_rows = [
-        [repr(v) if isinstance(v, float) else v
-         for v in (row.get(k, "") for k in header)]
-        for row in rows
-    ]
-    _emit(args, payload, header, csv_rows)
+    _emit(args, fields, sorted({k for row in rows for k in row}), rows)
     if not passed:
         print(f"verify {args.suite}: FAILED (worst {worst!r})", file=sys.stderr)
         return 1
     print(f"verify {args.suite}: ok over {len(rows)} points", file=sys.stderr)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +396,8 @@ def _add_common(sub, *names):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="permex", description=__doc__)
+    # --help shows the first two paragraphs, the ones about using the command
+    parser = _Parser(prog="permex", description="\n\n".join(__doc__.split("\n\n")[:2]))
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("expect", help="exact E(perm_m)")
@@ -491,11 +406,11 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("product", help="exact E(perm_m perm_m2)")
     _add_common(sub, "n", "r", "m", "m2", "budget")
-    sub.set_defaults(func=_cmd_product)
+    sub.set_defaults(func=_cmd_product, budget=TERM_BUDGET_DEFAULT)
 
     sub = subs.add_parser("oracle", help="brute-force E(perm_m perm_m2)")
     _add_common(sub, "n", "r", "m", "m2", "budget")
-    sub.set_defaults(func=_cmd_oracle)
+    sub.set_defaults(func=_cmd_oracle, budget=TUPLE_BUDGET_DEFAULT)
 
     sub = subs.add_parser("rate", help="asymptotic growth rate")
     _add_common(sub, "r", "p", "q")
@@ -503,7 +418,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("solve", help="numeric stationary point")
     _add_common(sub, "r", "p", "q_req", "tol")
-    sub.set_defaults(func=_cmd_solve)
+    sub.set_defaults(func=_cmd_solve, tol=DEFAULT_SOLVER_TOL)
 
     sub = subs.add_parser("analytic", help="closed-form stationary point")
     _add_common(sub, "r", "p", "q_req")
@@ -519,12 +434,12 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("argmax", help="dominant profile of the exact sum")
     _add_common(sub, "n", "r", "m", "m2", "budget")
-    sub.set_defaults(func=_cmd_argmax)
+    sub.set_defaults(func=_cmd_argmax, budget=TERM_BUDGET_DEFAULT)
 
     sub = subs.add_parser("verify", help="run a verification suite")
     sub.add_argument("--suite", choices=sorted(SUITES), required=True)
     _add_common(sub, "r_opt", "seed", "budget")
-    sub.set_defaults(func=_cmd_verify)
+    sub.set_defaults(func=_cmd_verify, budget=TUPLE_BUDGET_DEFAULT)
 
     return parser
 
@@ -540,7 +455,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args) or 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

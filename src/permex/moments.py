@@ -105,25 +105,29 @@ def _column_sums(mat):
 
 
 def _offdiag_matrices(r, budget, col_caps):
-    """Off-diagonal r x r count matrices with total <= budget, col sums capped."""
+    """Off-diagonal r x r count matrices with total <= budget, col sums capped.
+
+    Lex order over the cells, row by row, from the zero matrix (budget and
+    caps are >= 0): each step raises the last cell that can still grow and
+    zeroes every cell after it.  A loop, not one recursion level per cell,
+    so r(r - 1) cells cost no stack depth.
+    """
     cells = [(i, k) for i in range(r) for k in range(r) if k != i]
     mat = [[0] * r for _ in range(r)]
-    cols = [0] * r
-
-    def rec(idx, rem):
-        if idx == len(cells):
-            yield tuple(tuple(row) for row in mat)
+    room = list(col_caps)
+    while True:
+        yield tuple(tuple(row) for row in mat)
+        for i, k in reversed(cells):
+            if budget and room[k]:
+                mat[i][k] += 1
+                budget -= 1
+                room[k] -= 1
+                break
+            budget += mat[i][k]
+            room[k] += mat[i][k]
+            mat[i][k] = 0
+        else:
             return
-        i, k = cells[idx]
-        hi = min(rem, col_caps[k] - cols[k])
-        for v in range(hi + 1):
-            mat[i][k] = v
-            cols[k] += v
-            yield from rec(idx + 1, rem - v)
-            cols[k] -= v
-        mat[i][k] = 0
-
-    yield from rec(0, budget)
 
 
 def _offdiag_rowsum_matrices(r, row_sums, col_caps):

@@ -24,7 +24,7 @@ from .asymptotics import single_rate_limit
 from .errors import CapacityError, DomainError
 # sample_stream is not called here; perfbench traces it under this name
 from .model import EnsembleSpec, sample_block, sample_stream, tuple_count  # noqa: F401
-from .permanents import DIM_LIMIT_DEFAULT, MomentKey, moment_key, product_sum_table
+from .permanents import DIM_LIMIT_DEFAULT, moment_key, product_sum_table
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -37,7 +37,6 @@ class MCEstimate:
     mean: float
     stderr: float
     samples: int
-    spec: MomentKey
     log_mean_over_n: float
     mean_exact: Fraction
 
@@ -82,7 +81,7 @@ def _mc_worker(args):
     return sums
 
 
-def _make_estimate(total, total_sq, count, n, key) -> MCEstimate:
+def _make_estimate(total, total_sq, count, n) -> MCEstimate:
     mean_exact = Fraction(total, count)
     var_num = count * total_sq - total * total
     stderr_sq = Fraction(var_num, count * count * (count - 1)) if count > 1 else Fraction(0)
@@ -90,7 +89,6 @@ def _make_estimate(total, total_sq, count, n, key) -> MCEstimate:
         mean=float(mean_exact),
         stderr=math.sqrt(float(stderr_sq)),
         samples=count,
-        spec=key,
         log_mean_over_n=_log_fraction(mean_exact) / n,
         mean_exact=mean_exact,
     )
@@ -107,7 +105,7 @@ def estimate_moments(
     n, r = spec.n, spec.r
     if samples < 2:
         raise DomainError(f"need samples >= 2, got {samples}")
-    key = moment_key(n, r, m, m2)
+    moment_key(n, r, m, m2)
     if n > DIM_LIMIT_DEFAULT:
         # each sample's profile DP holds 2^n states
         raise CapacityError(f"profile limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
@@ -119,17 +117,17 @@ def estimate_moments(
         # enumeration covers the whole space: means exact, no sampling error
         table = product_sum_table(n, r)
 
-        def exact(total, key):
+        def exact(total):
             mean = Fraction(total, space)
             return MCEstimate(
-                mean=float(mean), stderr=0.0, samples=space, spec=key,
+                mean=float(mean), stderr=0.0, samples=space,
                 log_mean_over_n=_log_fraction(mean) / n, mean_exact=mean,
             )
 
         return MomentEstimates(
-            first=exact(table[m][0], MomentKey(n, r, m, 0)),
-            second=exact(table[m2][0], MomentKey(n, r, m2, 0)),
-            product=exact(table[m][m2], key),
+            first=exact(table[m][0]),
+            second=exact(table[m2][0]),
+            product=exact(table[m][m2]),
             mode="enumeration",
         )
 
@@ -147,9 +145,9 @@ def estimate_moments(
     else:
         sums = _mc_worker((n, r, spec.seed, m, m2, 0, samples))
 
-    first = _make_estimate(sums[0], sums[1], samples, n, MomentKey(n, r, m, 0))
-    second = _make_estimate(sums[2], sums[3], samples, n, MomentKey(n, r, m2, 0))
-    product = _make_estimate(sums[4], sums[5], samples, n, key)
+    first = _make_estimate(sums[0], sums[1], samples, n)
+    second = _make_estimate(sums[2], sums[3], samples, n)
+    product = _make_estimate(sums[4], sums[5], samples, n)
     return MomentEstimates(first=first, second=second, product=product,
                            mode="sampling")
 

@@ -120,42 +120,21 @@ def test_argmax_profile_fields(capsys):
     assert second == 2
 
 
-# Recorded stdout of `permex argmax`: pins the first-on-ties choice and the totals.
-ARGMAX_GOLDEN = {
-    ("6", "3", "3", "3"): (
-        '{"schema_version": 1, "op": "argmax", "n": 6, "r": 3, "m": 3, "m2": 3, '
-        '"value_num": "180", "value_den": "1", '
-        '"profile": {"base": [0, 0, 3], "fresh": [0, 0, 1], "dup": [0, 0, 2], '
-        '"row_hits": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], '
-        '"col_hits": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], '
-        '"cross_rows": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], '
-        '"cross_cols": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], '
-        '"totals": {"fresh": 1, "dup": 2, "row_hits": 0, "col_hits": 0, "cross": 0}}}\n',
-        "n,r,m,m2,value_num,value_den,base,fresh,dup,"
-        "row_hits_total,col_hits_total,cross_total\n"
-        "6,3,3,3,180,1,0|0|3,0|0|1,0|0|2,0,0,0\n",
-    ),
-    ("8", "2", "4", "4"): (
-        '{"schema_version": 1, "op": "argmax", "n": 8, "r": 2, "m": 4, "m2": 4, '
-        '"value_num": "3600", "value_den": "1", '
-        '"profile": {"base": [2, 2], "fresh": [1, 1], "dup": [1, 1], '
-        '"row_hits": [[0, 0], [0, 0]], "col_hits": [[0, 0], [0, 0]], '
-        '"cross_rows": [[0, 0], [0, 0]], "cross_cols": [[0, 0], [0, 0]], '
-        '"totals": {"fresh": 2, "dup": 2, "row_hits": 0, "col_hits": 0, "cross": 0}}}\n',
-        "n,r,m,m2,value_num,value_den,base,fresh,dup,"
-        "row_hits_total,col_hits_total,cross_total\n"
-        "8,2,4,4,3600,1,2|2,1|1,1|1,0,0,0\n",
-    ),
-}
+# Recorded stdout of one invocation per subcommand, in JSON and CSV: pins the
+# envelope, key order, CSV columns, float text and argmax's first-on-ties choice.
+REPORTS_GOLDEN = json.loads((Path(__file__).parent / "cli_reports_golden.json").read_text())
 
 
-@pytest.mark.parametrize("point", sorted(ARGMAX_GOLDEN), ids="-".join)
-def test_argmax_reports_golden(capsys, point):
-    argv = ("argmax", "--n", point[0], "--r", point[1], "--m", point[2], "--m2", point[3])
-    for fmt, want in zip(("json", "csv"), ARGMAX_GOLDEN[point]):
-        code, out, _ = run(capsys, *argv, "--format", fmt)
+def _golden_id(command):
+    return "-".join(word for word in command.split() if not word.startswith("--"))
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS_GOLDEN), ids=_golden_id)
+def test_reports_golden(capsys, command):
+    for fmt in ("json", "csv"):
+        code, out, _ = run(capsys, *command.split(), "--format", fmt, "--threads", "1")
         assert code == 0
-        assert out == want
+        assert out == REPORTS_GOLDEN[command][fmt]
 
 
 def test_verify_stationarity(capsys):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -23,6 +24,7 @@ from permex.moments import (
     _hit_integer,
     _host_integer,
     _loads,
+    _offdiag_matrices,
 )
 
 
@@ -294,6 +296,31 @@ def test_product_domain_and_budget():
     # checked as the sum runs: refused long before the full sum would end
     with pytest.raises(CapacityError):
         expectation_product(16, 4, 8, 8, term_budget=1000)
+
+
+@pytest.mark.parametrize("r", [32, 40])
+def test_product_and_argmax_at_large_r(r):
+    # the hit matrices have r(r - 1) cells, more than the default recursion
+    # limit from r = 32; perm_1 is the entry total n*r, so E(perm_1^2) = (2r)^2
+    assert expectation_product(2, r, 1, 1).value == (2 * r) ** 2
+    profile, value = argmax_profile(2, r, 1, 1)
+    assert sum(profile.base) == 1
+    assert value > 0
+
+
+@pytest.mark.parametrize("r, budget, caps", [(1, 3, (2,)), (2, 3, (1, 2)), (3, 2, (1, 0, 2)),
+                                             (3, 4, (2, 2, 2)), (4, 2, (1, 1, 0, 2))])
+def test_offdiag_matrices_lex_order(r, budget, caps):
+    # every off-diagonal matrix within the budget and column caps, sorted
+    cells = [(i, k) for i in range(r) for k in range(r) if k != i]
+    want = []
+    for values in itertools.product(*(range(min(budget, caps[k]) + 1) for _, k in cells)):
+        mat = [[0] * r for _ in range(r)]
+        for (i, k), v in zip(cells, values):
+            mat[i][k] = v
+        if sum(values) <= budget and all(s <= c for s, c in zip(_column_sums(mat), caps)):
+            want.append(tuple(map(tuple, mat)))
+    assert list(_offdiag_matrices(r, budget, caps)) == sorted(want)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from permex import (
 from permex import _pykernels, montecarlo
 from permex.kernels import block_size
 from permex.montecarlo import _make_estimate
-from permex.permanents import MomentKey
 
 
 def test_enumeration_mode_exact_agreement():
@@ -106,9 +105,8 @@ def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
     xs = [p[m] for p in profiles]
     ys = [p[m2] for p in profiles]
     columns = (xs, ys, [x * y for x, y in zip(xs, ys)])
-    keys = (MomentKey(n, r, m, 0), MomentKey(n, r, m2, 0), MomentKey(n, r, m, m2))
-    want = [_make_estimate(sum(vals), sum(v * v for v in vals), samples, n, key)
-            for vals, key in zip(columns, keys)]
+    want = [_make_estimate(sum(vals), sum(v * v for v in vals), samples, n)
+            for vals in columns]
 
     # with two workers each range ends part-way through a block
     for threads in (1, 2):
