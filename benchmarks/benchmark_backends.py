@@ -10,9 +10,10 @@ values.  Monte Carlo draws its permutations with ``model.sample_block``,
 one pass of ``kernels.PASS_SAMPLES`` samples at a time; it is timed
 against the per-sample reference stream ``model.sample_stream`` and must
 reproduce its permutations.  The fresh-process table times ``permex <sub>
---help`` for every subcommand, one ``rate`` run and four ``argmax`` runs
-(the collapsed walk of ``moments``, at r = 2, 3 and 5) in fresh child
-processes, and shows whether each loaded numpy.  Run after an editable install:
+--help`` for every subcommand, one ``rate`` run, four ``argmax`` runs
+(the collapsed walk of ``moments``, at r = 2, 3 and 5) and two ``product``
+runs (r = 3 and 4) in fresh child processes, and shows whether each
+loaded numpy.  Run after an editable install:
 
     python benchmarks/benchmark_backends.py
 """
@@ -65,6 +66,8 @@ def bench_startup():
     commands.append(["rate", "--r", "2", "--p", "0.5"])
     for n, r, m, m2 in ((10, 2, 5, 5), (12, 2, 6, 6), (7, 3, 3, 4), (6, 5, 3, 3)):
         commands.append(["argmax", "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])
+    for n, r, m, m2 in ((10, 3, 5, 5), (8, 4, 4, 4)):
+        commands.append(["product", "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])
     for argv in commands:
         walls = []
         for _ in range(STARTUP_RUNS):
@@ -88,10 +91,10 @@ def bench_profiles():
         blocks = [np.array(mats[i:i + block], dtype=np.int64)
                   for i in range(0, len(mats), block)]
 
-        def run(profile):
+        def run(profile, *max_entry):
             out = 0
             for rows in mats:
-                out ^= profile(rows, n)[n]
+                out ^= profile(rows, n, *max_entry)[n]
             return out
 
         def run_batched():
@@ -102,7 +105,7 @@ def bench_profiles():
             return out
 
         t_pure, check_pure = time_call(run, _pykernels.subperm_profile)
-        t_one, check_one = time_call(run, kernels.subperm_profile)
+        t_one, check_one = time_call(run, kernels.subperm_profile, r)
         t_batch, check_batch = time_call(run_batched)
         assert check_one == check_pure
         assert check_batch == check_pure

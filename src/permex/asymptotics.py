@@ -65,6 +65,13 @@ class RateComponents:
                 + self.cross + self.completion)
 
 
+def _check_point(p, q, r):
+    if not 0 < p < 1 or not 0 < q < 1:
+        raise DomainError(f"need p, q in (0, 1), got p={p}, q={q}")
+    if r < 2:
+        raise DomainError(f"need r >= 2, got {r}")
+
+
 def _check_feasible(name, value):
     if value < 0:
         raise InfeasiblePointError(name, value)
@@ -140,10 +147,7 @@ def stationarity_residuals(a, b, d, e, L, p, q, r):
     adjusted log-weight in (a, b, d, e); the fifth is the size constraint
     a + e + 2b + d = q.
     """
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
-    if not 0 < p < 1 or not 0 < q < 1:
-        raise DomainError(f"need p, q in (0, 1), got p={p}, q={q}")
+    _check_point(p, q, r)
     for name, v in (("a", a), ("b", b), ("d", d), ("e", e), ("L", L)):
         _check_feasible(f"{name} >= 0", v)
     _check_feasible("p - e >= 0", p - e)
@@ -171,10 +175,7 @@ class StationarySolution:
 
 def analytic_solution(p, q, r) -> StationarySolution:
     """Closed-form stationary point of the five-equation system."""
-    if not 0 < p < 1 or not 0 < q < 1:
-        raise DomainError(f"need p, q in (0, 1), got p={p}, q={q}")
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
+    _check_point(p, q, r)
     a = q * (1 - p) ** 2 * r / (r - p)
     b = (1 - p) * (r - 1) * p * q / (r - p)
     d = (r - 1) ** 2 * p**2 * q / (r * (r - p))
@@ -240,10 +241,7 @@ def solve_stationary(p, q, r, tol=DEFAULT_SOLVER_TOL) -> StationarySolution:
     """
     import numpy as np
 
-    if not 0 < p < 1 or not 0 < q < 1:
-        raise DomainError(f"need p, q in (0, 1), got p={p}, q={q}")
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
+    _check_point(p, q, r)
     if not 0 < tol < math.inf:
         raise DomainError(f"need a finite tol > 0, got {tol}")
     best = None

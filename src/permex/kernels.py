@@ -57,10 +57,8 @@ def profile_backend_name(n: int, max_entry: int) -> str:
     return "int64" if profile_value_bound(n, max_entry) < I64_SAFE_BOUND else "pure"
 
 
-def subperm_profile(rows, n: int, max_entry=None):
+def subperm_profile(rows, n: int, max_entry: int):
     """Profile of one matrix: ``subperm_profiles`` on a block of one."""
-    if max_entry is None:
-        max_entry = max(max(row) for row in rows)
     return [column[0] for column in subperm_profiles([rows], n, max_entry)]
 
 

@@ -26,6 +26,11 @@ to complete each permutation around its forced cells.
 
 ``profile_iterator`` enumerates the profiles; ``expectation_product`` and
 ``argmax_profile`` reach the same terms without visiting them one by one.
+Per base split and fresh count a, the dup splits are the compositions of
+m2 - a into the base parts plus a slack part, the cells left for hits.
+Row and col hits are one family (the same matrices, host caps and factor,
+none of it depending on the fresh split), so each dup split gets one hit
+list, filled as read: row hits read it whole, col hits within the slack.
 A prefix (base, fresh, dup, row_hits, col_hits) fixes the first five
 factors, W, and what is left per color: ``loads`` free cells and
 ``lcaps``/``rcaps`` free host rows/columns for cross hits.  With the cross
@@ -50,8 +55,10 @@ largest term, which ``argmax_profile`` reports, lies in such a split too.
 """
 
 from collections import Counter
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 from math import comb, factorial, perm, prod
 
 from .errors import CapacityError, DomainError
@@ -74,16 +81,6 @@ def _capped_compositions(total, caps):
     for v in range(max(0, total - sum(rest)), min(caps[0], total) + 1):
         for tail in _capped_compositions(total - v, rest):
             yield (v,) + tail
-
-
-def _bounded_tuples(caps, budget):
-    """All tuples with part i at most caps[i] and total at most `budget`."""
-    if not caps:
-        yield ()
-        return
-    for v in range(min(caps[0], budget) + 1):
-        for rest in _bounded_tuples(caps[1:], budget - v):
-            yield (v,) + rest
 
 
 def _rising_splits(total, parts, low=0):
@@ -189,44 +186,56 @@ def _loads(profile):
     ]
 
 
+def _hit_list(r, free, budget, hosts):
+    """The hit matrices of one dup split, in ``_offdiag_matrices`` order.
+
+    Entries are (mat, total T, row sums, host lines left, factor), the
+    factor C(free, T) T! (fresh lines for the hits) times ``_host_integer``
+    over ``hosts``.  A never-advanced tee: each pass reads a copy, so a
+    matrix is drawn and weighed once, and only when some pass reaches it.
+    """
+
+    def entries():
+        for mat in _offdiag_matrices(r, budget, hosts):
+            cols = _column_sums(mat)
+            total = sum(cols)
+            yield (mat, total, _row_sums(mat), tuple(h - c for h, c in zip(hosts, cols)),
+                   perm(free, total) * _host_integer(hosts, mat, cols))
+
+    return tee(entries(), 1)[0]
+
+
 def _prefixes(n, r, m, m2, bases):
     """Every profile prefix (base, fresh, dup, rowh, colh) for the given base splits.
 
     Yields the prefix, its weight w (the base, fresh, dup, row-hit and
-    col-hit factors, each computed once at its own loop level), the number
-    d of cross hits still to place, the cells each color can still take
-    (``loads``), and the host lines left for cross rows and cross columns
-    (``lcaps``, ``rcaps``).
+    col-hit factors), the number d of cross hits still to place, the cells
+    each color can still take (``loads``), and the host lines left for
+    cross rows and cross columns (``lcaps``, ``rcaps``).  The dup splits and
+    their hit lists are built once per (base, a) and read by every fresh split.
     """
     for base in bases:
         w_base = _base_integer(base, n, m)
         fresh_caps = [n - bi for bi in base]
         for a in range(min(n - m, m2) + 1):
             free = n - m - a
+            dups = []
+            # the slack part, m2 - a - sum(dup), is what the hits may still take
+            for *dup, left in _capped_compositions(m2 - a, (*base, m2 - a)):
+                hosts = [bi - ei for bi, ei in zip(base, dup)]
+                dups.append((tuple(dup), left, _dup_integer(base, dup),
+                             _hit_list(r, free, min(free, left), hosts)))
             for fresh in _capped_compositions(a, fresh_caps):
                 w_fresh = w_base * _fresh_integer(fresh, n, m)
-                for dup in _bounded_tuples(base, m2 - a):
-                    e = sum(dup)
-                    hosts = [base[i] - dup[i] for i in range(r)]
-                    w_dup = w_fresh * _dup_integer(base, dup)
-                    rh_budget = min(free, m2 - a - e)
-                    for rowh in _offdiag_matrices(r, rh_budget, hosts):
-                        b = sum(map(sum, rowh))
-                        rh_cols = _column_sums(rowh)
-                        w_row = w_dup * _hit_integer(free, hosts, rowh, rh_cols, b)
-                        ch_budget = min(free, m2 - a - e - b)
-                        for colh in _offdiag_matrices(r, ch_budget, hosts):
-                            c = sum(map(sum, colh))
-                            ch_cols = _column_sums(colh)
-                            w = w_row * _hit_integer(free, hosts, colh, ch_cols, c)
-                            loads = tuple(
-                                n - base[i] - fresh[i] - sum(rowh[i]) - sum(colh[i])
-                                for i in range(r)
-                            )
-                            lcaps = tuple(hosts[i] - rh_cols[i] for i in range(r))
-                            rcaps = tuple(hosts[i] - ch_cols[i] for i in range(r))
-                            yield (base, fresh, dup, rowh, colh,
-                                   w, m2 - a - e - b - c, loads, lcaps, rcaps)
+                for dup, left, w_dup, hits in dups:
+                    for rowh, b, rh_rows, lcaps, w_row in copy(hits):
+                        w_row *= w_fresh * w_dup
+                        for colh, c, ch_rows, rcaps, w_col in copy(hits):
+                            if b + c <= left:
+                                loads = tuple(n - base[i] - fresh[i] - rh_rows[i] - ch_rows[i]
+                                              for i in range(r))
+                                yield (base, fresh, dup, rowh, colh,
+                                       w_row * w_col, left - b - c, loads, lcaps, rcaps)
 
 
 def profile_iterator(n, r, m, m2):
@@ -328,15 +337,6 @@ def _host_integer(caps, mat, mat_hosts) -> int:
     (each column contributes a binomial times a multinomial).
     """
     return prod(map(perm, caps, mat_hosts)) // prod(factorial(v) for row in mat for v in row)
-
-
-def _hit_integer(free, caps, hits, hit_hosts, total) -> int:
-    """Fresh lines for the hits, their host lines, and the per-pair grouping.
-
-    C(free, T) T! times ``_host_integer`` over the unduplicated base lines,
-    for T hits and ``free`` = n - m - a lines left by a fresh cells.
-    """
-    return perm(free, total) * _host_integer(caps, hits, hit_hosts)
 
 
 # ---------------------------------------------------------------------------

@@ -199,11 +199,22 @@ def test_solver_matches_analytic():
         assert sol.residual_max < 1e-10
 
 
+@pytest.mark.parametrize("fn", [
+    analytic_solution, solve_stationary,
+    lambda p, q, r: stationarity_residuals(0.1, 0.1, 0.1, 0.1, 1.0, p, q, r),
+])
+def test_point_domain(fn):
+    # one point check: p and q before r, with the same messages everywhere
+    for point, message in (((0.0, 0.5, 2), "need p, q in (0, 1), got p=0.0, q=0.5"),
+                           ((0.5, 1.0, 2), "need p, q in (0, 1), got p=0.5, q=1.0"),
+                           ((0.5, 0.5, 1), "need r >= 2, got 1"),
+                           ((1.5, 0.5, 1), "need p, q in (0, 1), got p=1.5, q=0.5")):
+        with pytest.raises(DomainError) as err:
+            fn(*point)
+        assert str(err.value) == message, point
+
+
 def test_solver_domain():
-    with pytest.raises(DomainError):
-        solve_stationary(0.0, 0.5, 2)
-    with pytest.raises(DomainError):
-        solve_stationary(0.5, 0.5, 1)
     # a tol that is not finite and > 0 is refused, not run to a solver failure
     # (tol <= 0, nan) or to the unconverged start point (inf)
     for tol in (-1.0, 0.0, math.nan, math.inf):

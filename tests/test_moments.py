@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 import pytest
 
@@ -15,13 +15,13 @@ from permex import (
     profile_iterator,
     validate_profile,
 )
+from permex import moments
 from permex.cli import SUITES
 from permex.moments import (
     _base_integer,
     _column_sums,
     _dup_integer,
     _fresh_integer,
-    _hit_integer,
     _host_integer,
     _loads,
     _offdiag_matrices,
@@ -134,11 +134,12 @@ def test_factor_dup_examples():
 
 
 def test_factor_row_hits_examples():
+    # a hit factor is perm(free, T) * _host_integer over the undup'd base lines
     # n = 3, m = 2, no fresh cells: one free column and nothing to place
-    assert _hit_integer(1, [1, 1], zeros(2), [0, 0], 0) == 1
+    assert perm(1, 0) * _host_integer([1, 1], zeros(2), [0, 0]) == 1
     # n = 3, m = 1: one color-0 row hit on color 1's row, two free columns
     hits = ((0, 1), (0, 0))
-    assert _hit_integer(2, [0, 1], hits, _column_sums(hits), 1) == 2
+    assert perm(2, 1) * _host_integer([0, 1], hits, _column_sums(hits)) == 2
 
 
 def test_factor_col_hits_mirrors_row_hits():
@@ -321,6 +322,39 @@ def test_offdiag_matrices_lex_order(r, budget, caps):
         if sum(values) <= budget and all(s <= c for s, c in zip(_column_sums(mat), caps)):
             want.append(tuple(map(tuple, mat)))
     assert list(_offdiag_matrices(r, budget, caps)) == sorted(want)
+
+
+@pytest.mark.parametrize("point", [(4, 2, 3, 3), (4, 3, 2, 3), (3, 4, 2, 2), (5, 2, 3, 4),
+                                   (3, 3, 3, 3)])
+def test_profile_iterator_order(point):
+    # argmax breaks ties by this order, so it is pinned field by field
+    profiles = list(profile_iterator(*point))
+
+    def key(p):
+        return (p.base, sum(p.fresh), p.fresh, p.dup, p.row_hits, p.col_hits,
+                tuple(map(sum, p.cross_rows)), p.cross_rows, p.cross_cols)
+
+    assert profiles == sorted(profiles, key=key)
+
+
+@pytest.mark.parametrize("fn", [expectation_product, argmax_profile])
+def test_refusal_draws_few_hit_matrices(monkeypatch, fn):
+    # row and col hits share one list per dup split, filled only as far as it
+    # is read: refusing must not first draw the millions of hit matrices of
+    # the first dup split at r = 12
+    drawn = 0
+    offdiag = moments._offdiag_matrices
+
+    def counted(*args):
+        nonlocal drawn
+        for mat in offdiag(*args):
+            drawn += 1
+            yield mat
+
+    monkeypatch.setattr(moments, "_offdiag_matrices", counted)
+    with pytest.raises(CapacityError):
+        fn(24, 12, 12, 12, term_budget=1000)
+    assert 0 < drawn < 100
 
 
 # ---------------------------------------------------------------------------
