@@ -11,9 +11,10 @@ one pass of ``kernels.PASS_SAMPLES`` samples at a time; it is timed
 against the per-sample reference stream ``model.sample_stream`` and must
 reproduce its permutations.  The fresh-process table times ``permex <sub>
 --help`` for every subcommand, one ``rate`` run, four ``argmax`` runs
-(the collapsed walk of ``moments``, at r = 2, 3 and 5) and two ``product``
-runs (r = 3 and 4) in fresh child processes, and shows whether each
-loaded numpy.  Run after an editable install:
+(the collapsed walk of ``moments``, at r = 2, 3 and 5), two ``product``
+runs (r = 3 and 4) and three ``oracle`` runs (the orbit sum of ``kernels``,
+at r = 2, 3 and 4) in fresh child processes, and shows whether each loaded
+numpy.  Run after an editable install:
 
     python benchmarks/benchmark_backends.py
 """
@@ -64,10 +65,11 @@ def bench_startup():
     print(f"{'command':<36} {'wall':>8} {'numpy':>6}")
     commands = [[sub, "--help"] for sub in SUBCOMMANDS]
     commands.append(["rate", "--r", "2", "--p", "0.5"])
-    for n, r, m, m2 in ((10, 2, 5, 5), (12, 2, 6, 6), (7, 3, 3, 4), (6, 5, 3, 3)):
-        commands.append(["argmax", "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])
-    for n, r, m, m2 in ((10, 3, 5, 5), (8, 4, 4, 4)):
-        commands.append(["product", "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])
+    for sub, points in (("argmax", ((10, 2, 5, 5), (12, 2, 6, 6), (7, 3, 3, 4), (6, 5, 3, 3))),
+                        ("product", ((10, 3, 5, 5), (8, 4, 4, 4))),
+                        ("oracle", ((12, 2, 6, 6), (7, 3, 3, 4), (5, 4, 2, 3)))):
+        for n, r, m, m2 in points:
+            commands.append([sub, "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])
     for argv in commands:
         walls = []
         for _ in range(STARTUP_RUNS):

@@ -77,11 +77,15 @@ def _pick(obj, *names):
     return {name: getattr(obj, name) for name in names}
 
 
+def _rational(name, value):
+    """An exact rational as the fields `name`_num and `name`_den, decimal strings."""
+    return {f"{name}_num": str(value.numerator), f"{name}_den": str(value.denominator)}
+
+
 def _emit_moment(args, moment):
     fields = {
         **moment.meta._asdict(),
-        "value_num": str(moment.value.numerator),
-        "value_den": str(moment.value.denominator),
+        **_rational("value", moment.value),
         "terms": moment.term_count,
     }
     header = ["n", "r", "m", "m2", "value_num", "value_den", "value_float", "terms"]
@@ -140,8 +144,7 @@ def _cmd_analytic(args):
 
 def _estimate_fields(est):
     return {
-        "mean_num": str(est.mean_exact.numerator),
-        "mean_den": str(est.mean_exact.denominator),
+        **_rational("mean", est.mean_exact),
         **_pick(est, "mean", "stderr", "samples", "log_mean_over_n"),
     }
 
@@ -174,8 +177,7 @@ def _cmd_scan(args):
     records = [
         {
             **_pick(row, "n", "m", "m2", "samples", "mode"),
-            "mean_num": str(row.mean_exact.numerator),
-            "mean_den": str(row.mean_exact.denominator),
+            **_rational("mean", row.mean_exact),
             **_pick(row, "log_mean_over_n", "prediction", "gap"),
         }
         for row in rows
@@ -198,8 +200,7 @@ def _cmd_argmax(args):
     }
     fields = {
         **_pick(args, "n", "r", "m", "m2"),
-        "value_num": str(value.numerator),
-        "value_den": str(value.denominator),
+        **_rational("value", value),
         "profile": {
             "base": list(profile.base),
             "fresh": list(profile.fresh),
@@ -314,8 +315,7 @@ def _oracle_rows(cases, budget, product):
                 equal = want.value == got.value
                 ok = ok and equal
                 rows.append({"n": n, "r": r, "m": m, "m2": m2, "equal": equal,
-                             "value_num": str(got.value.numerator),
-                             "value_den": str(got.value.denominator)})
+                             **_rational("value", got.value)})
     return rows, 0.0 if ok else 1.0, ok, 0.0
 
 

@@ -94,19 +94,24 @@ def subperm_profiles(mats, n: int, max_entry: int):
     return [f[popcount == m].sum(axis=0).tolist() for m in range(n + 1)]
 
 
-def _partitions(n: int, largest: int):
-    """Partitions of n into parts of at most ``largest``, parts non-increasing."""
-    if n == 0:
-        yield ()
+def rising_splits(total, parts, low=0):
+    """Non-decreasing splits of `total` into `parts` >= 1 parts of at least `low`, in lex order.
+
+    The one partition enumerator: the oracle's cycle types of S_n are
+    rising_splits(n, n) less the zeros, the product's color orbits rising_splits(m, r).
+    """
+    if parts == 1:
+        yield (total,)
         return
-    for part in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
+    for v in range(low, total // parts + 1):
+        for tail in rising_splits(total - v, parts - 1, v):
+            yield (v,) + tail
 
 
 def _cycle_classes(n: int):
     """One permutation of each cycle type of S_n, with the size of its class."""
-    for parts in _partitions(n, n):
+    for split in rising_splits(n, n):
+        parts = [part for part in split if part]
         perm, start = [], 0
         for part in parts:
             perm.extend(range(start + 1, start + part))
@@ -122,7 +127,7 @@ def oracle_matrix_count(n: int, r: int) -> int:
     """Matrices ``oracle_product_sums`` evaluates: p(n) (n!)^(r-2), or 1 at r = 1."""
     if r == 1:
         return 1
-    return sum(1 for _ in _partitions(n, n)) * factorial(n) ** (r - 2)
+    return sum(1 for _ in rising_splits(n, n)) * factorial(n) ** (r - 2)
 
 
 def oracle_product_sums(n: int, r: int):

@@ -22,7 +22,9 @@ pair) counts of this classification; the expectation is the sum over all
 feasible profiles of a product of seven exact counting factors, divided by
 (n!)^r.  The factors count, in order: first-placement choices, fresh
 cells, dup choices, row hits, col hits, cross hits, and the number of ways
-to complete each permutation around its forced cells.
+to complete each permutation around its forced cells.  Fresh cells are a
+placement on the (n - m) x (n - m) free board, so ``_base_integer`` gives
+both of the first two factors.
 
 ``profile_iterator`` enumerates the profiles; ``expectation_product`` and
 ``argmax_profile`` reach the same terms without visiting them one by one.
@@ -32,28 +34,31 @@ Row and col hits are one family (the same matrices, host caps and factor,
 none of it depending on the fresh split), so each dup split gets one hit
 list, filled as read: row hits read it whole, col hits within the slack.
 A prefix (base, fresh, dup, row_hits, col_hits) fixes the first five
-factors, W, and what is left per color: ``loads`` free cells and
+factors, W, and what is left per color: ``spare`` free cells and
 ``lcaps``/``rcaps`` free host rows/columns for cross hits.  With the cross
 hits per color fixed at dvec, the last two factors are
 
-  prod_i (loads_i - d_i)! d_i! * H(lmat, lcaps) * H(rmat, rcaps),
+  prod_i (spare_i - d_i)! d_i! * H(lmat, lcaps) * H(rmat, rcaps),
 
   H(mat, caps) = prod_i C(caps_i, h_i) h_i! / prod_{i != k} mat[i][k]!,
 
 where h_i are mat's column sums and (lmat, rmat) range independently over
 off-diagonal matrices with row sums dvec and column sums h_i <= caps_i.  So
-the prefix contributes W sum_dvec prod_i (loads_i - d_i)! d_i! L(dvec, lcaps)
+the prefix contributes W sum_dvec prod_i (spare_i - d_i)! d_i! L(dvec, lcaps)
 L(dvec, rcaps), with L(dvec, caps) = sum_mat H(mat, caps), and its largest
-term is W prod_i (loads_i - d_i)! d_i! times the largest H on each side.  L,
+term is W prod_i (spare_i - d_i)! d_i! times the largest H on each side.  L,
 the matrix count and the first matrix of largest H come from a table built
 once per (dvec, caps) in each call.
 Relabelling the colors maps profiles onto profiles of equal weight, so
 ``_walk`` visits one base split per orbit, its non-decreasing arrangement
 (the orbit's first in lex order), weighted by its r! / prod (multiplicity)!
-rearrangements; the term count stays the raw profile count.  The first
-largest term, which ``argmax_profile`` reports, lies in such a split too.
+rearrangements; the term count stays the raw profile count.  The orbits
+are ``kernels.rising_splits(m, r)``, the oracle's partition enumerator.
+The first largest term, which ``argmax_profile`` reports, lies in such a
+split too.
 """
 
+import sys
 from collections import Counter
 from copy import copy
 from dataclasses import dataclass
@@ -62,6 +67,8 @@ from itertools import tee
 from math import comb, factorial, perm, prod
 
 from .errors import CapacityError, DomainError
+from .kernels import rising_splits
+from .model import tuple_count
 from .permanents import ExactMoment, moment_key
 
 TERM_BUDGET_DEFAULT = 10**9
@@ -80,16 +87,6 @@ def _capped_compositions(total, caps):
     rest = caps[1:]
     for v in range(max(0, total - sum(rest)), min(caps[0], total) + 1):
         for tail in _capped_compositions(total - v, rest):
-            yield (v,) + tail
-
-
-def _rising_splits(total, parts, low=0):
-    """Non-decreasing splits of `total` into `parts` >= 1 parts of at least `low`, in lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for v in range(low, total // parts + 1):
-        for tail in _rising_splits(total - v, parts - 1, v):
             yield (v,) + tail
 
 
@@ -174,16 +171,10 @@ class ColorProfile:
     cross_cols: tuple
 
 
-def _loads(profile):
+def _loads(p):
     """Forced cells per color: how much of each permutation is pinned."""
-    p = profile
-    return [
-        b + f + rh + ch + x
-        for b, f, rh, ch, x in zip(
-            p.base, p.fresh, _row_sums(p.row_hits), _row_sums(p.col_hits),
-            _row_sums(p.cross_rows),
-        )
-    ]
+    hits = map(_row_sums, (p.row_hits, p.col_hits, p.cross_rows))
+    return [sum(cells) for cells in zip(p.base, p.fresh, *hits)]
 
 
 def _hit_list(r, free, budget, hosts):
@@ -210,13 +201,12 @@ def _prefixes(n, r, m, m2, bases):
 
     Yields the prefix, its weight w (the base, fresh, dup, row-hit and
     col-hit factors), the number d of cross hits still to place, the cells
-    each color can still take (``loads``), and the host lines left for
+    each color can still take (``spare``), and the host lines left for
     cross rows and cross columns (``lcaps``, ``rcaps``).  The dup splits and
     their hit lists are built once per (base, a) and read by every fresh split.
     """
     for base in bases:
         w_base = _base_integer(base, n, m)
-        fresh_caps = [n - bi for bi in base]
         for a in range(min(n - m, m2) + 1):
             free = n - m - a
             dups = []
@@ -225,26 +215,44 @@ def _prefixes(n, r, m, m2, bases):
                 hosts = [bi - ei for bi, ei in zip(base, dup)]
                 dups.append((tuple(dup), left, _dup_integer(base, dup),
                              _hit_list(r, free, min(free, left), hosts)))
-            for fresh in _capped_compositions(a, fresh_caps):
-                w_fresh = w_base * _fresh_integer(fresh, n, m)
+            for fresh in _capped_compositions(a, (a,) * r):
+                w_fresh = w_base * _base_integer(fresh, n - m, a)
                 for dup, left, w_dup, hits in dups:
                     for rowh, b, rh_rows, lcaps, w_row in copy(hits):
                         w_row *= w_fresh * w_dup
                         for colh, c, ch_rows, rcaps, w_col in copy(hits):
                             if b + c <= left:
-                                loads = tuple(n - base[i] - fresh[i] - rh_rows[i] - ch_rows[i]
+                                spare = tuple(n - base[i] - fresh[i] - rh_rows[i] - ch_rows[i]
                                               for i in range(r))
                                 yield (base, fresh, dup, rowh, colh,
-                                       w_row * w_col, left - b - c, loads, lcaps, rcaps)
+                                       w_row * w_col, left - b - c, spare, lcaps, rcaps)
+
+
+def _check_nesting(r):
+    """CapacityError, before any work, if the walk would nest past the recursion limit.
+
+    _offdiag_rowsum_matrices recurses once per color, each level reading a
+    _capped_compositions chain one generator per color deep: the walk needs
+    2r + 5 frames beyond the depth of the frame calling this (measured at
+    r >= 2).  10 more are kept for C calls between frames, which count
+    toward the limit too.
+    """
+    need, frame = 2 * r + 15, sys._getframe(1)
+    while frame is not None:
+        need, frame = need + 1, frame.f_back
+    if need > sys.getrecursionlimit():
+        raise CapacityError(f"r={r} nests the profile walk {need} frames deep,"
+                            f" past the recursion limit {sys.getrecursionlimit()}")
 
 
 def profile_iterator(n, r, m, m2):
     """Yield every feasible ColorProfile exactly once, in nested lex order."""
     moment_key(n, r, m, m2)
-    for base, fresh, dup, rowh, colh, _, d, loads, lcaps, rcaps in _prefixes(
+    _check_nesting(r)
+    for base, fresh, dup, rowh, colh, _, d, spare, lcaps, rcaps in _prefixes(
         n, r, m, m2, _capped_compositions(m, (m,) * r)
     ):
-        for dvec in _capped_compositions(d, loads):
+        for dvec in _capped_compositions(d, spare):
             for lmat in _offdiag_rowsum_matrices(r, dvec, lcaps):
                 for rmat in _offdiag_rowsum_matrices(r, dvec, rcaps):
                     yield ColorProfile(base, fresh, dup, rowh, colh, lmat, rmat)
@@ -305,28 +313,13 @@ def validate_profile(profile, n, r, m, m2):
 
 
 def _base_integer(base, n, m) -> int:
-    """First-placement choices: locations and color split, before 1/(n!)^r."""
-    w = comb(n, m) ** 2 * factorial(m) * factorial(m)
-    for mi in base:
-        w //= factorial(mi)
-    return w
-
-
-def _fresh_integer(fresh, n, m) -> int:
-    """Fresh cells: choose rows and columns off the base, pair, and color."""
-    a = sum(fresh)
-    w = comb(n - m, a) ** 2 * factorial(a) * factorial(a)
-    for ai in fresh:
-        w //= factorial(ai)
-    return w
+    """Placements of m cells on an n x n board with color split ``base``, before 1/(n!)^r."""
+    return comb(n, m) ** 2 * factorial(m) ** 2 // prod(map(factorial, base))
 
 
 def _dup_integer(base, dup) -> int:
     """Duplicated cells: pick which base cells of each color to copy."""
-    w = 1
-    for mi, ei in zip(base, dup):
-        w *= comb(mi, ei)
-    return w
+    return prod(map(comb, base, dup))
 
 
 def _host_integer(caps, mat, mat_hosts) -> int:
@@ -359,15 +352,8 @@ def expectation_perm(n, r, m) -> ExactMoment:
             sum(comb(k, j) * power[j] * a[k - j] for j in range(k + 1))
             for k in range(m + 1)
         ]
-    value = Fraction(comb(n, m) ** 2 * factorial(m) * power[m], factorial(n) ** r)
+    value = Fraction(comb(n, m) ** 2 * factorial(m) * power[m], tuple_count(n, r))
     return ExactMoment(value=value, term_count=comb(m + r - 1, r - 1), meta=key)
-
-
-def _check_budget(count, term_budget, n, r, m, m2):
-    if count > term_budget:
-        raise CapacityError(
-            f"profile count exceeded budget {term_budget} at (n={n}, r={r}, m={m}, m2={m2})"
-        )
 
 
 def _walk(n, r, m, m2, term_budget):
@@ -376,11 +362,12 @@ def _walk(n, r, m, m2, term_budget):
     Yields (count, orbit, prefix, wd, left, right) per prefix (base, fresh,
     dup, rowh, colh) and cross-hit split dvec with both sides non-empty, in
     profile_iterator's order.  count is the running raw profile count,
-    checked against term_budget; wd = W * prod_i (loads_i - d_i)! d_i!; left
+    checked against term_budget; wd = W * prod_i (spare_i - d_i)! d_i!; left
     and right are the per-call table entries (L, count, Hmax, first matrix of
     Hmax) of (dvec, lcaps) and (dvec, rcaps), which stop past term_budget
     matrices with L and first None and the count over budget.
     """
+    _check_nesting(r)
     table = {}
 
     def cross(dvec, caps):
@@ -401,18 +388,20 @@ def _walk(n, r, m, m2, term_budget):
         return hit
 
     count = 0
-    for base in _rising_splits(m, r):
+    for base in rising_splits(m, r):
         orbit = factorial(r) // prod(map(factorial, Counter(base).values()))
-        for *prefix, w, d, loads, lcaps, rcaps in _prefixes(n, r, m, m2, [base]):
-            for dvec in _capped_compositions(d, loads):
+        for *prefix, w, d, spare, lcaps, rcaps in _prefixes(n, r, m, m2, [base]):
+            for dvec in _capped_compositions(d, spare):
                 left = cross(dvec, lcaps)
                 if left[1]:
                     right = cross(dvec, rcaps)
                     if right[1]:
                         count += orbit * left[1] * right[1]
-                        _check_budget(count, term_budget, n, r, m, m2)
-                        wd = prod((factorial(ld - di) * factorial(di)
-                                   for ld, di in zip(loads, dvec)), start=w)
+                        if count > term_budget:
+                            raise CapacityError(f"profile count exceeded budget {term_budget}"
+                                                f" at (n={n}, r={r}, m={m}, m2={m2})")
+                        wd = prod((factorial(sp - di) * factorial(di)
+                                   for sp, di in zip(spare, dvec)), start=w)
                         yield count, orbit, prefix, wd, left, right
 
 
@@ -427,7 +416,7 @@ def expectation_product(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT) -> ExactMo
     total = count = 0
     for count, orbit, _, wd, left, right in _walk(n, r, m, m2, term_budget):
         total += orbit * wd * left[0] * right[0]
-    return ExactMoment(value=Fraction(total, factorial(n) ** r), term_count=count, meta=key)
+    return ExactMoment(value=Fraction(total, tuple_count(n, r)), term_count=count, meta=key)
 
 
 def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
@@ -448,4 +437,4 @@ def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
         if value > best_w:
             best_w = value
             best = ColorProfile(*prefix, lmat, rmat)
-    return best, Fraction(best_w, factorial(n) ** r)
+    return best, Fraction(best_w, tuple_count(n, r))

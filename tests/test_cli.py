@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -53,6 +54,19 @@ def test_product_budget_boundary(capsys):
     assert code == 2
     assert out == ""
     assert "budget 1172" in err
+
+
+@pytest.mark.parametrize("command", ["product", "argmax"])
+@pytest.mark.parametrize("r", [600, 1000])
+def test_deep_r_exits_2_at_once(capsys, command, r):
+    # the walk would nest past the recursion limit: refused before any work
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--n", "1", "--r", str(r), "--m", "1", "--m2", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "recursion limit" in err
+    assert "Traceback" not in err
 
 
 def test_rate_value(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 from math import comb, factorial, perm, prod
 
@@ -17,11 +18,12 @@ from permex import (
 )
 from permex import moments
 from permex.cli import SUITES
+from permex.kernels import rising_splits
 from permex.moments import (
     _base_integer,
+    _capped_compositions,
     _column_sums,
     _dup_integer,
-    _fresh_integer,
     _host_integer,
     _loads,
     _offdiag_matrices,
@@ -122,9 +124,10 @@ def test_factor_base_examples():
 
 
 def test_factor_fresh_examples():
-    assert _fresh_integer((0, 0), 3, 1) == 1
-    assert _fresh_integer((1, 0), 3, 1) == 4
-    assert _fresh_integer((1, 1), 3, 1) == 4
+    # fresh cells are a placement on the (n - m) x (n - m) free board: n = 3, m = 1
+    assert _base_integer((0, 0), 3 - 1, 0) == 1
+    assert _base_integer((1, 0), 3 - 1, 1) == 4
+    assert _base_integer((1, 1), 3 - 1, 2) == 4
 
 
 def test_factor_dup_examples():
@@ -307,6 +310,53 @@ def test_product_and_argmax_at_large_r(r):
     profile, value = argmax_profile(2, r, 1, 1)
     assert sum(profile.base) == 1
     assert value > 0
+
+
+def _outcome(fn, point, limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        fn(*point)
+        return "ran"
+    except CapacityError:
+        return "refused"
+    except RecursionError:
+        return "overflow"
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _depth():
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("fn", [expectation_product, argmax_profile,
+                                lambda *p: list(profile_iterator(*p))],
+                         ids=["expectation_product", "argmax_profile", "profile_iterator"])
+def test_nesting_check_refuses_what_would_overflow(monkeypatch, fn):
+    # from far too low recursion limits to enough, the walk is refused or
+    # runs, never overflows; with the check off it overflows at every limit
+    # the check refuses but at most 11 (10 frames kept for C calls, and one
+    # more as profile_iterator nests a frame less than the walk)
+    point, low = (2, 6, 1, 1), _depth() + 20
+    limits = range(low, low + 40)
+    checked = [_outcome(fn, point, limit) for limit in limits]
+    assert "overflow" not in checked and checked[0] == "refused" and checked[-1] == "ran"
+    monkeypatch.setattr(moments, "_check_nesting", lambda r: None)
+    overflows = [_outcome(fn, point, limit) for limit in limits].count("overflow")
+    assert 0 < overflows <= checked.count("refused") <= overflows + 11
+
+
+@pytest.mark.parametrize("total", range(9))
+def test_rising_splits_are_sorted_compositions(total):
+    # argmax breaks ties in this order, so it is pinned against the compositions
+    for parts in range(1, 6):
+        want = [c for c in _capped_compositions(total, (total,) * parts)
+                if list(c) == sorted(c)]
+        assert list(rising_splits(total, parts)) == want
 
 
 @pytest.mark.parametrize("r, budget, caps", [(1, 3, (2,)), (2, 3, (1, 2)), (3, 2, (1, 0, 2)),

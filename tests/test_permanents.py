@@ -171,6 +171,32 @@ def test_oracle_budget_counts_evaluated_matrices(monkeypatch):
         ensemble_average_bruteforce(5, 3, 1, 1, tuple_budget=839)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cycle_classes_cover_the_group(n):
+    # one representative per partition of n, of that cycle type; the class sizes sum to n!
+    classes = list(kernels._cycle_classes(n))
+    types = []
+    for rep, _ in classes:
+        assert sorted(rep) == list(range(n))
+        seen, lengths = set(), []
+        for start in range(n):
+            length, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                i, length = rep[i], length + 1
+            if length:
+                lengths.append(length)
+        types.append(sorted(lengths))
+    assert types == [[part for part in split if part] for split in kernels.rising_splits(n, n)]
+    assert sum(size for _, size in classes) == factorial(n)
+
+
+def test_oracle_matrix_count_is_partition_count():
+    # at r = 2 the oracle evaluates one matrix per cycle type: p(n)
+    p = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    assert [kernels.oracle_matrix_count(n, 2) for n in range(1, 13)] == p
+
+
 def test_oracle_dimension_limit():
     # one matrix at r = 1 passes any budget, but its DP holds 2^n states
     with pytest.raises(CapacityError):
