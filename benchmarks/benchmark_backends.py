@@ -11,8 +11,9 @@ one pass of ``kernels.PASS_SAMPLES`` samples at a time; it is timed
 against the per-sample reference stream ``model.sample_stream`` and must
 reproduce its permutations.  The fresh-process table times ``permex <sub>
 --help`` for every subcommand, one ``rate`` run, four ``argmax`` runs
-(the collapsed walk of ``moments``, at r = 2, 3 and 5), two ``product``
-runs (r = 3 and 4) and three ``oracle`` runs (the orbit sum of ``kernels``,
+(the collapsed walk of ``moments``, at r = 2, 3 and 5), four ``product``
+runs (r = 3, 4, 12 and 60, the last two with few profiles but long
+compositions) and three ``oracle`` runs (the orbit sum of ``kernels``,
 at r = 2, 3 and 4) in fresh child processes, and shows whether each loaded
 numpy.  Run after an editable install:
 
@@ -66,7 +67,7 @@ def bench_startup():
     commands = [[sub, "--help"] for sub in SUBCOMMANDS]
     commands.append(["rate", "--r", "2", "--p", "0.5"])
     for sub, points in (("argmax", ((10, 2, 5, 5), (12, 2, 6, 6), (7, 3, 3, 4), (6, 5, 3, 3))),
-                        ("product", ((10, 3, 5, 5), (8, 4, 4, 4))),
+                        ("product", ((10, 3, 5, 5), (8, 4, 4, 4), (4, 12, 2, 2), (1, 60, 1, 1))),
                         ("oracle", ((12, 2, 6, 6), (7, 3, 3, 4), (5, 4, 2, 3)))):
         for n, r, m, m2 in points:
             commands.append([sub, "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])

@@ -9,6 +9,7 @@ pure-Python DP as the reference the tests compare against.
 """
 
 import itertools
+from bisect import bisect_right
 from collections import Counter
 from math import comb, factorial
 from operator import mul
@@ -94,18 +95,21 @@ def subperm_profiles(mats, n: int, max_entry: int):
     return [f[popcount == m].sum(axis=0).tolist() for m in range(n + 1)]
 
 
-def rising_splits(total, parts, low=0):
-    """Non-decreasing splits of `total` into `parts` >= 1 parts of at least `low`, in lex order.
+def rising_splits(total, parts):
+    """Non-decreasing splits of `total` into `parts` >= 1 parts, in lex order.
 
     The one partition enumerator: the oracle's cycle types of S_n are
     rising_splits(n, n) less the zeros, the product's color orbits rising_splits(m, r).
+    Each step raises the last part at least 2 below the final one (just
+    those can grow; a bisection finds it, as splits are sorted), sets the
+    parts after it to its new value and gives the final part the rest.
     """
-    if parts == 1:
-        yield (total,)
-        return
-    for v in range(low, total // parts + 1):
-        for tail in rising_splits(total - v, parts - 1, v):
-            yield (v,) + tail
+    split = [0] * (parts - 1) + [total]
+    yield tuple(split)
+    while (j := bisect_right(split, split[-1] - 2, 0, parts - 1) - 1) >= 0:
+        v, rest = split[j] + 1, sum(split[j:])
+        split[j:] = [v] * (parts - 1 - j) + [rest - v * (parts - 1 - j)]
+        yield tuple(split)
 
 
 def _cycle_classes(n: int):

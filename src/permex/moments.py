@@ -58,13 +58,13 @@ The first largest term, which ``argmax_profile`` reports, lies in such a
 split too.
 """
 
-import sys
 from collections import Counter
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import tee
 from math import comb, factorial, perm, prod
+from operator import add, sub
 
 from .errors import CapacityError, DomainError
 from .kernels import rising_splits
@@ -79,15 +79,31 @@ TERM_BUDGET_DEFAULT = 10**9
 
 
 def _capped_compositions(total, caps):
-    """Compositions of `total` into len(caps) >= 1 parts, part i at most caps[i]."""
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    rest = caps[1:]
-    for v in range(max(0, total - sum(rest)), min(caps[0], total) + 1):
-        for tail in _capped_compositions(total - v, rest):
-            yield (v,) + tail
+    """Compositions of `total` into len(caps) >= 1 parts, 0 <= part i <= caps[i], in lex order.
+
+    Each step raises the last part j that can grow while later parts hold
+    something, and packs those, less one, as far right as the caps allow.
+    """
+    parts = [0] * len(caps)
+    j, left = -1, total
+    while True:
+        k = len(caps)
+        while left and k > j + 1:
+            k -= 1
+            parts[k] = caps[k] if caps[k] < left else left
+            left -= parts[k]
+        if left:  # total > sum(caps): only the first pack can fail
+            return
+        yield tuple(parts)
+        for j in range(len(caps) - 2, -1, -1):
+            left += parts[j + 1]
+            parts[j + 1] = 0
+            if left and parts[j] < caps[j]:
+                parts[j] += 1
+                left -= 1
+                break
+        else:
+            return
 
 
 def _row_sums(mat):
@@ -103,8 +119,7 @@ def _offdiag_matrices(r, budget, col_caps):
 
     Lex order over the cells, row by row, from the zero matrix (budget and
     caps are >= 0): each step raises the last cell that can still grow and
-    zeroes every cell after it.  A loop, not one recursion level per cell,
-    so r(r - 1) cells cost no stack depth.
+    zeroes every cell after it.
     """
     cells = [(i, k) for i in range(r) for k in range(r) if k != i]
     mat = [[0] * r for _ in range(r)]
@@ -125,24 +140,23 @@ def _offdiag_matrices(r, budget, col_caps):
 
 
 def _offdiag_rowsum_matrices(r, row_sums, col_caps):
-    """Off-diagonal matrices with exact row sums and capped column sums."""
-    mat = [None] * r
-    cols = [0] * r
-
-    def rec(i):
-        if i == r:
-            yield tuple(mat)
-            return
-        caps = [0 if k == i else col_caps[k] - cols[k] for k in range(r)]
-        for row in _capped_compositions(row_sums[i], caps):
-            mat[i] = row
-            for k in range(r):
-                cols[k] += row[k]
-            yield from rec(i + 1)
-            for k in range(r):
-                cols[k] -= row[k]
-
-    yield from rec(0)
+    """Off-diagonal matrices with exact row sums and capped column sums, in lex order."""
+    mat, room = [], list(col_caps)
+    # one _capped_compositions iterator per placed row, and one for the next
+    stack = [_capped_compositions(row_sums[0], [0, *room[1:]])]
+    while stack:
+        if len(mat) == len(stack):  # the top iterator's last row is done
+            room = list(map(add, room, mat.pop()))
+        row = next(stack[-1], None)
+        if row is None:
+            stack.pop()
+        elif len(mat) + 1 == r:
+            yield (*mat, row)
+        else:
+            mat.append(row)
+            room = list(map(sub, room, row))
+            i = len(mat)
+            stack.append(_capped_compositions(row_sums[i], [*room[:i], 0, *room[i + 1:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -228,27 +242,9 @@ def _prefixes(n, r, m, m2, bases):
                                        w_row * w_col, left - b - c, spare, lcaps, rcaps)
 
 
-def _check_nesting(r):
-    """CapacityError, before any work, if the walk would nest past the recursion limit.
-
-    _offdiag_rowsum_matrices recurses once per color, each level reading a
-    _capped_compositions chain one generator per color deep: the walk needs
-    2r + 5 frames beyond the depth of the frame calling this (measured at
-    r >= 2).  10 more are kept for C calls between frames, which count
-    toward the limit too.
-    """
-    need, frame = 2 * r + 15, sys._getframe(1)
-    while frame is not None:
-        need, frame = need + 1, frame.f_back
-    if need > sys.getrecursionlimit():
-        raise CapacityError(f"r={r} nests the profile walk {need} frames deep,"
-                            f" past the recursion limit {sys.getrecursionlimit()}")
-
-
 def profile_iterator(n, r, m, m2):
     """Yield every feasible ColorProfile exactly once, in nested lex order."""
     moment_key(n, r, m, m2)
-    _check_nesting(r)
     for base, fresh, dup, rowh, colh, _, d, spare, lcaps, rcaps in _prefixes(
         n, r, m, m2, _capped_compositions(m, (m,) * r)
     ):
@@ -367,7 +363,6 @@ def _walk(n, r, m, m2, term_budget):
     Hmax) of (dvec, lcaps) and (dvec, rcaps), which stop past term_budget
     matrices with L and first None and the count over budget.
     """
-    _check_nesting(r)
     table = {}
 
     def cross(dvec, caps):

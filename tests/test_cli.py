@@ -59,13 +59,14 @@ def test_product_budget_boundary(capsys):
 @pytest.mark.parametrize("command", ["product", "argmax"])
 @pytest.mark.parametrize("r", [600, 1000])
 def test_deep_r_exits_2_at_once(capsys, command, r):
-    # the walk would nest past the recursion limit: refused before any work
+    # the walk takes no stack per color, so deep r meets only the budget
     start = time.perf_counter()
-    code, out, err = run(capsys, command, "--n", "1", "--r", str(r), "--m", "1", "--m2", "1")
-    assert time.perf_counter() - start < 1
+    code, out, err = run(capsys, command, "--n", "1", "--r", str(r), "--m", "1", "--m2", "1",
+                         "--budget", "0")
+    assert time.perf_counter() - start < 5
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "recursion limit" in err
+    assert err.startswith("error: ") and "budget 0" in err
     assert "Traceback" not in err
 
 

@@ -27,6 +27,7 @@ from permex.moments import (
     _host_integer,
     _loads,
     _offdiag_matrices,
+    _offdiag_rowsum_matrices,
 )
 
 
@@ -312,20 +313,6 @@ def test_product_and_argmax_at_large_r(r):
     assert value > 0
 
 
-def _outcome(fn, point, limit):
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit)
-    try:
-        fn(*point)
-        return "ran"
-    except CapacityError:
-        return "refused"
-    except RecursionError:
-        return "overflow"
-    finally:
-        sys.setrecursionlimit(old)
-
-
 def _depth():
     depth, frame = 0, sys._getframe(1)
     while frame is not None:
@@ -333,30 +320,68 @@ def _depth():
     return depth
 
 
-@pytest.mark.parametrize("fn", [expectation_product, argmax_profile,
-                                lambda *p: list(profile_iterator(*p))],
-                         ids=["expectation_product", "argmax_profile", "profile_iterator"])
-def test_nesting_check_refuses_what_would_overflow(monkeypatch, fn):
-    # from far too low recursion limits to enough, the walk is refused or
-    # runs, never overflows; with the check off it overflows at every limit
-    # the check refuses but at most 11 (10 frames kept for C calls, and one
-    # more as profile_iterator nests a frame less than the walk)
-    point, low = (2, 6, 1, 1), _depth() + 20
-    limits = range(low, low + 40)
-    checked = [_outcome(fn, point, limit) for limit in limits]
-    assert "overflow" not in checked and checked[0] == "refused" and checked[-1] == "ran"
-    monkeypatch.setattr(moments, "_check_nesting", lambda r: None)
-    overflows = [_outcome(fn, point, limit) for limit in limits].count("overflow")
-    assert 0 < overflows <= checked.count("refused") <= overflows + 11
+@pytest.mark.parametrize("walk", ["expectation_product", "argmax_profile", "profile_iterator"])
+def test_walk_depth_is_independent_of_r(walk):
+    # the enumerators are loops: 30 frames past the caller's depth run any r
+    # (the recursive ones needed 2r + 5); at n = 1 all r^2 profiles weigh 1.
+    # Exhausting profile_iterator at r = 60 builds 3,600 profiles of four
+    # 60 x 60 matrices (seconds); its first profile already nests as deep.
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 30)
+    try:
+        for r in (2, 6, 20, 60):
+            point = (1, r, 1, 1)
+            if walk == "expectation_product":
+                product = expectation_product(*point)
+                assert (product.value, product.term_count) == (r * r, r * r)
+            elif walk == "argmax_profile":
+                profile, value = argmax_profile(*point)
+                validate_profile(profile, *point)
+                assert value == 1
+            elif r < 60:
+                assert sum(1 for _ in profile_iterator(*point)) == r * r
+            else:
+                validate_profile(next(profile_iterator(*point)), *point)
+    finally:
+        sys.setrecursionlimit(old)
 
 
 @pytest.mark.parametrize("total", range(9))
 def test_rising_splits_are_sorted_compositions(total):
-    # argmax breaks ties in this order, so it is pinned against the compositions
+    # argmax breaks ties in this order, so it is pinned against brute force
     for parts in range(1, 6):
-        want = [c for c in _capped_compositions(total, (total,) * parts)
-                if list(c) == sorted(c)]
+        want = [c for c in itertools.product(range(total + 1), repeat=parts)
+                if sum(c) == total and list(c) == sorted(c)]
         assert list(rising_splits(total, parts)) == want
+
+
+def test_rising_splits_many_parts():
+    assert list(rising_splits(1, 1000)) == [(0,) * 999 + (1,)]
+
+
+@pytest.mark.parametrize("parts", range(1, 5))
+def test_capped_compositions_lex_order(parts):
+    for caps in itertools.product(range(4), repeat=parts):
+        for total in range(sum(caps) + 2):
+            want = [c for c in itertools.product(*(range(cap + 1) for cap in caps))
+                    if sum(c) == total]
+            assert list(_capped_compositions(total, caps)) == want
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_offdiag_rowsum_matrices_lex_order(r):
+    # every off-diagonal matrix with row sums <= 2, in lex order, filtered
+    # by each call's row sums and column caps
+    rows = [[(*row[:i], 0, *row[i:]) for row in itertools.product(range(3), repeat=r - 1)
+             if sum(row) <= 2] for i in range(r)]
+    by_sums = {}
+    for mat in itertools.product(*rows):
+        by_sums.setdefault(tuple(map(sum, mat)), []).append((_column_sums(mat), mat))
+    for sums in itertools.product(range(3), repeat=r):
+        for caps in itertools.product(range(3), repeat=r):
+            want = [mat for cols, mat in by_sums.get(sums, [])
+                    if all(c <= cap for c, cap in zip(cols, caps))]
+            assert list(_offdiag_rowsum_matrices(r, sums, caps)) == want
 
 
 @pytest.mark.parametrize("r, budget, caps", [(1, 3, (2,)), (2, 3, (1, 2)), (3, 2, (1, 0, 2)),
