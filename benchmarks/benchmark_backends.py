@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Time the subpermanent-profile kernel and the Philox sample stream.
 
-Every profile in the package comes from the batched numpy kernel
-``kernels.subperm_profiles``: Monte Carlo sampling and the oracle run it
-on blocks of ``kernels.block_size(n)`` matrices, and the per-matrix API
-``kernels.subperm_profile`` runs it on a block of one.  Both are timed
-here against ``_pykernels.subperm_profile``, and both must reproduce its
-values.  Monte Carlo draws its permutations with ``model.sample_block``,
+Monte Carlo sampling and the oracle's large tables run the batched numpy
+kernel ``kernels.subperm_profiles`` on blocks of ``kernels.block_size(n)``
+matrices, and the per-matrix API ``kernels.subperm_profile`` runs it on a
+block of one; the oracle's small tables run the reference DP itself.
+Both numpy calls are timed here against ``_pykernels.subperm_profile``,
+and both must reproduce its values.  Monte Carlo draws its permutations with ``model.sample_block``,
 one pass of ``kernels.PASS_SAMPLES`` samples at a time; it is timed
 against the per-sample reference stream ``model.sample_stream`` and must
 reproduce its permutations.  The fresh-process table times ``permex <sub>
 --help`` for every subcommand, one ``rate`` run, four ``argmax`` runs
 (the collapsed walk of ``moments``, at r = 2, 3 and 5), four ``product``
 runs (r = 3, 4, 12 and 60, the last two with few profiles but long
-compositions) and three ``oracle`` runs (the orbit sum of ``kernels``,
-at r = 2, 3 and 4) in fresh child processes, and shows whether each loaded
-numpy.  Run after an editable install:
+compositions), four ``oracle`` runs (the orbit sum of ``kernels``, at
+r = 2, 3 and 4; (4, 3) is small enough for the pure path) and ``verify
+--suite oracle-product`` in fresh child processes, and shows whether each
+loaded numpy.  Run after an editable install:
 
     python benchmarks/benchmark_backends.py
 """
@@ -68,9 +69,10 @@ def bench_startup():
     commands.append(["rate", "--r", "2", "--p", "0.5"])
     for sub, points in (("argmax", ((10, 2, 5, 5), (12, 2, 6, 6), (7, 3, 3, 4), (6, 5, 3, 3))),
                         ("product", ((10, 3, 5, 5), (8, 4, 4, 4), (4, 12, 2, 2), (1, 60, 1, 1))),
-                        ("oracle", ((12, 2, 6, 6), (7, 3, 3, 4), (5, 4, 2, 3)))):
+                        ("oracle", ((12, 2, 6, 6), (7, 3, 3, 4), (5, 4, 2, 3), (4, 3, 2, 2)))):
         for n, r, m, m2 in points:
             commands.append([sub, "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])
+    commands.append(["verify", "--suite", "oracle-product"])
     for argv in commands:
         walls = []
         for _ in range(STARTUP_RUNS):

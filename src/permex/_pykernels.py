@@ -1,10 +1,11 @@
 """Pure-Python reference kernel for the subpermanent profile.
 
-It runs on plain Python integers, so it has no overflow ceiling.  No
-command calls it: the package computes every profile with the batched
-numpy kernel ``kernels.subperm_profiles``, which runs the same DP over a
-block of matrices.  Tests and ``benchmarks/benchmark_backends.py`` check
-that kernel against this one, so the two must stay bit-identical.
+It runs on plain Python integers, so it has no overflow ceiling.  The
+oracle profiles its small tables with it (``kernels.PURE_ORACLE_CELLS``),
+which saves them importing numpy; every other profile comes from the
+batched numpy kernel ``kernels.subperm_profiles``, which runs the same DP
+over a block of matrices.  Tests and ``benchmarks/benchmark_backends.py``
+check that kernel against this one, so the two must stay bit-identical.
 """
 
 

@@ -1,11 +1,13 @@
 """The subpermanent profile kernel, the arithmetic it runs on, and the oracle.
 
-Every profile, sampled or enumerated, comes from one vectorised numpy DP,
-``subperm_profiles``, run over a block of matrices.  Each call picks its
-arithmetic from its input, once per block: when ``profile_value_bound``
-proves that all values fit, the DP runs on int64, and otherwise on
-``object`` arrays of exact Python integers.  ``_pykernels`` keeps the
-pure-Python DP as the reference the tests compare against.
+Sampled profiles, and those of every oracle table too large for Python
+lists, come from one vectorised numpy DP, ``subperm_profiles``, run over a
+block of matrices.  Each call picks its arithmetic from its input, once
+per block: when ``profile_value_bound`` proves that all values fit, the DP
+runs on int64, and otherwise on ``object`` arrays of exact Python
+integers.  The pure-Python DP in ``_pykernels`` is the reference the tests
+compare that kernel against; it also profiles the oracle's small tables
+(``PURE_ORACLE_CELLS``), which then never import numpy.
 """
 
 import itertools
@@ -13,6 +15,8 @@ from bisect import bisect_right
 from collections import Counter
 from math import comb, factorial
 from operator import mul
+
+from . import _pykernels
 
 I64_SAFE_BOUND = 1 << 62
 
@@ -26,6 +30,14 @@ I64_SAFE_BOUND = 1 << 62
 BLOCK_CELLS = 1 << 14
 BLOCK_MATRICES = 64
 BLOCK_MAX_N = 12
+
+# Oracle tables of at most this many DP cells (matrices x 2^n states) run
+# the reference DP on Python lists, so they never import numpy.  The pure
+# DP's cost per cell grows as n^2.  In fresh processes on 2 shared vCPUs
+# the largest such table, (n, r) = (12, 1), takes 0.10-0.16 s against
+# 0.20-0.23 s for `python -c "import numpy"`; a bound of BLOCK_CELLS would
+# admit (14, 1), at 0.29-0.32 s.
+PURE_ORACLE_CELLS = 1 << 12
 
 # Samples per Monte Carlo sampler pass (``model.sample_block``), rounded
 # down to whole blocks, at least one.  The pass's numpy operations per
@@ -141,40 +153,30 @@ def oracle_product_sums(n: int, r: int):
     Left-multiplying a tuple by P1^-1 permutes rows and maps the tuples
     bijectively onto those with P1 = I, so the sum is n! times the sum with
     P1 fixed at I.  Conjugating by any g fixes I and permutes rows and
-    columns, so P2 contributes only through its cycle type: one
-    representative per class, weighted by the class size.  P3..Pr still
-    range over all of S_n, so p(n) (n!)^(r-2) matrices are evaluated, in
-    blocks of ``block_size(n)``; matrix k of that sequence is head
-    k // (n!)^(r-2) plus the tail whose base-n! digits are k % (n!)^(r-2).
-    Returns an (n+1) x (n+1) symmetric table of exact integers.
+    columns, so P2 contributes only through its cycle type: one head
+    I + P2 per class, weighted by n! times the class size.  P3..Pr still
+    range over all of S_n, so p(n) (n!)^(r-2) matrices are evaluated.  A
+    table of at most ``PURE_ORACLE_CELLS`` DP cells runs the reference DP
+    on Python lists (``_pure_oracle_blocks``), larger ones numpy's
+    (``_numpy_oracle_blocks``); both yield blocks of (head index, profile
+    columns).  Returns an (n+1) x (n+1) symmetric table of exact integers.
     """
-    import numpy as np
-
-    eye = np.eye(n, dtype=np.int64)
     nfact = factorial(n)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
     if r == 1:
-        heads, weights = eye[None], [nfact]
+        heads, weights = [eye], [nfact]
     else:
         classes = list(_cycle_classes(n))
-        heads = np.array([eye + eye[list(rep)] for rep, _ in classes])
+        heads = [[[int(i == j) + (j == rep[i]) for j in range(n)] for i in range(n)]
+                 for rep, _ in classes]
         weights = [nfact * size for _, size in classes]
-    tail_len = max(r - 2, 0)
-    tails = nfact**tail_len
-    if tail_len:  # perms[k, i]: the column permutation k puts in row i
-        cells = itertools.chain.from_iterable(itertools.permutations(range(n)))
-        perms = np.fromiter(cells, dtype=np.int8, count=nfact * n).reshape(nfact, n)
-    rows = np.arange(n)
-    count, block = oracle_matrix_count(n, r), block_size(n)
+    if oracle_matrix_count(n, r) << n <= PURE_ORACLE_CELLS:
+        blocks = _pure_oracle_blocks(heads, n, r)
+    else:
+        blocks = _numpy_oracle_blocks(heads, n, r)
     table = [[0] * (n + 1) for _ in range(n + 1)]
-    for start in range(0, count, block):
-        head, tail = np.divmod(np.arange(start, min(start + block, count)), tails)
-        mats = heads[head]
-        batch = np.arange(len(head))[:, None]
-        for _ in range(tail_len):
-            tail, digit = np.divmod(tail, nfact)
-            mats[batch, rows, perms[digit]] += 1
-        prof = subperm_profiles(mats, n, r)
-        weight = [weights[h] for h in head.tolist()]
+    for head, prof in blocks:
+        weight = [weights[h] for h in head]
         for m in range(n + 1):
             weighted = list(map(mul, weight, prof[m]))
             row = table[m]
@@ -184,3 +186,49 @@ def oracle_product_sums(n: int, r: int):
         for m2 in range(m + 1, n + 1):
             table[m2][m] = table[m][m2]
     return table
+
+
+def _pure_oracle_blocks(heads, n: int, r: int):
+    """Every oracle matrix as one block of Python lists, profiled by the reference DP.
+
+    Each head is followed by its P3..Pr tails; a tail adds one entry per
+    row of each of its permutations.
+    """
+    perms = list(itertools.permutations(range(n))) if r > 2 else []  # n! only for tails
+    head_of, profiles = [], []
+    for h, head in enumerate(heads):
+        for tail in itertools.product(perms, repeat=max(r - 2, 0)):
+            mat = [row[:] for row in head]
+            for perm in tail:
+                for i, j in enumerate(perm):
+                    mat[i][j] += 1
+            head_of.append(h)
+            profiles.append(_pykernels.subperm_profile(mat, n))
+    yield head_of, list(zip(*profiles))
+
+
+def _numpy_oracle_blocks(heads, n: int, r: int):
+    """The oracle's matrices in int64 blocks of ``block_size(n)``, profiled by numpy.
+
+    Matrix k is head k // (n!)^(r-2) plus the tail whose base-n! digits
+    are k % (n!)^(r-2).
+    """
+    import numpy as np
+
+    heads = np.array(heads, dtype=np.int64)
+    nfact = factorial(n)
+    tail_len = max(r - 2, 0)
+    tails = nfact**tail_len
+    if tail_len:  # perms[k, i]: the column permutation k puts in row i
+        cells = itertools.chain.from_iterable(itertools.permutations(range(n)))
+        perms = np.fromiter(cells, dtype=np.int8, count=nfact * n).reshape(nfact, n)
+    rows = np.arange(n)
+    count, block = oracle_matrix_count(n, r), block_size(n)
+    for start in range(0, count, block):
+        head, tail = np.divmod(np.arange(start, min(start + block, count)), tails)
+        mats = heads[head]
+        batch = np.arange(len(head))[:, None]
+        for _ in range(tail_len):
+            tail, digit = np.divmod(tail, nfact)
+            mats[batch, rows, perms[digit]] += 1
+        yield head.tolist(), subperm_profiles(mats, n, r)

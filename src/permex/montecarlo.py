@@ -10,10 +10,10 @@ call of the batched numpy kernel ``kernels.subperm_profiles``, which
 certifies int64 or Python-int arithmetic once for the block.  When the
 whole tuple space is smaller than the requested sample count, estimation
 switches to enumeration mode and returns the exact ensemble average with
-zero standard error.
+zero standard error, from the oracle table (``permanents.product_sum_table``),
+which at small (n, r) builds no arrays and so does not import numpy.
 """
 
-import concurrent.futures
 import math
 import os
 from dataclasses import dataclass
@@ -132,6 +132,8 @@ def estimate_moments(
         )
 
     if threads > 1 and samples >= 2 * threads:
+        import concurrent.futures
+
         # load numpy before the pool forks its workers, so that they inherit
         # it rather than each import it again
         import numpy  # noqa: F401

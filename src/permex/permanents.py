@@ -4,8 +4,9 @@ perm_m of an n x n matrix is the sum, over all ways to pick m rows and m
 columns, of the permanent of the selected m x m submatrix.  The oracle
 averages perm_m * perm_m2 over all (n!)^r permutation tuples as an orbit
 sum over cycle types (see ``kernels.oracle_product_sums``).  Profiles come
-from the batched numpy DP in ``kernels``.  Everything in this module is
-exact integer or rational arithmetic.
+from the batched numpy DP in ``kernels``, except the small oracle tables',
+which the reference DP in ``_pykernels`` computes without numpy.
+Everything in this module is exact integer or rational arithmetic.
 """
 
 import threading

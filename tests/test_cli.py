@@ -246,6 +246,11 @@ def test_startup_without_numpy():
         ("product", "--n", "3", "--r", "2", "--m", "1", "--m2", "2"),
         ("argmax", "--n", "3", "--r", "2", "--m", "1", "--m2", "2"),
         ("verify", "--help"),
+        # small oracle tables run the reference DP on Python lists
+        ("verify", "--suite", "oracle-product"),
+        ("oracle", "--n", "4", "--r", "3", "--m", "2", "--m2", "2"),
+        # 36 tuples <= 100 samples: enumeration mode reads the oracle table
+        ("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "100"),
     )
     # the same check sees numpy once a command builds arrays
     assert _loads_numpy(("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "4"))

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from permex import (
@@ -80,7 +82,7 @@ def test_worker_pool_capped_at_cpu_count(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
     spec = EnsembleSpec(5, 2, seed=4)
     capped = estimate_moments(spec, 2, 2, samples=400, threads=200)

@@ -152,10 +152,33 @@ def test_oracle_matches_full_enumeration():
 
 @pytest.mark.parametrize("n, r", [(4, 3), (3, 4), (5, 2)])
 def test_oracle_blocks_end_part_way(monkeypatch, n, r):
-    # Blocks of 5 end inside a head's run of tails and across heads.
+    # Blocks of 5 end inside a head's run of tails and across heads; these
+    # tables are small enough for the pure path, so numpy's is forced.
+    monkeypatch.setattr(kernels, "PURE_ORACLE_CELLS", 0)
     monkeypatch.setattr(kernels, "block_size", lambda n: 5)
     monkeypatch.setattr(permanents, "_table_cache", {})
     assert product_sum_table(n, r) == full_enumeration_table(n, r)
+
+
+# Every table the pure-path rule takes with n <= 5 (n = 1 for r <= 12,
+# where each table is one 1 x 1 matrix).  Beside them, (5, 3) is left to
+# numpy and (6, 2) is pure.
+PURE_RULE_TABLES = [(n, r) for n in range(1, 6) for r in range(1, 13)
+                    if kernels.oracle_matrix_count(n, r) << n <= kernels.PURE_ORACLE_CELLS]
+
+
+@pytest.mark.parametrize("n, r", PURE_RULE_TABLES + [(5, 3), (6, 2)])
+def test_oracle_paths_agree(monkeypatch, n, r):
+    def forced(bound):
+        monkeypatch.setattr(kernels, "PURE_ORACLE_CELLS", bound)
+        monkeypatch.setattr(permanents, "_table_cache", {})
+        return product_sum_table(n, r)
+
+    numpy_table = forced(0)
+    # the pure path profiles with the reference DP alone
+    for name in ("subperm_profile", "subperm_profiles"):
+        monkeypatch.setattr(kernels, name, None)
+    assert forced(1 << 40) == numpy_table
 
 
 def test_oracle_budget_counts_evaluated_matrices(monkeypatch):
