@@ -15,6 +15,7 @@ in the parser.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -201,16 +202,8 @@ def _cmd_argmax(args):
     fields = {
         **_pick(args, "n", "r", "m", "m2"),
         **_rational("value", value),
-        "profile": {
-            "base": list(profile.base),
-            "fresh": list(profile.fresh),
-            "dup": list(profile.dup),
-            "row_hits": [list(row) for row in profile.row_hits],
-            "col_hits": [list(row) for row in profile.col_hits],
-            "cross_rows": [list(row) for row in profile.cross_rows],
-            "cross_cols": [list(row) for row in profile.cross_cols],
-            "totals": totals,
-        },
+        # the fields in ColorProfile's order; json writes tuples as lists
+        "profile": {**dataclasses.asdict(profile), "totals": totals},
     }
     # the one flat CSV record: splits joined with "|", the hit matrices totalled
     record = {
@@ -385,14 +378,16 @@ def _add_common(sub, *names):
         "seed": (("--seed",), {"type": int, "default": 0, "help": "64-bit seed"}),
         "tol": (("--tol",), {"type": float, "help": "tolerance override"}),
         "budget": (("--budget",), {"type": _budget, "help": "work budget override"}),
+        "threads": (("--threads",), {"type": int, "default": os.cpu_count() or 1,
+                                     "help": "worker processes for sampling"}),
+        "threads_ignored": (("--threads",), {"type": int, "help": "accepted and ignored:"
+                                             " this subcommand runs in one process"}),
     }
     for name in names:
         flags, kwargs = specs[name]
         sub.add_argument(*flags, **kwargs)
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="report format")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker processes for partitionable operations")
 
 
 def build_parser() -> _Parser:
@@ -401,11 +396,11 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("expect", help="exact E(perm_m)")
-    _add_common(sub, "n", "r", "m")
+    _add_common(sub, "n", "r", "m", "threads_ignored")
     sub.set_defaults(func=_cmd_expect)
 
     sub = subs.add_parser("product", help="exact E(perm_m perm_m2)")
-    _add_common(sub, "n", "r", "m", "m2", "budget")
+    _add_common(sub, "n", "r", "m", "m2", "budget", "threads_ignored")
     sub.set_defaults(func=_cmd_product, budget=TERM_BUDGET_DEFAULT)
 
     sub = subs.add_parser("oracle", help="brute-force E(perm_m perm_m2)")
@@ -425,11 +420,11 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_analytic)
 
     sub = subs.add_parser("mc", help="Monte Carlo moment estimates")
-    _add_common(sub, "n", "r", "m", "m2", "samples", "seed")
+    _add_common(sub, "n", "r", "m", "m2", "samples", "seed", "threads")
     sub.set_defaults(func=_cmd_mc)
 
     sub = subs.add_parser("scan", help="finite-size convergence scan")
-    _add_common(sub, "n_list", "r", "p", "q_req", "samples", "seed")
+    _add_common(sub, "n_list", "r", "p", "q_req", "samples", "seed", "threads")
     sub.set_defaults(func=_cmd_scan)
 
     sub = subs.add_parser("argmax", help="dominant profile of the exact sum")
@@ -438,7 +433,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("verify", help="run a verification suite")
     sub.add_argument("--suite", choices=sorted(SUITES), required=True)
-    _add_common(sub, "r_opt", "seed", "budget")
+    _add_common(sub, "r_opt", "seed", "budget", "threads_ignored")
     sub.set_defaults(func=_cmd_verify, budget=TUPLE_BUDGET_DEFAULT)
 
     return parser

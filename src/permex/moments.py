@@ -363,6 +363,11 @@ def _walk(n, r, m, m2, term_budget):
     Hmax) of (dvec, lcaps) and (dvec, rcaps), which stop past term_budget
     matrices with L and first None and the count over budget.
     """
+    refusal = f"profile count exceeded budget {term_budget} at (n={n}, r={r}, m={m}, m2={m2})"
+    if term_budget < 1:
+        # every input has a profile (A holds a permutation matrix): refuse
+        # before building any hit list or cross-hit table
+        raise CapacityError(refusal)
     table = {}
 
     def cross(dvec, caps):
@@ -393,8 +398,7 @@ def _walk(n, r, m, m2, term_budget):
                     if right[1]:
                         count += orbit * left[1] * right[1]
                         if count > term_budget:
-                            raise CapacityError(f"profile count exceeded budget {term_budget}"
-                                                f" at (n={n}, r={r}, m={m}, m2={m2})")
+                            raise CapacityError(refusal)
                         wd = prod((factorial(sp - di) * factorial(di)
                                    for sp, di in zip(spare, dvec)), start=w)
                         yield count, orbit, prefix, wd, left, right

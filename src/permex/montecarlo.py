@@ -81,17 +81,16 @@ def _mc_worker(args):
     return sums
 
 
+def _estimate(mean_exact, stderr, samples, n) -> MCEstimate:
+    return MCEstimate(mean=float(mean_exact), stderr=stderr, samples=samples,
+                      log_mean_over_n=_log_fraction(mean_exact) / n, mean_exact=mean_exact)
+
+
 def _make_estimate(total, total_sq, count, n) -> MCEstimate:
-    mean_exact = Fraction(total, count)
+    """The estimate from exact sums over count >= 2 samples."""
     var_num = count * total_sq - total * total
-    stderr_sq = Fraction(var_num, count * count * (count - 1)) if count > 1 else Fraction(0)
-    return MCEstimate(
-        mean=float(mean_exact),
-        stderr=math.sqrt(float(stderr_sq)),
-        samples=count,
-        log_mean_over_n=_log_fraction(mean_exact) / n,
-        mean_exact=mean_exact,
-    )
+    stderr_sq = Fraction(var_num, count * count * (count - 1))
+    return _estimate(Fraction(total, count), math.sqrt(float(stderr_sq)), count, n)
 
 
 def estimate_moments(
@@ -116,18 +115,10 @@ def estimate_moments(
     if space <= samples:
         # enumeration covers the whole space: means exact, no sampling error
         table = product_sum_table(n, r)
-
-        def exact(total):
-            mean = Fraction(total, space)
-            return MCEstimate(
-                mean=float(mean), stderr=0.0, samples=space,
-                log_mean_over_n=_log_fraction(mean) / n, mean_exact=mean,
-            )
-
         return MomentEstimates(
-            first=exact(table[m][0]),
-            second=exact(table[m2][0]),
-            product=exact(table[m][m2]),
+            first=_estimate(Fraction(table[m][0], space), 0.0, space, n),
+            second=_estimate(Fraction(table[m2][0], space), 0.0, space, n),
+            product=_estimate(Fraction(table[m][m2], space), 0.0, space, n),
             mode="enumeration",
         )
 

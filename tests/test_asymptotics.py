@@ -7,6 +7,7 @@ import pytest
 from permex import (
     DomainError,
     InfeasiblePointError,
+    SolverError,
     analytic_solution,
     product_rate,
     rate_components,
@@ -220,6 +221,15 @@ def test_solver_domain():
     for tol in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             solve_stationary(0.5, 0.5, 2, tol=tol)
+
+
+def test_solver_failure_carries_best_point():
+    # a tolerance below double precision cannot be met
+    with pytest.raises(SolverError) as err:
+        solve_stationary(0.3, 0.7, 3, tol=1e-300)
+    best = err.value.best
+    assert len(best) == 5
+    assert all(isinstance(x, float) and x > 0 for x in best)
 
 
 def test_product_rate_value_and_symmetry():

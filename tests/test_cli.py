@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from permex import kernels
+from permex import cli, kernels
 from permex.cli import dispatch
 from permex.permanents import DIM_LIMIT_DEFAULT
 
@@ -144,10 +145,19 @@ def _golden_id(command):
     return "-".join(word for word in command.split() if not word.startswith("--"))
 
 
+# the subcommands that take --threads: mc and scan sample in worker
+# processes; product, verify and expect accept it and run in one process
+THREADED = ("mc", "scan", "product", "verify", "expect")
+
+
+def _one_thread(argv):
+    return [*argv, "--threads", "1"] if argv[0] in THREADED else list(argv)
+
+
 @pytest.mark.parametrize("command", sorted(REPORTS_GOLDEN), ids=_golden_id)
 def test_reports_golden(capsys, command):
     for fmt in ("json", "csv"):
-        code, out, _ = run(capsys, *command.split(), "--format", fmt, "--threads", "1")
+        code, out, _ = run(capsys, *_one_thread([*command.split(), "--format", fmt]))
         assert code == 0
         assert out == REPORTS_GOLDEN[command][fmt]
 
@@ -229,9 +239,9 @@ def _loads_numpy(*commands):
         "-c",
         "import contextlib, io, sys\n"
         "import permex, permex.cli\n"
-        f"for argv in {[list(c) for c in commands]!r}:\n"
+        f"for argv in {[_one_thread(c) for c in commands]!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert permex.cli.dispatch(argv + ['--threads', '1']) == 0, argv\n"
+        "        assert permex.cli.dispatch(argv) == 0, argv\n"
         "print('numpy' in sys.modules)\n"
     )
     assert proc.returncode == 0, proc.stderr.decode()
@@ -265,6 +275,27 @@ def test_unknown_flag_exits_1(capsys):
         assert "usage" in err
 
 
+def test_threads_only_where_taken(capsys):
+    # five subcommands never start a worker process and reject the option
+    for argv in (("oracle", "--n", "2", "--r", "2", "--m", "1", "--m2", "1"),
+                 ("rate", "--r", "2", "--p", "0.5"),
+                 ("solve", "--r", "2", "--p", "0.5", "--q", "0.5"),
+                 ("analytic", "--r", "2", "--p", "0.5", "--q", "0.5"),
+                 ("argmax", "--n", "2", "--r", "2", "--m", "1", "--m2", "1")):
+        code, out, err = run(capsys, *argv, "--threads", "1")
+        assert code == 1, argv
+        assert out == ""
+        assert "usage" in err and "unrecognized arguments: --threads" in err
+    for argv in (("mc", "--n", "4", "--r", "2", "--m", "2", "--m2", "2", "--samples", "100"),
+                 ("scan", "--r", "2", "--p", "0.5", "--q", "0.5", "--n", "4",
+                  "--samples", "100"),
+                 ("product", "--n", "3", "--r", "2", "--m", "1", "--m2", "1"),
+                 ("verify", "--suite", "oracle-single", "--r", "1"),
+                 ("expect", "--n", "2", "--r", "2", "--m", "2")):
+        code, _, _ = run(capsys, *argv, "--threads", "1")
+        assert code == 0, argv
+
+
 def test_verify_tolerance_is_fixed(capsys):
     # each suite's tolerance is its criterion: verify takes no override
     code, out, err = run(capsys, "verify", "--suite", "factorization", "--tol", "1")
@@ -282,9 +313,40 @@ def test_domain_error_exits_1(capsys):
                  ("verify", "--suite", "solver", "--seed", "-1"),
                  ("verify", "--suite", "solver", "--seed", "18446744073709551616"),
                  ("solve", "--r", "2", "--p", "0.5", "--q", "0.5", "--tol", "nan")):
-        code, _, err = run(capsys, *argv, "--threads", "1")
+        code, _, err = run(capsys, *_one_thread(argv))
         assert code == 1
-        assert "error:" in err
+        assert "error:" in err and "unrecognized arguments" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("scan", "--r", "2", "--p", "0.5", "--q", "0.5"), "error: scan needs at least one --n\n"),
+    (("rate", "--r", "0", "--p", "0.5"), "error: r must be >= 1, got 0\n"),
+])
+def test_domain_error_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", message)
+
+
+def test_solver_failure_exits_2(capsys):
+    code, out, err = run(capsys, "solve", "--r", "3", "--p", "0.3", "--q", "0.7",
+                         "--tol", "1e-300")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: stationarity solve failed at (p=0.3, q=0.7, r=3)")
+    assert "best relative residual" in err
+
+
+def test_failed_verify_exits_1(capsys, monkeypatch):
+    real = cli.expectation_perm
+
+    def wrong(n, r, m):
+        moment = real(n, r, m)
+        return dataclasses.replace(moment, value=moment.value + 1)
+
+    monkeypatch.setattr(cli, "expectation_perm", wrong)
+    code, out, err = run(capsys, "verify", "--suite", "oracle-single", "--r", "1")
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+    assert err.startswith("verify oracle-single: FAILED")
 
 
 def test_capacity_error_exits_2(capsys):
@@ -299,10 +361,11 @@ def test_capacity_error_exits_2(capsys):
     point = ("--n", "3", "--r", "2", "--m", "1", "--m2", "1")
     for argv in (("product", *point), ("oracle", *point), ("argmax", *point),
                  ("verify", "--suite", "oracle-product")):
-        code, out, err = run(capsys, *argv, "--budget", "-1", "--threads", "1")
+        code, out, err = run(capsys, *_one_thread([*argv, "--budget", "-1"]))
         assert code == 1, argv
         assert out == ""
         assert "usage" in err and "budget must be >= 0" in err
+        assert "unrecognized arguments" not in err
 
 
 def test_mc_report_independent_of_backend(capsys, monkeypatch):

@@ -432,6 +432,24 @@ def test_refusal_draws_few_hit_matrices(monkeypatch, fn):
     assert 0 < drawn < 100
 
 
+@pytest.mark.parametrize("fn", [expectation_product, argmax_profile])
+def test_budget_zero_refuses_before_any_work(monkeypatch, fn):
+    # every input has a profile, so a budget below one is refused before the
+    # walk builds the r (r - 1)-cell hit lists of (1, 1000, 1, 1)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return offdiag(*args)
+
+    offdiag = moments._offdiag_matrices
+    monkeypatch.setattr(moments, "_offdiag_matrices", counted)
+    with pytest.raises(CapacityError, match="budget 0 at"):
+        fn(1, 1000, 1, 1, term_budget=0)
+    assert calls == 0
+
+
 # ---------------------------------------------------------------------------
 # dominant-term structure
 
