@@ -47,8 +47,9 @@ off-diagonal matrices with row sums dvec and column sums h_i <= caps_i.  So
 the prefix contributes W sum_dvec prod_i (spare_i - d_i)! d_i! L(dvec, lcaps)
 L(dvec, rcaps), with L(dvec, caps) = sum_mat H(mat, caps), and its largest
 term is W prod_i (spare_i - d_i)! d_i! times the largest H on each side.  L,
-the matrix count and the first matrix of largest H come from a table built
-once per (dvec, caps) in each call.
+the matrix count and the largest H come from a table built once per
+(dvec, caps) in each call, numbers only: ``argmax_profile`` finds the two
+matrices of its winning term after the walk.
 Relabelling the colors maps profiles onto profiles of equal weight, so
 ``_walk`` visits one base split per orbit, its non-decreasing arrangement
 (the orbit's first in lex order), weighted by its r! / prod (multiplicity)!
@@ -355,13 +356,14 @@ def expectation_perm(n, r, m) -> ExactMoment:
 def _walk(n, r, m, m2, term_budget):
     """The collapsed profile sum over one non-decreasing base split per orbit.
 
-    Yields (count, orbit, prefix, wd, left, right) per prefix (base, fresh,
-    dup, rowh, colh) and cross-hit split dvec with both sides non-empty, in
-    profile_iterator's order.  count is the running raw profile count,
-    checked against term_budget; wd = W * prod_i (spare_i - d_i)! d_i!; left
-    and right are the per-call table entries (L, count, Hmax, first matrix of
-    Hmax) of (dvec, lcaps) and (dvec, rcaps), which stop past term_budget
-    matrices with L and first None and the count over budget.
+    Yields (count, orbit, prefix, wd, left, right, dvec, lcaps, rcaps) per
+    prefix (base, fresh, dup, rowh, colh) and cross-hit split dvec with both
+    sides non-empty, in profile_iterator's order.  count is the running raw
+    profile count, checked against term_budget; wd = W * prod_i (spare_i -
+    d_i)! d_i!; left and right are the per-call table entries (L, count,
+    Hmax) of (dvec, lcaps) and (dvec, rcaps).  A table stops past
+    term_budget matrices with a partial L, which is never yielded: its count
+    is over budget, so pairing it with a non-empty side raises.
     """
     refusal = f"profile count exceeded budget {term_budget} at (n={n}, r={r}, m={m}, m2={m2})"
     if term_budget < 1:
@@ -374,17 +376,15 @@ def _walk(n, r, m, m2, term_budget):
         hit = table.get((dvec, caps))
         if hit is None:
             total = count = top = 0
-            first = None
             for mat in _offdiag_rowsum_matrices(r, dvec, caps):
                 count += 1
                 if count > term_budget:
-                    total = first = None
                     break
                 h = _host_integer(caps, mat, _column_sums(mat))
                 total += h
                 if h > top:
-                    top, first = h, mat
-            hit = table[dvec, caps] = (total, count, top, first)
+                    top = h
+            hit = table[dvec, caps] = (total, count, top)
         return hit
 
     count = 0
@@ -401,7 +401,7 @@ def _walk(n, r, m, m2, term_budget):
                             raise CapacityError(refusal)
                         wd = prod((factorial(sp - di) * factorial(di)
                                    for sp, di in zip(spare, dvec)), start=w)
-                        yield count, orbit, prefix, wd, left, right
+                        yield count, orbit, prefix, wd, left, right, dvec, lcaps, rcaps
 
 
 def expectation_product(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT) -> ExactMoment:
@@ -413,7 +413,7 @@ def expectation_product(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT) -> ExactMo
     """
     key = moment_key(n, r, m, m2)
     total = count = 0
-    for count, orbit, _, wd, left, right in _walk(n, r, m, m2, term_budget):
+    for count, orbit, _, wd, left, right, *_ in _walk(n, r, m, m2, term_budget):
         total += orbit * wd * left[0] * right[0]
     return ExactMoment(value=Fraction(total, tuple_count(n, r)), term_count=count, meta=key)
 
@@ -425,15 +425,23 @@ def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
     lies in a non-decreasing base split, which ``_walk`` visits in
     profile_iterator's order.  Per prefix and cross-hit split the term is
     wd * H(lmat, lcaps) * H(rmat, rcaps) with lmat and rmat independent, so
-    its first largest pairs each side's first matrix of largest H.  The
+    its first largest pairs each side's first matrix of largest H, found
+    after the walk from the winning step's dvec, caps and largest H.  The
     budget is expectation_product's.
     Useful for checking that the dominant term spreads counts evenly.
     """
     moment_key(n, r, m, m2)
     best, best_w = None, -1
-    for _, _, prefix, wd, (_, _, lh, lmat), (_, _, rh, rmat) in _walk(n, r, m, m2, term_budget):
+    for _, _, prefix, wd, (_, _, lh), (_, _, rh), *step in _walk(n, r, m, m2, term_budget):
         value = wd * lh * rh
         if value > best_w:
             best_w = value
-            best = ColorProfile(*prefix, lmat, rmat)
-    return best, Fraction(best_w, tuple_count(n, r))
+            best = prefix, step, lh, rh
+    prefix, (dvec, lcaps, rcaps), lh, rh = best
+
+    def first_largest(caps, top):
+        return next(mat for mat in _offdiag_rowsum_matrices(r, dvec, caps)
+                    if _host_integer(caps, mat, _column_sums(mat)) == top)
+
+    profile = ColorProfile(*prefix, first_largest(lcaps, lh), first_largest(rcaps, rh))
+    return profile, Fraction(best_w, tuple_count(n, r))

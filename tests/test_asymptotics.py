@@ -101,6 +101,20 @@ def test_rate_components_infeasible_names_inequality():
     assert "p - e" in str(err.value)
 
 
+@pytest.mark.parametrize("point, message", [
+    ((0.0, 0.5, 2), "need 0 < p < 1, got 0.0"),
+    ((1.0, 0.5, 2), "need 0 < p < 1, got 1.0"),
+    ((0.5, -0.1, 2), "need 0 <= q <= 1, got -0.1"),
+    ((0.5, 1.1, 2), "need 0 <= q <= 1, got 1.1"),
+    ((0.5, 0.5, 1), "need r >= 2, got 1"),
+])
+def test_rate_components_domain(point, message):
+    # q may be 0 or 1 here, unlike at the stationary point
+    with pytest.raises(DomainError) as err:
+        rate_components(*point, 0.0, 0.0, 0.0, 0.0)
+    assert str(err.value) == message
+
+
 def test_residuals_zero_at_analytic_solution():
     worst = 0.0
     for r in (2, 3, 4, 5, 6):
@@ -227,6 +241,20 @@ def test_solver_failure_carries_best_point():
     # a tolerance below double precision cannot be met
     with pytest.raises(SolverError) as err:
         solve_stationary(0.3, 0.7, 3, tol=1e-300)
+    best = err.value.best
+    assert len(best) == 5
+    assert all(isinstance(x, float) and x > 0 for x in best)
+
+
+def test_solver_failure_on_singular_jacobian(monkeypatch):
+    # a singular Newton system ends the attempt; both attempts ending so is a
+    # SolverError that still carries the best point seen
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SolverError) as err:
+        solve_stationary(0.3, 0.7, 3)
     best = err.value.best
     assert len(best) == 5
     assert all(isinstance(x, float) and x > 0 for x in best)

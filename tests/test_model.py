@@ -87,6 +87,19 @@ def test_block_sampler_matches_stream(seed, start):
         sample_block(EnsembleSpec(n=3, r=1), -1, 1)
 
 
+def test_sampler_input_checks():
+    spec = EnsembleSpec(n=3, r=2, seed=5)
+    with pytest.raises(DomainError, match="sample_index must be >= 0"):
+        sample_stream(spec, -1)
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        sample_permutation(0, sample_stream(spec, 0))
+    # sample indices are 64-bit Philox counters: the last one may be drawn,
+    # a block running past it may not
+    assert sample_block(spec, 2**64 - 1, 1).tolist() == _stream_block(spec, 2**64 - 1, 1)
+    with pytest.raises(DomainError, match="below 2\\^64"):
+        sample_block(spec, 2**64 - 1, 2)
+
+
 def test_block_sampler_refills_rows(monkeypatch):
     # 24 words for 3 * 7 draws that take about 25 on average: many rows run
     # out, each after its own number of rejections, and are refilled
@@ -143,6 +156,11 @@ def test_enumerate_lexicographic():
     assert tuples == [(a, b) for a in perms for b in perms]
 
 
+def test_enumerate_domain():
+    with pytest.raises(DomainError, match="need n >= 1 and r >= 1"):
+        enumerate_tuples(0, 1)
+
+
 def test_enumerate_budget():
     with pytest.raises(CapacityError) as err:
         list(enumerate_tuples(5, 3, budget=1000))
@@ -154,3 +172,5 @@ def test_matrix_validation():
         SquareMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(DomainError):
         SquareMatrix.from_rows([[1, -1], [0, 1]])
+    with pytest.raises(DomainError, match="dimension must be >= 1"):
+        SquareMatrix(n=0, entries=())

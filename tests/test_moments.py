@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, perm, prod
 
@@ -448,6 +449,40 @@ def test_budget_zero_refuses_before_any_work(monkeypatch, fn):
     with pytest.raises(CapacityError, match="budget 0 at"):
         fn(1, 1000, 1, 1, term_budget=0)
     assert calls == 0
+
+
+@pytest.mark.parametrize("fn", [expectation_product, argmax_profile])
+def test_cross_tables_keep_no_matrices(fn):
+    # a cross-hit table entry holds numbers, no matrix: one 60 x 60 matrix
+    # per (dvec, caps) would peak near 2.3 MB here, growing as r^3
+    tracemalloc.start()
+    try:
+        fn(1, 60, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("fn", [expectation_product, argmax_profile])
+def test_cross_table_stops_past_budget(monkeypatch, fn):
+    # no small real input fills a cross-hit table past the budget, so every
+    # table is made endless: each must stop one matrix past the budget, and
+    # the walk must refuse rather than read the partial table
+    drawn = []
+
+    def endless(r, row_sums, col_caps):
+        drawn.append(0)
+        k = len(drawn) - 1
+        while drawn[k] < 10**4:
+            drawn[k] += 1
+            yield zeros(r)
+        raise AssertionError("a cross-hit table drew 10^4 matrices")
+
+    monkeypatch.setattr(moments, "_offdiag_rowsum_matrices", endless)
+    with pytest.raises(CapacityError):
+        fn(4, 3, 2, 2, term_budget=50)
+    assert drawn and max(drawn) <= 51
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The permex names perfbench patches or calls still exist and still work."""
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +30,18 @@ def test_backend_twin_agrees(tracing):
     times, agree = tracing.backend_twin(1)
     assert agree
     assert sorted(times) == ["n6.pure", "n8.pure"]
+
+
+def test_recorded_outputs_match(tracing):
+    # every command a workload can run, dispatched in this process: exit 0,
+    # stdout byte-identical to expected.json, and verify reports passing
+    common = importlib.import_module("common")
+    _, failures = tracing.dispatch_all(common.all_commands(), common.load_expected())
+    assert failures == []
+
+
+def test_selftest_passes():
+    # the benchmark's own checks of its failure counting, as a script
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

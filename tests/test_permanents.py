@@ -7,6 +7,7 @@ import pytest
 
 from permex import (
     CapacityError,
+    DomainError,
     EnsembleSpec,
     SquareMatrix,
     assemble_matrix,
@@ -104,6 +105,14 @@ def test_profile_capacity():
         subpermanent_profile(TOO_BIG)
     with pytest.raises(CapacityError):
         subpermanent_bruteforce(SquareMatrix.from_rows([[1] * 9] * 9), 2)
+
+
+def test_bruteforce_domain():
+    with pytest.raises(DomainError, match="m must be in 0..3"):
+        subpermanent_bruteforce(ONES3, 4)
+    # n = 0 passes the moment key's range check; the oracle table refuses it
+    with pytest.raises(DomainError, match="need n >= 1 and r >= 1"):
+        ensemble_average_bruteforce(0, 1, 0, 0)
 
 
 def test_oracle_hand_values_n2_r2():
