@@ -49,7 +49,6 @@ from .montecarlo import (
 )
 from .permanents import (
     ExactMoment,
-    MomentKey,
     ensemble_average_bruteforce,
     subpermanent_bruteforce,
     subpermanent_profile,
@@ -66,7 +65,6 @@ __all__ = [
     "InfeasiblePointError",
     "MCEstimate",
     "MomentEstimates",
-    "MomentKey",
     "PermexError",
     "RateComponents",
     "ScanRow",

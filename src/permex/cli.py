@@ -85,7 +85,7 @@ def _rational(name, value):
 
 def _emit_moment(args, moment):
     fields = {
-        **moment.meta._asdict(),
+        **_pick(args, "n", "r", "m", "m2"),
         **_rational("value", moment.value),
         "terms": moment.term_count,
     }
@@ -397,7 +397,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("expect", help="exact E(perm_m)")
     _add_common(sub, "n", "r", "m", "threads_ignored")
-    sub.set_defaults(func=_cmd_expect)
+    sub.set_defaults(func=_cmd_expect, m2=0)  # the report's m2: expect has no --m2
 
     sub = subs.add_parser("product", help="exact E(perm_m perm_m2)")
     _add_common(sub, "n", "r", "m", "m2", "budget", "threads_ignored")

@@ -70,7 +70,7 @@ from operator import add, sub
 from .errors import CapacityError, DomainError
 from .kernels import rising_splits
 from .model import tuple_count
-from .permanents import ExactMoment, moment_key
+from .permanents import ExactMoment, check_moment
 
 TERM_BUDGET_DEFAULT = 10**9
 
@@ -120,9 +120,9 @@ def _offdiag_matrices(r, budget, col_caps):
 
     Lex order over the cells, row by row, from the zero matrix (budget and
     caps are >= 0): each step raises the last cell that can still grow and
-    zeroes every cell after it.
+    zeroes every cell after it.  Cells in a column capped at 0 never grow.
     """
-    cells = [(i, k) for i in range(r) for k in range(r) if k != i]
+    cells = [(i, k) for i in range(r) for k in range(r) if k != i and col_caps[k]]
     mat = [[0] * r for _ in range(r)]
     room = list(col_caps)
     while True:
@@ -142,12 +142,17 @@ def _offdiag_matrices(r, budget, col_caps):
 
 def _offdiag_rowsum_matrices(r, row_sums, col_caps):
     """Off-diagonal matrices with exact row sums and capped column sums, in lex order."""
-    mat, room = [], list(col_caps)
-    # one _capped_compositions iterator per placed row, and one for the next
-    stack = [_capped_compositions(row_sums[0], [0, *room[1:]])]
+    mat, room, zero = [], list(col_caps), (0,) * r
+
+    def rows(i):  # row i's choices in the room left by the rows above; a zero row takes none
+        return (_capped_compositions(row_sums[i], [*room[:i], 0, *room[i + 1:]])
+                if row_sums[i] else iter((zero,)))
+
+    stack = [rows(0)]  # one iterator per placed row, and one for the next
     while stack:
         if len(mat) == len(stack):  # the top iterator's last row is done
-            room = list(map(add, room, mat.pop()))
+            if (row := mat.pop()) is not zero:
+                room = list(map(add, room, row))
         row = next(stack[-1], None)
         if row is None:
             stack.pop()
@@ -155,9 +160,9 @@ def _offdiag_rowsum_matrices(r, row_sums, col_caps):
             yield (*mat, row)
         else:
             mat.append(row)
-            room = list(map(sub, room, row))
-            i = len(mat)
-            stack.append(_capped_compositions(row_sums[i], [*room[:i], 0, *room[i + 1:]]))
+            if row is not zero:
+                room = list(map(sub, room, row))
+            stack.append(rows(len(mat)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +250,7 @@ def _prefixes(n, r, m, m2, bases):
 
 def profile_iterator(n, r, m, m2):
     """Yield every feasible ColorProfile exactly once, in nested lex order."""
-    moment_key(n, r, m, m2)
+    check_moment(n, r, m, m2)
     for base, fresh, dup, rowh, colh, _, d, spare, lcaps, rcaps in _prefixes(
         n, r, m, m2, _capped_compositions(m, (m,) * r)
     ):
@@ -326,7 +331,8 @@ def _host_integer(caps, mat, mat_hosts) -> int:
     standing on them, and splits those cells by color; the division is exact
     (each column contributes a binomial times a multinomial).
     """
-    return prod(map(perm, caps, mat_hosts)) // prod(factorial(v) for row in mat for v in row)
+    entries = (v for row in mat if any(row) for v in row if v)  # 0! = 1: skip zeros
+    return prod(map(perm, caps, mat_hosts)) // prod(map(factorial, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +347,7 @@ def expectation_perm(n, r, m) -> ExactMoment:
     of the r-fold binomial convolution power of a_j = (n - j)!, where
     (f * g)_k = sum_j C(k, j) f_j g_(k-j): O(r m^2) work for any r.
     """
-    key = moment_key(n, r, m)
+    check_moment(n, r, m)
     a = [factorial(n - j) for j in range(m + 1)]
     power = a
     for _ in range(r - 1):
@@ -350,7 +356,7 @@ def expectation_perm(n, r, m) -> ExactMoment:
             for k in range(m + 1)
         ]
     value = Fraction(comb(n, m) ** 2 * factorial(m) * power[m], tuple_count(n, r))
-    return ExactMoment(value=value, term_count=comb(m + r - 1, r - 1), meta=key)
+    return ExactMoment(value=value, term_count=comb(m + r - 1, r - 1))
 
 
 def _walk(n, r, m, m2, term_budget):
@@ -411,11 +417,11 @@ def expectation_product(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT) -> ExactMo
     running count passes term_budget; it is checked after each cross-hit
     split, and a cross-hit table stops growing past term_budget matrices.
     """
-    key = moment_key(n, r, m, m2)
+    check_moment(n, r, m, m2)
     total = count = 0
     for count, orbit, _, wd, left, right, *_ in _walk(n, r, m, m2, term_budget):
         total += orbit * wd * left[0] * right[0]
-    return ExactMoment(value=Fraction(total, tuple_count(n, r)), term_count=count, meta=key)
+    return ExactMoment(value=Fraction(total, tuple_count(n, r)), term_count=count)
 
 
 def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
@@ -430,7 +436,7 @@ def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
     budget is expectation_product's.
     Useful for checking that the dominant term spreads counts evenly.
     """
-    moment_key(n, r, m, m2)
+    check_moment(n, r, m, m2)
     best, best_w = None, -1
     for _, _, prefix, wd, (_, _, lh), (_, _, rh), *step in _walk(n, r, m, m2, term_budget):
         value = wd * lh * rh

@@ -24,7 +24,7 @@ from .asymptotics import single_rate_limit
 from .errors import CapacityError, DomainError
 # sample_stream is not called here; perfbench traces it under this name
 from .model import EnsembleSpec, sample_block, sample_stream, tuple_count  # noqa: F401
-from .permanents import DIM_LIMIT_DEFAULT, moment_key, product_sum_table
+from .permanents import DIM_LIMIT_DEFAULT, check_moment, product_sum_table
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -104,7 +104,7 @@ def estimate_moments(
     n, r = spec.n, spec.r
     if samples < 2:
         raise DomainError(f"need samples >= 2, got {samples}")
-    moment_key(n, r, m, m2)
+    check_moment(n, r, m, m2)
     if n > DIM_LIMIT_DEFAULT:
         # each sample's profile DP holds 2^n states
         raise CapacityError(f"profile limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")

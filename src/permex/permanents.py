@@ -5,15 +5,15 @@ columns, of the permanent of the selected m x m submatrix.  The oracle
 averages perm_m * perm_m2 over all (n!)^r permutation tuples as an orbit
 sum over cycle types (see ``kernels.oracle_product_sums``).  Profiles come
 from the batched numpy DP in ``kernels``, except the small oracle tables',
-which the reference DP in ``_pykernels`` computes without numpy.
-Everything in this module is exact integer or rational arithmetic.
+which the reference DP in ``_pykernels`` computes without numpy.  All of it
+is exact integer or rational arithmetic.  ``check_moment`` checks every
+moment's (n, r, m, m2); an ``ExactMoment`` holds a value and its term count.
 """
 
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import NamedTuple
 
 from . import kernels
 from .errors import CapacityError, DomainError
@@ -23,17 +23,8 @@ DIM_LIMIT_DEFAULT = 24
 BRUTEFORCE_DIM_LIMIT = 8
 
 
-class MomentKey(NamedTuple):
-    """The (n, r, m, m2) a moment value refers to."""
-
-    n: int
-    r: int
-    m: int
-    m2: int
-
-
-def moment_key(n: int, r: int, m: int, m2: int = 0) -> MomentKey:
-    """Check the arguments of a moment and return them as its key.
+def check_moment(n: int, r: int, m: int, m2: int = 0) -> None:
+    """Raise DomainError unless m and m2 lie in 0..n and r >= 1.
 
     n = 0 passes here; operations that need n >= 1 check it themselves.
     """
@@ -41,7 +32,6 @@ def moment_key(n: int, r: int, m: int, m2: int = 0) -> MomentKey:
         raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
-    return MomentKey(n, r, m, m2)
 
 
 @dataclass(frozen=True)
@@ -50,7 +40,6 @@ class ExactMoment:
 
     value: Fraction
     term_count: int
-    meta: MomentKey
 
 
 def subpermanent_profile(matrix: SquareMatrix) -> tuple:
@@ -120,7 +109,7 @@ def ensemble_average_bruteforce(
     tuple_budget: int = TUPLE_BUDGET_DEFAULT,
 ) -> ExactMoment:
     """Exact E(perm_m * perm_m2) over all (n!)^r tuples, from the oracle table."""
-    key = moment_key(n, r, m, m2)
+    check_moment(n, r, m, m2)
     table = product_sum_table(n, r, tuple_budget=tuple_budget)
     total = tuple_count(n, r)
-    return ExactMoment(value=Fraction(table[m][m2], total), term_count=total, meta=key)
+    return ExactMoment(value=Fraction(table[m][m2], total), term_count=total)

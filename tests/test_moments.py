@@ -251,10 +251,56 @@ def test_product_reduces_to_single():
 
 
 def test_product_oracle_equality_larger():
-    # beyond the oracle-product suite: tables of 1,399, 7,920 and 100,800 matrices
-    for n, r, m, m2 in [(8, 2, 4, 4), (6, 3, 3, 3), (5, 4, 2, 3)]:
-        got = expectation_product(n, r, m, m2)
-        assert got.value == ensemble_average_bruteforce(n, r, m, m2).value, (n, r, m, m2)
+    # beyond the oracle-product suite: tables of 1,399, 7,920 and 100,800
+    # matrices, then every m <= m2 at r = 5, 6, 7 and 12 (69,120, 3,888,
+    # 23,328 and 2,048 matrices)
+    points = [(8, 2, 4, 4), (6, 3, 3, 3), (5, 4, 2, 3)]
+    points += [(n, r, m, m2) for n, r in [(4, 5), (3, 6), (3, 7), (2, 12)]
+               for m in range(n + 1) for m2 in range(m, n + 1)]
+    assert len(points) == 3 + 41
+    for point in points:
+        got = expectation_product(*point)
+        assert got.value == ensemble_average_bruteforce(*point).value, point
+
+
+def cycle_index_product(n, m, m2):
+    """E(perm_m perm_m2) at r = 2 from the cycle index of S_n, without profiles.
+
+    perm_m is invariant under row and column permutations, so A = P1 + P2 may
+    be taken with P1 = I and P2 = sigma uniform.  A sigma-cycle of length c is
+    then a 2c-cycle of the row-column graph, with (2c / (2c - k)) C(2c - k, k)
+    k-matchings (at c = 1 the entry 2: g_1 = 1 + 2z).  Choosing the cycle of
+    the first element, G_j = sum_c (j - 1)!/(j - c)! g_c(z) g_c(w) G_(j - c),
+    truncated at z^m w^m2, and E = G_n[m][m2] / n!.
+    """
+
+    def times_g(poly, c):  # poly * g_c(z) g_c(w), truncated
+        g = [2 * c * comb(2 * c - k, k) // (2 * c - k) for k in range(c + 1)]
+        out = [[0] * (m2 + 1) for _ in range(m + 1)]
+        for i, j in itertools.product(range(m + 1), range(m2 + 1)):
+            for a, b in itertools.product(range(min(c, m - i) + 1), range(min(c, m2 - j) + 1)):
+                out[i + a][j + b] += poly[i][j] * g[a] * g[b]
+        return out
+
+    G = [[[int(i == j == 0) for j in range(m2 + 1)] for i in range(m + 1)]]
+    for j in range(1, n + 1):
+        G.append([[0] * (m2 + 1) for _ in range(m + 1)])
+        for c in range(1, j + 1):
+            term = times_g(G[j - c], c)
+            for i, k in itertools.product(range(m + 1), range(m2 + 1)):
+                G[j][i][k] += perm(j - 1, c - 1) * term[i][k]
+    return Fraction(G[n][m][m2], factorial(n))
+
+
+def test_product_r2_cycle_index():
+    # an r = 2 reference independent of profiles and of the oracle, checked
+    # against the oracle first, then against the product sum beyond its reach
+    for n in range(1, 8):
+        for m, m2 in itertools.product(range(n + 1), repeat=2):
+            want = ensemble_average_bruteforce(n, 2, m, m2).value
+            assert cycle_index_product(n, m, m2) == want, (n, m, m2)
+    for n, m, m2 in [(16, 8, 8), (17, 6, 9), (18, 9, 9)]:
+        assert expectation_product(n, 2, m, m2).value == cycle_index_product(n, m, m2), (n, m, m2)
 
 
 def profile_sum(n, r, m, m2):
@@ -454,14 +500,21 @@ def test_budget_zero_refuses_before_any_work(monkeypatch, fn):
 @pytest.mark.parametrize("fn", [expectation_product, argmax_profile])
 def test_cross_tables_keep_no_matrices(fn):
     # a cross-hit table entry holds numbers, no matrix: one 60 x 60 matrix
-    # per (dvec, caps) would peak near 2.3 MB here, growing as r^3
+    # per (dvec, caps) would peak near 2.3 MB here, growing as r^3; and a
+    # refusal at r = 300 builds no cells of empty columns and no r zero rows
+    # per matrix first (about 10 MB)
     tracemalloc.start()
     try:
         fn(1, 60, 1, 1)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(CapacityError):
+            fn(1, 300, 1, 1, term_budget=5)
+        refusal_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+    assert refusal_peak < 4 * 10**6
 
 
 @pytest.mark.parametrize("fn", [expectation_product, argmax_profile])

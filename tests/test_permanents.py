@@ -110,7 +110,7 @@ def test_profile_capacity():
 def test_bruteforce_domain():
     with pytest.raises(DomainError, match="m must be in 0..3"):
         subpermanent_bruteforce(ONES3, 4)
-    # n = 0 passes the moment key's range check; the oracle table refuses it
+    # n = 0 passes check_moment's range check; the oracle table refuses it
     with pytest.raises(DomainError, match="need n >= 1 and r >= 1"):
         ensemble_average_bruteforce(0, 1, 0, 0)
 
@@ -121,9 +121,8 @@ def test_oracle_hand_values_n2_r2():
     assert ensemble_average_bruteforce(2, 2, 1, 1).value == 16
 
 
-def test_oracle_meta_and_denominator():
+def test_oracle_term_count_and_denominator():
     m = ensemble_average_bruteforce(3, 2, 2, 1)
-    assert m.meta == (3, 2, 2, 1)
     assert m.term_count == 36
     assert factorial(3) ** 2 % m.value.denominator == 0
 
