@@ -10,10 +10,10 @@ and both must reproduce its values.  Monte Carlo draws its permutations with ``m
 one pass of ``kernels.PASS_SAMPLES`` samples at a time; it is timed
 against the per-sample reference stream ``model.sample_stream`` and must
 reproduce its permutations.  The fresh-process table times ``permex <sub>
---help`` for every subcommand, one ``rate`` run, four ``argmax`` runs
-(the collapsed walk of ``moments``, at r = 2, 3 and 5), five ``product``
-runs (r = 3, 4, 12 and 60 twice, the last three with few profiles but long
-compositions and mostly empty rows), four ``oracle`` runs (the orbit sum of ``kernels``, at
+--help`` for every subcommand, one ``rate`` run, five ``argmax`` runs
+(the collapsed walk of ``moments``, at r = 2, 3, 5 and 250), six ``product``
+runs (r = 3, 4, 12, 60 twice and 250, the last four with few profiles but
+long compositions and mostly empty rows), four ``oracle`` runs (the orbit sum of ``kernels``, at
 r = 2, 3 and 4; (4, 3) is small enough for the pure path) and ``verify
 --suite oracle-product`` in fresh child processes, and shows whether each
 loaded numpy.  Run after an editable install:
@@ -67,9 +67,10 @@ def bench_startup():
     print(f"{'command':<36} {'wall':>8} {'numpy':>6}")
     commands = [[sub, "--help"] for sub in SUBCOMMANDS]
     commands.append(["rate", "--r", "2", "--p", "0.5"])
-    for sub, points in (("argmax", ((10, 2, 5, 5), (12, 2, 6, 6), (7, 3, 3, 4), (6, 5, 3, 3))),
+    for sub, points in (("argmax", ((10, 2, 5, 5), (12, 2, 6, 6), (7, 3, 3, 4), (6, 5, 3, 3),
+                                    (1, 250, 1, 1))),
                         ("product", ((10, 3, 5, 5), (8, 4, 4, 4), (4, 12, 2, 2), (1, 60, 1, 1),
-                                     (2, 60, 1, 2))),
+                                     (2, 60, 1, 2), (1, 250, 1, 1))),
                         ("oracle", ((12, 2, 6, 6), (7, 3, 3, 4), (5, 4, 2, 3), (4, 3, 2, 2)))):
         for n, r, m, m2 in points:
             commands.append([sub, "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])

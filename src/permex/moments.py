@@ -49,7 +49,9 @@ L(dvec, rcaps), with L(dvec, caps) = sum_mat H(mat, caps), and its largest
 term is W prod_i (spare_i - d_i)! d_i! times the largest H on each side.  L,
 the matrix count and the largest H come from a table built once per
 (dvec, caps) in each call, numbers only: ``argmax_profile`` finds the two
-matrices of its winning term after the walk.
+matrices of its winning term after the walk.  The enumerators hand each
+matrix over with the host lines it leaves, caps_i - h_i, so no column is
+summed again, and a table with no matrix fails Hall's condition in O(r).
 Relabelling the colors maps profiles onto profiles of equal weight, so
 ``_walk`` visits one base split per orbit, its non-decreasing arrangement
 (the orbit's first in lex order), weighted by its r! / prod (multiplicity)!
@@ -121,12 +123,13 @@ def _offdiag_matrices(r, budget, col_caps):
     Lex order over the cells, row by row, from the zero matrix (budget and
     caps are >= 0): each step raises the last cell that can still grow and
     zeroes every cell after it.  Cells in a column capped at 0 never grow.
+    Yields (mat, lefts): lefts[k] is col_caps[k] less column k's sum.
     """
     cells = [(i, k) for i in range(r) for k in range(r) if k != i and col_caps[k]]
     mat = [[0] * r for _ in range(r)]
     room = list(col_caps)
     while True:
-        yield tuple(tuple(row) for row in mat)
+        yield tuple(tuple(row) for row in mat), tuple(room)
         for i, k in reversed(cells):
             if budget and room[k]:
                 mat[i][k] += 1
@@ -141,7 +144,10 @@ def _offdiag_matrices(r, budget, col_caps):
 
 
 def _offdiag_rowsum_matrices(r, row_sums, col_caps):
-    """Off-diagonal matrices with exact row sums and capped column sums, in lex order."""
+    """``_offdiag_matrices``' (mat, lefts) in lex order, exact row sums in place of a budget."""
+    held = sum(col_caps)  # Hall: one row reaches all columns but its own, two reach all
+    if sum(row_sums) > held or any(d + c > held for d, c in zip(row_sums, col_caps)):
+        return
     mat, room, zero = [], list(col_caps), (0,) * r
 
     def rows(i):  # row i's choices in the room left by the rows above; a zero row takes none
@@ -157,7 +163,7 @@ def _offdiag_rowsum_matrices(r, row_sums, col_caps):
         if row is None:
             stack.pop()
         elif len(mat) + 1 == r:
-            yield (*mat, row)
+            yield (*mat, row), tuple(map(sub, room, row))
         else:
             mat.append(row)
             if row is not zero:
@@ -207,11 +213,10 @@ def _hit_list(r, free, budget, hosts):
     """
 
     def entries():
-        for mat in _offdiag_matrices(r, budget, hosts):
-            cols = _column_sums(mat)
-            total = sum(cols)
-            yield (mat, total, _row_sums(mat), tuple(h - c for h, c in zip(hosts, cols)),
-                   perm(free, total) * _host_integer(hosts, mat, cols))
+        for mat, lefts in _offdiag_matrices(r, budget, hosts):
+            total = sum(hosts) - sum(lefts)
+            yield (mat, total, _row_sums(mat), lefts,
+                   perm(free, total) * _host_integer(hosts, lefts, mat))
 
     return tee(entries(), 1)[0]
 
@@ -255,8 +260,8 @@ def profile_iterator(n, r, m, m2):
         n, r, m, m2, _capped_compositions(m, (m,) * r)
     ):
         for dvec in _capped_compositions(d, spare):
-            for lmat in _offdiag_rowsum_matrices(r, dvec, lcaps):
-                for rmat in _offdiag_rowsum_matrices(r, dvec, rcaps):
+            for lmat, _ in _offdiag_rowsum_matrices(r, dvec, lcaps):
+                for rmat, _ in _offdiag_rowsum_matrices(r, dvec, rcaps):
                     yield ColorProfile(base, fresh, dup, rowh, colh, lmat, rmat)
 
 
@@ -324,15 +329,15 @@ def _dup_integer(base, dup) -> int:
     return prod(map(comb, base, dup))
 
 
-def _host_integer(caps, mat, mat_hosts) -> int:
+def _host_integer(caps, lefts, mat) -> int:
     """prod_i C(caps_i, hosts_i) hosts_i! over prod of mat's entry factorials.
 
-    Picks which of color i's caps_i free lines host the mat_hosts_i cells
-    standing on them, and splits those cells by color; the division is exact
-    (each column contributes a binomial times a multinomial).
+    Picks which of color i's caps_i free lines host the caps_i - lefts_i
+    cells standing on them (mat's column i), and splits those cells by color;
+    the division is exact (each column contributes a binomial times a multinomial).
     """
     entries = (v for row in mat if any(row) for v in row if v)  # 0! = 1: skip zeros
-    return prod(map(perm, caps, mat_hosts)) // prod(map(factorial, entries))
+    return prod(map(perm, caps, map(sub, caps, lefts))) // prod(map(factorial, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +387,11 @@ def _walk(n, r, m, m2, term_budget):
         hit = table.get((dvec, caps))
         if hit is None:
             total = count = top = 0
-            for mat in _offdiag_rowsum_matrices(r, dvec, caps):
+            for mat, lefts in _offdiag_rowsum_matrices(r, dvec, caps):
                 count += 1
                 if count > term_budget:
                     break
-                h = _host_integer(caps, mat, _column_sums(mat))
+                h = _host_integer(caps, lefts, mat)
                 total += h
                 if h > top:
                     top = h
@@ -446,8 +451,8 @@ def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
     prefix, (dvec, lcaps, rcaps), lh, rh = best
 
     def first_largest(caps, top):
-        return next(mat for mat in _offdiag_rowsum_matrices(r, dvec, caps)
-                    if _host_integer(caps, mat, _column_sums(mat)) == top)
+        return next(mat for mat, lefts in _offdiag_rowsum_matrices(r, dvec, caps)
+                    if _host_integer(caps, lefts, mat) == top)
 
     profile = ColorProfile(*prefix, first_largest(lcaps, lh), first_largest(rcaps, rh))
     return profile, Fraction(best_w, tuple_count(n, r))

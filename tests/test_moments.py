@@ -141,10 +141,10 @@ def test_factor_dup_examples():
 def test_factor_row_hits_examples():
     # a hit factor is perm(free, T) * _host_integer over the undup'd base lines
     # n = 3, m = 2, no fresh cells: one free column and nothing to place
-    assert perm(1, 0) * _host_integer([1, 1], zeros(2), [0, 0]) == 1
+    assert perm(1, 0) * _host_integer([1, 1], [1, 1], zeros(2)) == 1
     # n = 3, m = 1: one color-0 row hit on color 1's row, two free columns
     hits = ((0, 1), (0, 0))
-    assert perm(2, 1) * _host_integer([0, 1], hits, _column_sums(hits)) == 2
+    assert perm(2, 1) * _host_integer([0, 1], [0, 0], hits) == 2
 
 
 def test_factor_col_hits_mirrors_row_hits():
@@ -165,9 +165,9 @@ def test_factor_col_hits_mirrors_row_hits():
 
 
 def test_factor_cross_examples():
-    assert _host_integer((1, 1), zeros(2), (0, 0)) == 1
+    assert _host_integer((1, 1), (1, 1), zeros(2)) == 1
     cross = ((0, 1), (0, 0))
-    assert _host_integer((1, 1), cross, _column_sums(cross)) == 1
+    assert _host_integer((1, 1), (1, 0), cross) == 1
 
 
 def test_factor_completion_examples():
@@ -418,7 +418,7 @@ def test_capped_compositions_lex_order(parts):
 @pytest.mark.parametrize("r", range(1, 5))
 def test_offdiag_rowsum_matrices_lex_order(r):
     # every off-diagonal matrix with row sums <= 2, in lex order, filtered
-    # by each call's row sums and column caps
+    # by each call's row sums and column caps, with the column caps it leaves
     rows = [[(*row[:i], 0, *row[i:]) for row in itertools.product(range(3), repeat=r - 1)
              if sum(row) <= 2] for i in range(r)]
     by_sums = {}
@@ -426,7 +426,8 @@ def test_offdiag_rowsum_matrices_lex_order(r):
         by_sums.setdefault(tuple(map(sum, mat)), []).append((_column_sums(mat), mat))
     for sums in itertools.product(range(3), repeat=r):
         for caps in itertools.product(range(3), repeat=r):
-            want = [mat for cols, mat in by_sums.get(sums, [])
+            want = [(mat, tuple(cap - c for c, cap in zip(cols, caps)))
+                    for cols, mat in by_sums.get(sums, [])
                     if all(c <= cap for c, cap in zip(cols, caps))]
             assert list(_offdiag_rowsum_matrices(r, sums, caps)) == want
 
@@ -434,16 +435,34 @@ def test_offdiag_rowsum_matrices_lex_order(r):
 @pytest.mark.parametrize("r, budget, caps", [(1, 3, (2,)), (2, 3, (1, 2)), (3, 2, (1, 0, 2)),
                                              (3, 4, (2, 2, 2)), (4, 2, (1, 1, 0, 2))])
 def test_offdiag_matrices_lex_order(r, budget, caps):
-    # every off-diagonal matrix within the budget and column caps, sorted
+    # every off-diagonal matrix within the budget and column caps, sorted,
+    # with the column caps it leaves
     cells = [(i, k) for i in range(r) for k in range(r) if k != i]
     want = []
     for values in itertools.product(*(range(min(budget, caps[k]) + 1) for _, k in cells)):
         mat = [[0] * r for _ in range(r)]
         for (i, k), v in zip(cells, values):
             mat[i][k] = v
-        if sum(values) <= budget and all(s <= c for s, c in zip(_column_sums(mat), caps)):
-            want.append(tuple(map(tuple, mat)))
+        cols = _column_sums(mat)
+        if sum(values) <= budget and all(s <= c for s, c in zip(cols, caps)):
+            want.append((tuple(map(tuple, mat)), tuple(c - s for s, c in zip(cols, caps))))
     assert list(_offdiag_matrices(r, budget, caps)) == sorted(want)
+
+
+def test_empty_cross_table_composes_no_rows(monkeypatch):
+    # row 0 must put 2 cells in columns 1 and 2, capped at 0: Hall's
+    # condition fails, so no row composition is tried
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return compositions(*args)
+
+    compositions = moments._capped_compositions
+    monkeypatch.setattr(moments, "_capped_compositions", counted)
+    assert list(_offdiag_rowsum_matrices(3, (2, 0, 0), (2, 0, 0))) == []
+    assert calls == 0
 
 
 @pytest.mark.parametrize("point", [(4, 2, 3, 3), (4, 3, 2, 3), (3, 4, 2, 2), (5, 2, 3, 4),
@@ -529,7 +548,7 @@ def test_cross_table_stops_past_budget(monkeypatch, fn):
         k = len(drawn) - 1
         while drawn[k] < 10**4:
             drawn[k] += 1
-            yield zeros(r)
+            yield zeros(r), tuple(col_caps)
         raise AssertionError("a cross-hit table drew 10^4 matrices")
 
     monkeypatch.setattr(moments, "_offdiag_rowsum_matrices", endless)
