@@ -6,10 +6,13 @@ kernel ``kernels.subperm_profiles`` on blocks of ``kernels.block_size(n)``
 matrices, and the per-matrix API ``kernels.subperm_profile`` runs it on a
 block of one; the oracle's small tables run the reference DP itself.
 Both numpy calls are timed here against ``_pykernels.subperm_profile``,
-and both must reproduce its values.  Monte Carlo draws its permutations with ``model.sample_block``,
-one pass of ``kernels.PASS_SAMPLES`` samples at a time; it is timed
-against the per-sample reference stream ``model.sample_stream`` and must
-reproduce its permutations.  The fresh-process table times ``permex <sub>
+and both must reproduce its values.  Monte Carlo draws its permutations
+one pass of ``kernels.PASS_SAMPLES`` samples at a time, with
+``model.sample_block`` or, for r = 2 runs of at most
+``kernels.PURE_SAMPLES`` samples, the pure-Python ``model.sample_block_pure``;
+both are timed against the per-sample reference stream
+``model.sample_stream`` and must reproduce its permutations (speedup =
+stream / block).  The fresh-process table times ``permex <sub>
 --help`` for every subcommand, one ``rate`` run, five ``argmax`` runs
 (the collapsed walk of ``moments``, at r = 2, 3, 5 and 250), six ``product``
 runs (r = 3, 4, 12, 60 twice and 250, the last four with few profiles but
@@ -33,7 +36,7 @@ import numpy as np
 import permex
 from permex import EnsembleSpec, sample_matrix, sample_permutation, sample_stream
 from permex import _pykernels, kernels
-from permex.model import sample_block
+from permex.model import sample_block, sample_block_pure
 
 SUBCOMMANDS = ("expect", "product", "oracle", "rate", "solve", "analytic", "mc",
                "scan", "argmax", "verify")
@@ -123,7 +126,7 @@ def bench_profiles():
 def bench_sampling():
     count = kernels.PASS_SAMPLES
     print(f"Philox sample stream, r = 2 ({count} samples each; us per sample)")
-    print(f"{'n':>4} {'stream':>10} {'block':>10} {'speedup':>8}")
+    print(f"{'n':>4} {'stream':>10} {'pure':>10} {'block':>10} {'speedup':>8}")
     for n in (6, 8, 10, 13):
         spec = EnsembleSpec(n=n, r=2, seed=1)
 
@@ -135,10 +138,12 @@ def bench_sampling():
             return out
 
         t_stream, want = time_call(per_sample)
+        t_pure, got_pure = time_call(sample_block_pure, spec, 0, count, repeat=3)
         t_block, got = time_call(sample_block, spec, 0, count, repeat=3)
+        assert got_pure == want
         assert got.tolist() == want
-        print(f"{n:>4} {t_stream / count * 1e6:>10.1f} {t_block / count * 1e6:>10.1f} "
-              f"{t_stream / t_block:>7.1f}x")
+        print(f"{n:>4} {t_stream / count * 1e6:>10.1f} {t_pure / count * 1e6:>10.1f} "
+              f"{t_block / count * 1e6:>10.1f} {t_stream / t_block:>7.1f}x")
 
 
 if __name__ == "__main__":

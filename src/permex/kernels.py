@@ -1,12 +1,14 @@
 """The subpermanent profile kernel, the arithmetic it runs on, and the oracle.
 
-Sampled profiles, and those of every oracle table too large for Python
-lists, come from one vectorised numpy DP, ``subperm_profiles``, run over a
-block of matrices.  Each call picks its arithmetic from its input, once
-per block: when ``profile_value_bound`` proves that all values fit, the DP
-runs on int64, and otherwise on ``object`` arrays of exact Python
-integers.  The pure-Python DP in ``_pykernels`` is the reference the tests
-compare that kernel against; it also profiles the oracle's small tables
+Sampled profiles at r != 2, and those of every oracle table too large for
+Python lists, come from one vectorised numpy DP, ``subperm_profiles``, run
+over a block of matrices; a sampled r = 2 matrix needs no DP, as its
+profile is ``cycle_profile`` of the cycle type of P1^-1 P2.  Each DP call
+picks its arithmetic from its input, once per block: when
+``profile_value_bound`` proves that all values fit, the DP runs on int64,
+and otherwise on ``object`` arrays of exact Python integers.  The
+pure-Python DP in ``_pykernels`` is the reference the tests compare that
+kernel against; it also profiles the oracle's small tables
 (``PURE_ORACLE_CELLS``), which then never import numpy.
 """
 
@@ -17,6 +19,7 @@ from math import comb, factorial
 from operator import mul
 
 from . import _pykernels
+from .errors import DomainError
 
 I64_SAFE_BOUND = 1 << 62
 
@@ -44,6 +47,15 @@ PURE_ORACLE_CELLS = 1 << 12
 # draw do not grow with its length: on 2 shared vCPUs it costs 17-28 us
 # per sample at 64 samples and 2.4-4.6 us at 1024 (n = 6..13, r = 2).
 PASS_SAMPLES = 1 << 10
+
+# r = 2 Monte Carlo runs of at most this many samples draw them with the
+# pure-Python sampler (``model.sample_block_pure``), so they never import
+# numpy; larger runs use ``model.sample_block``.  With the cycle tally,
+# in process on 2 shared vCPUs, the pure sampler costs about 20 us per
+# sample at n = 6..8 (30 at n = 13) and the block pass 4-5 us (8) plus
+# about 0.13 s to import numpy: they cross near 8-9k samples at n = 6..8,
+# and lower at larger n.
+PURE_SAMPLES = 1 << 13
 
 
 def block_size(n: int) -> int:
@@ -105,6 +117,39 @@ def subperm_profiles(mats, n: int, max_entry: int):
     for i in range(n):
         popcount.reshape(-1, 2, 1 << i)[:, 1] += 1
     return [f[popcount == m].sum(axis=0).tolist() for m in range(n + 1)]
+
+
+def cycle_profile(parts, n: int):
+    """Profile of I + sigma for a permutation sigma of cycle type ``parts``.
+
+    Relabelling the columns of P1 + P2 by P1^-1 gives I + sigma with
+    sigma = P1^-1 P2, and perm_m is invariant under that relabelling, so
+    every r = 2 matrix has the profile of its class.  The rows and columns
+    of a sigma-cycle of length c form their own block of I + sigma, so the
+    profile polynomial sum_m perm_m z^m is the product over the cycles of
+    g_c(z): g_1 = 1 + 2z (one entry 2) and, for the 2c-cycle of the
+    row-column graph, g_c = (1 + 2z) g_(c-1) - z^2 g_(c-2) with g_0 = 2.
+    Returns the n + 1 exact coefficients.
+    """
+    if sum(parts) != n:
+        raise DomainError(f"cycle type {tuple(parts)} does not sum to n = {n}")
+    g = [[2], [1, 2]]
+    while len(g) <= max(parts, default=0):
+        grown, shifted = _poly_product([1, 2], g[-1]), [0, 0] + g[-2]
+        g.append([x - y for x, y in zip(grown, shifted)])
+    out = [1]
+    for c in parts:
+        out = _poly_product(out, g[c])
+    return out
+
+
+def _poly_product(p, q):
+    """Coefficients of the product of two polynomials given by coefficients."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
 
 
 def rising_splits(total, parts):

@@ -24,8 +24,12 @@ Philox on uint64 arrays, one row of words per sample, with the 64 x 64 ->
 in lockstep, one numpy operation per draw across all rows.  Each row gets
 ``WORDS_PER_DRAW * r * (n - 1)`` words up front; rejection can exceed any
 fixed allotment, so a row that runs out is refilled with its next blocks.
+``sample_block_pure`` gives the same permutations without numpy: it runs
+Philox on Python ints, one sample and one block at a time, as that
+sample's shuffle asks for words.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -139,6 +143,63 @@ def sample_matrix(spec: EnsembleSpec, sample_index: int = 0) -> SquareMatrix:
     return assemble_matrix(sample_permutation(spec.n, rng) for _ in range(spec.r))
 
 
+def _check_range(start: int, count: int):
+    """Samples start..start+count-1 must have 64-bit Philox counters."""
+    if start < 0 or count < 0:
+        raise DomainError(f"need start >= 0 and count >= 0, got {start}, {count}")
+    if start + count > 2**64:
+        raise DomainError(f"sample indices must stay below 2^64, got {start + count}")
+
+
+def _round_keys(seed: int):
+    """The key words (k0, k1) of each Philox round under key (seed, 0)."""
+    return [((seed + k * PHILOX_W[0]) & _U64, (k * PHILOX_W[1]) & _U64)
+            for k in range(PHILOX_ROUNDS)]
+
+
+def _philox_block(keys, index: int, block: int):
+    """The eight 32-bit words of Philox block ``block`` of sample ``index``.
+
+    ``_philox_words`` on Python ints, for one block: it encrypts counter
+    (block + 1, 0, index, 0) under the round keys ``keys``.
+    """
+    m0, m1 = PHILOX_M
+    c0, c1, c2, c3 = block + 1, 0, index, 0
+    for k0, k1 in keys:
+        p0, p1 = m0 * c0, m1 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _U64, (p0 >> 64) ^ c3 ^ k1, p0 & _U64
+    return [c0 & _LO32, c0 >> _SHIFT32, c1 & _LO32, c1 >> _SHIFT32,
+            c2 & _LO32, c2 >> _SHIFT32, c3 & _LO32, c3 >> _SHIFT32]
+
+
+def sample_block_pure(spec: EnsembleSpec, start: int, count: int):
+    """``sample_block(spec, start, count).tolist()`` in pure Python, without numpy.
+
+    Each sample runs Philox4x64-10 on Python ints, one block at a time as
+    its shuffle asks for words, so it costs more per sample than the
+    vectorised pass but never imports numpy.
+    """
+    n, r = spec.n, spec.r
+    _check_range(start, count)
+    keys = _round_keys(spec.seed)
+    draws = [(i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)]
+    out = []
+    for index in range(start, start + count):
+        words = itertools.chain.from_iterable(
+            map(functools.partial(_philox_block, keys, index), itertools.count()))
+        sample = []
+        for _ in range(r):
+            perm = list(range(n))
+            for i, mask in draws:
+                j = next(words) & mask
+                while j > i:
+                    j = next(words) & mask
+                perm[i], perm[j] = perm[j], perm[i]
+            sample.append(perm)
+        out.append(sample)
+    return out
+
+
 def _mulhilo(m: int, x):
     """Low and high 64-bit words of the 128-bit products m * x, uint64 x."""
     m_lo, m_hi = m & _LO32, m >> _SHIFT32
@@ -161,12 +222,10 @@ def _philox_words(seed: int, index, first_block, blocks: int):
     c0 = first_block[:, None] + np.arange(1, blocks + 1, dtype=np.uint64)
     c2 = np.broadcast_to(index[:, None], c0.shape)
     c1 = c3 = np.zeros_like(c0)
-    for k in range(PHILOX_ROUNDS):
-        k0 = np.uint64((seed + k * PHILOX_W[0]) & _U64)
-        k1 = np.uint64((k * PHILOX_W[1]) & _U64)
+    for k0, k1 in _round_keys(seed):
         lo0, hi0 = _mulhilo(PHILOX_M[0], c0)
         lo1, hi1 = _mulhilo(PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
     out = np.stack([c0, c1, c2, c3], axis=-1)
     # little-endian 64-bit words read as 32-bit pairs: low half first
     return out.astype("<u8").view("<u4").reshape(len(index), -1)
@@ -182,10 +241,7 @@ def sample_block(spec: EnsembleSpec, start: int, count: int):
     import numpy as np
 
     n, r = spec.n, spec.r
-    if start < 0 or count < 0:
-        raise DomainError(f"need start >= 0 and count >= 0, got {start}, {count}")
-    if start + count > 2**64:
-        raise DomainError(f"sample indices must stay below 2^64, got {start + count}")
+    _check_range(start, count)
     out = np.empty((count, r, n), dtype=np.int64)
     out[:] = np.arange(n)
     draws = r * (n - 1)

@@ -3,19 +3,28 @@
 Integer statistics (sums and sums of squares) are accumulated exactly and
 only converted to floats at the very end, so no precision is lost to
 cancellation no matter how large the subpermanent values grow.  Samples
-are drawn in passes of about ``kernels.PASS_SAMPLES``: one
-``model.sample_block`` call gives a pass's permutations, which fill blocks
-of ``kernels.block_size(n)`` matrices; each block's profiles come from one
-call of the batched numpy kernel ``kernels.subperm_profiles``, which
-certifies int64 or Python-int arithmetic once for the block.  When the
-whole tuple space is smaller than the requested sample count, estimation
-switches to enumeration mode and returns the exact ensemble average with
-zero standard error, from the oracle table (``permanents.product_sum_table``),
-which at small (n, r) builds no arrays and so does not import numpy.
+are drawn in passes of about ``kernels.PASS_SAMPLES``.
+
+At r = 2 no matrix is built and no DP runs: relabelling its columns turns
+P1 + P2 into I + P1^-1 P2, so a sample's profile depends only on the cycle
+type of P1^-1 P2.  Samples are counted per cycle type, and each type's
+profile comes once from ``kernels.cycle_profile``.  Runs of at most
+``kernels.PURE_SAMPLES`` samples draw them with the pure-Python
+``model.sample_block_pure`` and never import numpy; larger runs with
+``model.sample_block``.  At other r one ``model.sample_block`` call gives
+a pass's permutations, which fill blocks of ``kernels.block_size(n)``
+matrices; each block's profiles come from one call of the batched numpy
+kernel ``kernels.subperm_profiles``, which certifies int64 or Python-int
+arithmetic once for the block.  When the whole tuple space is smaller than
+the requested sample count, estimation switches to enumeration mode and
+returns the exact ensemble average with zero standard error, from the
+oracle table (``permanents.product_sum_table``), which at small (n, r)
+builds no arrays and so does not import numpy.
 """
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +32,8 @@ from . import kernels
 from .asymptotics import single_rate_limit
 from .errors import CapacityError, DomainError
 # sample_stream is not called here; perfbench traces it under this name
-from .model import EnsembleSpec, sample_block, sample_stream, tuple_count  # noqa: F401
+from .model import (EnsembleSpec, sample_block, sample_block_pure,  # noqa: F401
+                    sample_stream, tuple_count)
 from .permanents import DIM_LIMIT_DEFAULT, check_moment, product_sum_table
 
 @dataclass(frozen=True)
@@ -55,11 +65,49 @@ def _log_fraction(fr: Fraction) -> float:
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
+def _cycle_type(p1, p2):
+    """Sorted cycle lengths of sigma = P1^-1 P2, the class of P1 + P2."""
+    # row_of[c] is the row whose P1 entry lies in column c
+    row_of = sorted(range(len(p1)), key=p1.__getitem__)
+    sigma = [row_of[c] for c in p2]
+    parts = []
+    for start in range(len(sigma)):
+        length, i = 0, start
+        while sigma[i] >= 0:
+            sigma[i], i = -1, sigma[i]
+            length += 1
+        if length:
+            parts.append(length)
+    parts.sort()
+    return tuple(parts)
+
+
+def _class_sums(spec, m, m2, lo, hi, pure):
+    """The sums of samples lo..hi-1 at r = 2, one profile per cycle type."""
+    counts = Counter()
+    for first in range(lo, hi, kernels.PASS_SAMPLES):
+        size = min(kernels.PASS_SAMPLES, hi - first)
+        perms = (sample_block_pure(spec, first, size) if pure
+                 else sample_block(spec, first, size).tolist())
+        counts.update(_cycle_type(p1, p2) for p1, p2 in perms)
+    sums = [0] * 6
+    for parts, count in counts.items():
+        prof = kernels.cycle_profile(parts, spec.n)
+        x, y = prof[m], prof[m2]
+        for k, v in enumerate((x, y, x * y)):
+            sums[2 * k] += count * v
+            sums[2 * k + 1] += count * v * v
+    return sums
+
+
 def _mc_worker(args):
+    n, r, seed, m, m2, lo, hi, pure = args
+    spec = EnsembleSpec(n=n, r=r, seed=seed)
+    if r == 2:
+        return _class_sums(spec, m, m2, lo, hi, pure)
+
     import numpy as np
 
-    n, r, seed, m, m2, lo, hi = args
-    spec = EnsembleSpec(n=n, r=r, seed=seed)
     block = kernels.block_size(n)
     span = max(1, kernels.PASS_SAMPLES // block) * block
     batch = np.arange(block)[:, None]
@@ -106,7 +154,8 @@ def estimate_moments(
         raise DomainError(f"need samples >= 2, got {samples}")
     check_moment(n, r, m, m2)
     if n > DIM_LIMIT_DEFAULT:
-        # each sample's profile DP holds 2^n states
+        # each sample's profile DP holds 2^n states; r = 2 reads profiles off
+        # cycle types and runs no DP, but keeps the same cap and exit code
         raise CapacityError(f"profile limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
 
     # the pool starts all its workers at once; more than the CPUs gain nothing
@@ -122,21 +171,24 @@ def estimate_moments(
             mode="enumeration",
         )
 
+    # small r = 2 runs draw with the pure-Python sampler and import no numpy
+    pure = r == 2 and samples <= kernels.PURE_SAMPLES
     if threads > 1 and samples >= 2 * threads:
         import concurrent.futures
 
-        # load numpy before the pool forks its workers, so that they inherit
-        # it rather than each import it again
-        import numpy  # noqa: F401
+        if not pure:
+            # load numpy before the pool forks its workers, so that they
+            # inherit it rather than each import it again
+            import numpy  # noqa: F401
 
         bounds = [samples * i // threads for i in range(threads + 1)]
-        jobs = [(n, r, spec.seed, m, m2, bounds[i], bounds[i + 1])
+        jobs = [(n, r, spec.seed, m, m2, bounds[i], bounds[i + 1], pure)
                 for i in range(threads)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_mc_worker, jobs))
         sums = [sum(p[k] for p in parts) for k in range(6)]
     else:
-        sums = _mc_worker((n, r, spec.seed, m, m2, 0, samples))
+        sums = _mc_worker((n, r, spec.seed, m, m2, 0, samples, pure))
 
     first = _make_estimate(sums[0], sums[1], samples, n)
     second = _make_estimate(sums[2], sums[3], samples, n)

@@ -151,7 +151,9 @@ THREADED = ("mc", "scan", "product", "verify", "expect")
 
 
 def _one_thread(argv):
-    return [*argv, "--threads", "1"] if argv[0] in THREADED else list(argv)
+    if argv[0] in THREADED and "--threads" not in argv:
+        return [*argv, "--threads", "1"]
+    return list(argv)
 
 
 @pytest.mark.parametrize("command", sorted(REPORTS_GOLDEN), ids=_golden_id)
@@ -261,9 +263,15 @@ def test_startup_without_numpy():
         ("oracle", "--n", "4", "--r", "3", "--m", "2", "--m2", "2"),
         # 36 tuples <= 100 samples: enumeration mode reads the oracle table
         ("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "100"),
+        # r = 2 sampling up to kernels.PURE_SAMPLES: the pure-Python sampler
+        # and one profile per cycle type, in one process or two
+        ("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "4"),
+        ("mc", "--n", "16", "--r", "2", "--m", "8", "--samples", "50", "--threads", "2"),
+        ("scan", "--r", "2", "--p", "0.5", "--q", "0.5", "--n", "6", "--n", "8",
+         "--samples", "300"),
     )
     # the same check sees numpy once a command builds arrays
-    assert _loads_numpy(("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "4"))
+    assert _loads_numpy(("mc", "--n", "3", "--r", "3", "--m", "1", "--samples", "4"))
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -16,7 +16,7 @@ from permex import (
     tuple_count,
 )
 from permex import model
-from permex.model import sample_block
+from permex.model import sample_block, sample_block_pure
 
 
 def _stream_block(spec, start, count):
@@ -111,6 +111,46 @@ def test_block_sampler_refills_rows(monkeypatch):
     spec = EnsembleSpec(n=8, r=3, seed=31)
     assert sample_block(spec, 17, 200).tolist() == _stream_block(spec, 17, 200)
     assert len(passes) > 1
+
+
+@pytest.mark.parametrize("seed", [0, 2718, 2**64 - 1])
+def test_pure_sampler_matches_block_and_stream(seed):
+    for n in (1, 2, 5, 8, 13):
+        for r in (1, 2, 3):
+            spec = EnsembleSpec(n=n, r=r, seed=seed)
+            for start in (0, 2**64 - 3):
+                want = sample_block(spec, start, 3).tolist()
+                assert want == _stream_block(spec, start, 3)
+                assert sample_block_pure(spec, start, 3) == want
+
+
+def test_pure_sampler_input_checks():
+    spec = EnsembleSpec(n=3, r=2, seed=5)
+    assert sample_block_pure(spec, 2**64 - 1, 1) == _stream_block(spec, 2**64 - 1, 1)
+    assert sample_block_pure(spec, 10, 0) == []
+    with pytest.raises(DomainError, match="below 2\\^64"):
+        sample_block_pure(spec, 2**64 - 1, 2)
+    with pytest.raises(DomainError, match="start >= 0"):
+        sample_block_pure(spec, -1, 1)
+
+
+def test_pure_sampler_reads_past_first_block(monkeypatch):
+    # n = 5, r = 1 takes 4 draws, under 5 words on average: a sample whose
+    # rejections run past the 8 words of its first Philox block is rare
+    blocks = []
+    philox = model._philox_block
+    monkeypatch.setattr(model, "_philox_block",
+                        lambda *args: blocks.append(args[1:]) or philox(*args))
+    spec = EnsembleSpec(n=5, r=1, seed=2718)
+    long_rows = []
+    for i in range(300):
+        blocks.clear()
+        got = sample_block_pure(spec, i, 1)
+        if len(blocks) > 1:
+            assert blocks == [(i, b) for b in range(len(blocks))]
+            assert got == sample_block(spec, i, 1).tolist() == _stream_block(spec, i, 1)
+            long_rows.append(i)
+    assert long_rows
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import concurrent.futures
 
+import numpy as np
 import pytest
 
 from permex import (
@@ -12,8 +13,9 @@ from permex import (
     sample_matrix,
     single_rate_limit,
 )
-from permex import _pykernels, montecarlo
+from permex import _pykernels, kernels, montecarlo
 from permex.kernels import block_size
+from permex.model import sample_block
 from permex.montecarlo import _make_estimate
 
 
@@ -115,6 +117,41 @@ def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
         est = estimate_moments(spec, m, m2, samples, threads=threads)
         assert est.mode == "sampling"
         assert [est.first, est.second, est.product] == want
+
+
+@pytest.mark.parametrize("n, r, m, m2, samples", [
+    (10, 3, 5, 4, block_size(10) + 6),  # blocks held at 64 matrices
+    (13, 3, 6, 7, 4),  # blocks of one matrix
+])
+def test_dp_blocks_at_large_n_match_reference(n, r, m, m2, samples):
+    # r = 2 reads profiles off cycle types, so the DP's large-n block
+    # shapes are checked at r = 3
+    test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples)
+
+
+@pytest.mark.parametrize("n, m, m2, samples", [(6, 3, 3, 2300), (9, 4, 5, 700)])
+def test_r2_samplers_match_dp_reference(monkeypatch, n, m, m2, samples):
+    # the reference: the block pass's permutations, profiled by the subset DP
+    spec = EnsembleSpec(n, 2, seed=11)
+    perms = sample_block(spec, 0, samples)
+    mats = np.zeros((samples, n, n), dtype=np.int64)
+    for k in range(2):
+        mats[np.arange(samples)[:, None], np.arange(n), perms[:, k]] += 1
+    profiles = kernels.subperm_profiles(mats, n, 2)
+    xs, ys = profiles[m], profiles[m2]
+    columns = (xs, ys, [x * y for x, y in zip(xs, ys)])
+    want = [_make_estimate(sum(vals), sum(v * v for v in vals), samples, n)
+            for vals in columns]
+
+    # at the bound the pure sampler runs, one sample past it the block pass;
+    # the other sampler is removed, so each run shows which one it used
+    for bound, unused in ((samples, "sample_block"), (samples - 1, "sample_block_pure")):
+        monkeypatch.setattr(kernels, "PURE_SAMPLES", bound)
+        monkeypatch.setattr(montecarlo, unused, None)
+        for threads in (1, 2):
+            est = estimate_moments(spec, m, m2, samples, threads=threads)
+            assert [est.first, est.second, est.product] == want
+        monkeypatch.undo()
 
 
 def test_convergence_scan_rows():

@@ -17,7 +17,8 @@ from permex import (
     subpermanent_bruteforce,
     subpermanent_profile,
 )
-from permex import _pykernels, kernels, permanents
+from permex import _pykernels, kernels, montecarlo, permanents
+from permex.model import sample_block
 from permex.permanents import DIM_LIMIT_DEFAULT, product_sum_table
 
 IDENTITY3 = SquareMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -220,6 +221,34 @@ def test_cycle_classes_cover_the_group(n):
         types.append(sorted(lengths))
     assert types == [[part for part in split if part] for split in kernels.rising_splits(n, n)]
     assert sum(size for _, size in classes) == factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cycle_profile_matches_reference(n):
+    # each class representative was built from its rising split, whose
+    # nonzero parts are its cycle type (test_cycle_classes_cover_the_group)
+    for (rep, _), split in zip(kernels._cycle_classes(n), kernels.rising_splits(n, n)):
+        head = [[int(i == j) + (j == rep[i]) for j in range(n)] for i in range(n)]
+        parts = [part for part in split if part]
+        assert kernels.cycle_profile(parts, n) == _pykernels.subperm_profile(head, n)
+        assert kernels.cycle_profile(parts[::-1], n) == kernels.cycle_profile(parts, n)
+
+
+def test_cycle_profile_of_sampled_matrices():
+    # P1 + P2 has the profile of the cycle type of P1^-1 P2
+    count = 3
+    for n in (12, 16):
+        perms = sample_block(EnsembleSpec(n=n, r=2, seed=n), 0, count)
+        mats = np.zeros((count, n, n), dtype=np.int64)
+        for k in range(2):
+            mats[np.arange(count)[:, None], np.arange(n), perms[:, k]] += 1
+        profiles = kernels.subperm_profiles(mats, n, 2)
+        for b, (p1, p2) in enumerate(perms.tolist()):
+            parts = montecarlo._cycle_type(p1, p2)
+            assert sum(parts) == n
+            assert kernels.cycle_profile(parts, n) == [column[b] for column in profiles]
+    with pytest.raises(DomainError):
+        kernels.cycle_profile((2, 2), 5)
 
 
 def test_oracle_matrix_count_is_partition_count():
