@@ -9,7 +9,7 @@ Both numpy calls are timed here against ``_pykernels.subperm_profile``,
 and both must reproduce its values.  Monte Carlo draws its permutations
 one pass of ``kernels.PASS_SAMPLES`` samples at a time, with
 ``model.sample_block`` or, for r = 2 runs of at most
-``kernels.PURE_SAMPLES`` samples, the pure-Python ``model.sample_block_pure``;
+``kernels.PURE_DRAWS`` shuffle draws, the pure-Python ``model.sample_block_pure``;
 both are timed against the per-sample reference stream
 ``model.sample_stream`` and must reproduce its permutations (speedup =
 stream / block).  The fresh-process table times ``permex <sub>

@@ -19,7 +19,6 @@ from math import comb, factorial
 from operator import mul
 
 from . import _pykernels
-from .errors import DomainError
 
 I64_SAFE_BOUND = 1 << 62
 
@@ -48,14 +47,14 @@ PURE_ORACLE_CELLS = 1 << 12
 # per sample at 64 samples and 2.4-4.6 us at 1024 (n = 6..13, r = 2).
 PASS_SAMPLES = 1 << 10
 
-# r = 2 Monte Carlo runs of at most this many samples draw them with the
-# pure-Python sampler (``model.sample_block_pure``), so they never import
-# numpy; larger runs use ``model.sample_block``.  With the cycle tally,
-# in process on 2 shared vCPUs, the pure sampler costs about 20 us per
-# sample at n = 6..8 (30 at n = 13) and the block pass 4-5 us (8) plus
-# about 0.13 s to import numpy: they cross near 8-9k samples at n = 6..8,
-# and lower at larger n.
-PURE_SAMPLES = 1 << 13
+# r = 2 Monte Carlo runs of at most this many shuffle draws,
+# samples * r * (n - 1), draw their permutations with the pure-Python
+# sampler (``model.sample_block_pure``), so they never import numpy; larger
+# runs use ``model.sample_block``.  Past the import of numpy (about 0.12 s)
+# each side's cost grows with the draws: fresh ``mc --threads 1`` processes
+# on 2 shared vCPUs cross at 115k-150k draws for n = 6..20 (11.4k samples
+# at n = 6, 4.9k at n = 16).
+PURE_DRAWS = 1 << 17
 
 
 def block_size(n: int) -> int:
@@ -119,7 +118,7 @@ def subperm_profiles(mats, n: int, max_entry: int):
     return [f[popcount == m].sum(axis=0).tolist() for m in range(n + 1)]
 
 
-def cycle_profile(parts, n: int):
+def cycle_profile(parts):
     """Profile of I + sigma for a permutation sigma of cycle type ``parts``.
 
     Relabelling the columns of P1 + P2 by P1^-1 gives I + sigma with
@@ -129,10 +128,8 @@ def cycle_profile(parts, n: int):
     profile polynomial sum_m perm_m z^m is the product over the cycles of
     g_c(z): g_1 = 1 + 2z (one entry 2) and, for the 2c-cycle of the
     row-column graph, g_c = (1 + 2z) g_(c-1) - z^2 g_(c-2) with g_0 = 2.
-    Returns the n + 1 exact coefficients.
+    Returns the n + 1 exact coefficients, n = sum(parts).
     """
-    if sum(parts) != n:
-        raise DomainError(f"cycle type {tuple(parts)} does not sum to n = {n}")
     g = [[2], [1, 2]]
     while len(g) <= max(parts, default=0):
         grown, shifted = _poly_product([1, 2], g[-1]), [0, 0] + g[-2]

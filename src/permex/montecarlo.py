@@ -9,17 +9,18 @@ At r = 2 no matrix is built and no DP runs: relabelling its columns turns
 P1 + P2 into I + P1^-1 P2, so a sample's profile depends only on the cycle
 type of P1^-1 P2.  Samples are counted per cycle type, and each type's
 profile comes once from ``kernels.cycle_profile``.  Runs of at most
-``kernels.PURE_SAMPLES`` samples draw them with the pure-Python
-``model.sample_block_pure`` and never import numpy; larger runs with
-``model.sample_block``.  At other r one ``model.sample_block`` call gives
-a pass's permutations, which fill blocks of ``kernels.block_size(n)``
-matrices; each block's profiles come from one call of the batched numpy
-kernel ``kernels.subperm_profiles``, which certifies int64 or Python-int
-arithmetic once for the block.  When the whole tuple space is smaller than
-the requested sample count, estimation switches to enumeration mode and
-returns the exact ensemble average with zero standard error, from the
-oracle table (``permanents.product_sum_table``), which at small (n, r)
-builds no arrays and so does not import numpy.
+``kernels.PURE_DRAWS`` shuffle draws (samples * r * (n - 1)) draw their
+permutations with the pure-Python ``model.sample_block_pure`` and never
+import numpy; larger runs with ``model.sample_block``.  At other r one
+``model.sample_block`` call gives a pass's permutations, which fill blocks
+of ``kernels.block_size(n)`` matrices; each block's profiles come from one
+call of the batched numpy kernel ``kernels.subperm_profiles``, which
+certifies int64 or Python-int arithmetic once for the block.  When the
+whole tuple space is smaller than the requested sample count, estimation
+switches to enumeration mode and returns the exact ensemble average with
+zero standard error, from the oracle table
+(``permanents.product_sum_table``), which at small (n, r) builds no arrays
+and so does not import numpy.
 """
 
 import math
@@ -92,7 +93,7 @@ def _class_sums(spec, m, m2, lo, hi, pure):
         counts.update(_cycle_type(p1, p2) for p1, p2 in perms)
     sums = [0] * 6
     for parts, count in counts.items():
-        prof = kernels.cycle_profile(parts, spec.n)
+        prof = kernels.cycle_profile(parts)
         x, y = prof[m], prof[m2]
         for k, v in enumerate((x, y, x * y)):
             sums[2 * k] += count * v
@@ -171,8 +172,9 @@ def estimate_moments(
             mode="enumeration",
         )
 
-    # small r = 2 runs draw with the pure-Python sampler and import no numpy
-    pure = r == 2 and samples <= kernels.PURE_SAMPLES
+    # r = 2 runs of few shuffle draws use the pure-Python sampler and import
+    # no numpy
+    pure = r == 2 and samples * r * (n - 1) <= kernels.PURE_DRAWS
     if threads > 1 and samples >= 2 * threads:
         import concurrent.futures
 

@@ -263,7 +263,7 @@ def test_startup_without_numpy():
         ("oracle", "--n", "4", "--r", "3", "--m", "2", "--m2", "2"),
         # 36 tuples <= 100 samples: enumeration mode reads the oracle table
         ("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "100"),
-        # r = 2 sampling up to kernels.PURE_SAMPLES: the pure-Python sampler
+        # r = 2 sampling up to kernels.PURE_DRAWS: the pure-Python sampler
         # and one profile per cycle type, in one process or two
         ("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "4"),
         ("mc", "--n", "16", "--r", "2", "--m", "8", "--samples", "50", "--threads", "2"),

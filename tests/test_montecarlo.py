@@ -94,13 +94,17 @@ def test_worker_pool_capped_at_cpu_count(monkeypatch):
 
 
 @pytest.mark.parametrize("n, r, m, m2, samples", [
-    (6, 3, 2, 4, block_size(6) + 1),  # one sample past the first block
+    (6, 3, 2, 4, block_size(6) + 1),  # one sample past the first DP block
+    (10, 3, 5, 4, block_size(10) + 6),  # DP blocks held at 64 matrices
+    (13, 3, 6, 7, 4),  # DP blocks of one matrix
+    (4, 3, 2, 2, 1500),  # one DP block per pass: ends part way through the second
+    # r = 2 counts samples per cycle type of P1^-1 P2: its tally against
+    # the per-sample DP, from few cycle types to about one per sample
     (5, 2, 2, 3, 301),
-    (8, 2, 4, 3, 150),  # blocks of 64: two boundaries
-    (10, 2, 5, 4, block_size(10) + 6),  # blocks held at 64 matrices
-    (13, 2, 6, 7, 4),  # blocks of one matrix
+    (8, 2, 4, 3, 150),
+    (10, 2, 5, 4, block_size(10) + 6),
+    (13, 2, 6, 7, 4),
     (6, 2, 3, 3, 2300),  # sampler passes of 1024: ends in the third pass
-    (4, 3, 2, 2, 1500),  # one block per pass: ends part way through the second
 ])
 def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
     spec = EnsembleSpec(n, r, seed=7)
@@ -119,16 +123,6 @@ def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
         assert [est.first, est.second, est.product] == want
 
 
-@pytest.mark.parametrize("n, r, m, m2, samples", [
-    (10, 3, 5, 4, block_size(10) + 6),  # blocks held at 64 matrices
-    (13, 3, 6, 7, 4),  # blocks of one matrix
-])
-def test_dp_blocks_at_large_n_match_reference(n, r, m, m2, samples):
-    # r = 2 reads profiles off cycle types, so the DP's large-n block
-    # shapes are checked at r = 3
-    test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples)
-
-
 @pytest.mark.parametrize("n, m, m2, samples", [(6, 3, 3, 2300), (9, 4, 5, 700)])
 def test_r2_samplers_match_dp_reference(monkeypatch, n, m, m2, samples):
     # the reference: the block pass's permutations, profiled by the subset DP
@@ -143,10 +137,12 @@ def test_r2_samplers_match_dp_reference(monkeypatch, n, m, m2, samples):
     want = [_make_estimate(sum(vals), sum(v * v for v in vals), samples, n)
             for vals in columns]
 
-    # at the bound the pure sampler runs, one sample past it the block pass;
-    # the other sampler is removed, so each run shows which one it used
-    for bound, unused in ((samples, "sample_block"), (samples - 1, "sample_block_pure")):
-        monkeypatch.setattr(kernels, "PURE_SAMPLES", bound)
+    # with the bound at the run's shuffle draws the pure sampler runs, one
+    # below them the block pass; the other sampler is removed, so each run
+    # shows which one it used
+    draws = samples * 2 * (n - 1)
+    for bound, unused in ((draws, "sample_block"), (draws - 1, "sample_block_pure")):
+        monkeypatch.setattr(kernels, "PURE_DRAWS", bound)
         monkeypatch.setattr(montecarlo, unused, None)
         for threads in (1, 2):
             est = estimate_moments(spec, m, m2, samples, threads=threads)

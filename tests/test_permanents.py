@@ -230,8 +230,8 @@ def test_cycle_profile_matches_reference(n):
     for (rep, _), split in zip(kernels._cycle_classes(n), kernels.rising_splits(n, n)):
         head = [[int(i == j) + (j == rep[i]) for j in range(n)] for i in range(n)]
         parts = [part for part in split if part]
-        assert kernels.cycle_profile(parts, n) == _pykernels.subperm_profile(head, n)
-        assert kernels.cycle_profile(parts[::-1], n) == kernels.cycle_profile(parts, n)
+        assert kernels.cycle_profile(parts) == _pykernels.subperm_profile(head, n)
+        assert kernels.cycle_profile(parts[::-1]) == kernels.cycle_profile(parts)
 
 
 def test_cycle_profile_of_sampled_matrices():
@@ -246,9 +246,7 @@ def test_cycle_profile_of_sampled_matrices():
         for b, (p1, p2) in enumerate(perms.tolist()):
             parts = montecarlo._cycle_type(p1, p2)
             assert sum(parts) == n
-            assert kernels.cycle_profile(parts, n) == [column[b] for column in profiles]
-    with pytest.raises(DomainError):
-        kernels.cycle_profile((2, 2), 5)
+            assert kernels.cycle_profile(parts) == [column[b] for column in profiles]
 
 
 def test_oracle_matrix_count_is_partition_count():
