@@ -12,6 +12,7 @@ from .asymptotics import (
     single_rate,
     single_rate_limit,
     solve_stationary,
+    solve_stationary_batch,
     stationarity_residuals,
     stirling_f,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "single_rate",
     "single_rate_limit",
     "solve_stationary",
+    "solve_stationary_batch",
     "stationarity_residuals",
     "stirling_f",
     "subpermanent_bruteforce",

@@ -121,23 +121,21 @@ def rate_components(p, q, r, a, b, d, e) -> RateComponents:
     )
 
 
-def _raw_residuals(a, b, d, e, L, p, q, r):
+def _raw_residuals(a, b, d, e, L, p, q, r, rr1, rr1r1):
+    """The five raw residuals and their leading terms, given r, r(r-1) and
+    r(r-1)^2 as divisors; elementwise, so the arguments may be arrays."""
     u = 1 - p - a - b
     w = (p - e - b - d) / r
     slack = 1 - (p + a + 2 * b + d) / r
     g = (
         u * u - L * (a / r) * slack,
-        u * w - L * (b / (r * (r - 1))) * slack,
-        w * w - L * d / (r * (r - 1) ** 2) * slack,
+        u * w - L * (b / rr1) * slack,
+        w * w - L * d / rr1r1 * slack,
         w * w - L * ((p - e) / r) * (e / r),
         a + e + 2 * b + d - q,
     )
     firsts = (u * u, u * w, w * w, w * w, a + e + 2 * b + d)
     return g, firsts
-
-
-def _rel_norm(g, firsts):
-    return max(abs(gi / fi) if fi != 0 else abs(gi) for gi, fi in zip(g, firsts))
 
 
 def stationarity_residuals(a, b, d, e, L, p, q, r):
@@ -151,7 +149,7 @@ def stationarity_residuals(a, b, d, e, L, p, q, r):
     for name, v in (("a", a), ("b", b), ("d", d), ("e", e), ("L", L)):
         _check_feasible(f"{name} >= 0", v)
     _check_feasible("p - e >= 0", p - e)
-    g, firsts = _raw_residuals(a, b, d, e, L, p, q, r)
+    g, firsts = _raw_residuals(a, b, d, e, L, p, q, r, r * (r - 1), r * (r - 1) ** 2)
     return tuple(gi / fi if fi != 0 else gi for gi, fi in zip(g, firsts))
 
 
@@ -173,134 +171,226 @@ class StationarySolution:
         return max(abs(x) for x in self.residuals)
 
 
-def analytic_solution(p, q, r) -> StationarySolution:
-    """Closed-form stationary point of the five-equation system."""
-    _check_point(p, q, r)
+def _closed_form(p, q, r):
+    """The closed-form stationary point (a, b, d, e, L)."""
     a = q * (1 - p) ** 2 * r / (r - p)
     b = (1 - p) * (r - 1) * p * q / (r - p)
     d = (r - 1) ** 2 * p**2 * q / (r * (r - p))
     e = p * q / r
     L = (1 - q) ** 2 * r**2 / (q * (r - q))
+    return a, b, d, e, L
+
+
+def _solution(a, b, d, e, L, p, q, r, iterations=0):
+    """The StationarySolution at (a, b, d, e, L): its scaled residuals and S/n."""
     res = stationarity_residuals(a, b, d, e, L, p, q, r)
     s = rate_components(p, q, r, a, b, d, e).total
-    return StationarySolution(a=a, b=b, d=d, e=e, L=L, s_over_n=s, residuals=res)
+    return StationarySolution(a=a, b=b, d=d, e=e, L=L, s_over_n=s, residuals=res,
+                              iterations=iterations)
 
 
-def _residual_jacobian(a, b, d, e, L, p, r):
-    """Analytic Jacobian of the raw residuals wrt (a, b, d, e, L)."""
-    import numpy as np
-
-    u = 1 - p - a - b
-    w = (p - e - b - d) / r
-    t = 1 - (p + a + 2 * b + d) / r
-    rr1 = r * (r - 1)
-    j = np.zeros((5, 5))
-    j[0] = (
-        -2 * u - L * t / r + L * a / r**2,
-        -2 * u + 2 * L * a / r**2,
-        L * a / r**2,
-        0.0,
-        -(a / r) * t,
-    )
-    j[1] = (
-        -w + L * b / (r * rr1),
-        -w - u / r - L * t / rr1 + 2 * L * b / (r * rr1),
-        -u / r + L * b / (r * rr1),
-        -u / r,
-        -(b / rr1) * t,
-    )
-    j[2] = (
-        L * d / (r * rr1 * (r - 1)),
-        -2 * w / r + 2 * L * d / (r * rr1 * (r - 1)),
-        -2 * w / r - L * t / (rr1 * (r - 1)) + L * d / (r * rr1 * (r - 1)),
-        -2 * w / r,
-        -d * t / (rr1 * (r - 1)),
-    )
-    j[3] = (
-        0.0,
-        -2 * w / r,
-        -2 * w / r,
-        -2 * w / r - L * (p - 2 * e) / r**2,
-        -((p - e) / r) * (e / r),
-    )
-    j[4] = (1.0, 2.0, 1.0, 1.0, 0.0)
-    return j
-
-
-DEFAULT_SOLVER_TOL = 1e-10
-MAX_NEWTON_ITERATIONS = 200
-
-
-def solve_stationary(p, q, r, tol=DEFAULT_SOLVER_TOL) -> StationarySolution:
-    """Damped Newton iteration on the stationarity system.
-
-    Works in log coordinates so all five unknowns stay positive.  The
-    first attempt starts at (q/2, q/8, q/8, q/8, 1); if that stalls, a
-    second starts from a mildly perturbed closed-form point.  Raises
-    SolverError (carrying the best point) when both attempts fail.
-    """
-    import numpy as np
-
+def analytic_solution(p, q, r) -> StationarySolution:
+    """Closed-form stationary point of the five-equation system."""
     _check_point(p, q, r)
-    if not 0 < tol < math.inf:
-        raise DomainError(f"need a finite tol > 0, got {tol}")
-    best = None
-    best_norm = math.inf
-    total_iters = 0
-    # A full step can overshoot far enough that a trial exp overflows; the
-    # feasibility test then rejects it, so the overflow is not an error.
-    with np.errstate(over="ignore"):
-        for start in [(q / 2, q / 8, q / 8, q / 8, 1.0), None]:
-            if start is None:
-                ref = analytic_solution(p, q, r)
-                wiggle = (1.1, 0.9, 1.1, 0.9, 1.1)
-                start = tuple(v * f for v, f in zip((ref.a, ref.b, ref.d, ref.e, ref.L), wiggle))
-            x = np.log(np.asarray(start, dtype=float))
-            for _ in range(MAX_NEWTON_ITERATIONS):
-                a, b, d, e, L = (float(v) for v in np.exp(x))
-                g, firsts = _raw_residuals(a, b, d, e, L, p, q, r)
-                rel = _rel_norm(g, firsts)
-                total_iters += 1
-                if rel < best_norm:
-                    best_norm = rel
-                    best = (a, b, d, e, L)
-                if rel < tol:
-                    res = stationarity_residuals(a, b, d, e, L, p, q, r)
-                    s = rate_components(p, q, r, a, b, d, e).total
-                    return StationarySolution(
-                        a=a, b=b, d=d, e=e, L=L, s_over_n=s,
-                        residuals=res, iterations=total_iters,
-                    )
-                jac = _residual_jacobian(a, b, d, e, L, p, r) * np.exp(x)[None, :]
-                try:
-                    step = np.linalg.solve(jac, -np.asarray(g))
-                except np.linalg.LinAlgError:
-                    break
-                # backtracking damping on the relative residual norm
-                scale = 1.0
-                moved = False
-                for _ in range(40):
-                    xn = x + scale * step
-                    an, bn, dn, en, Ln = np.exp(xn)
-                    if en < p and (p - en - bn - dn) > 0 and (1 - p - an - bn) > 0 \
-                            and (1 - (p + an + 2 * bn + dn) / r) > 0:
-                        gn, fn = _raw_residuals(an, bn, dn, en, Ln, p, q, r)
-                        reln = _rel_norm(gn, fn)
-                        if reln < rel:
-                            x = xn
-                            moved = True
-                            break
-                    scale *= 0.5
-                if not moved:
-                    break
-    raise SolverError(
-        f"stationarity solve failed at (p={p}, q={q}, r={r}); "
-        f"best relative residual {best_norm:.3e}",
-        best=best,
-    )
+    return _solution(*_closed_form(p, q, r), p, q, r)
 
 
 def product_rate(p, q, r) -> float:
     """(1/n) ln E(perm_m perm_m2) in the limit: S/n at the stationary point."""
-    sol = analytic_solution(p, q, r)
-    return sol.s_over_n
+    _check_point(p, q, r)
+    a, b, d, e, _ = _closed_form(p, q, r)
+    return rate_components(p, q, r, a, b, d, e).total
+
+
+DEFAULT_SOLVER_TOL = 1e-10
+MAX_NEWTON_ITERATIONS = 200
+# trial steps per Newton iteration, halving the step after each rejected one
+MAX_HALVINGS = 40
+
+
+def _r_terms(r):
+    """The divisors in r of the residuals and their Jacobian: r, r(r-1),
+    r(r-1)^2, r^2, r^2(r-1), r^2(r-1)^2, each an exact int rounded once to a
+    float, as Python's float / int division rounds it."""
+    rr1 = r * (r - 1)
+    return tuple(float(v) for v in (r, rr1, rr1 * (r - 1), r * r, r * rr1, rr1 * rr1))
+
+
+def _rel_norm(g, firsts):
+    """Per row, the largest |g / first| (|g| where first is 0), with Python's
+    max(): a NaN first term is the result, a later NaN term is passed over."""
+    import numpy as np
+
+    ratio = np.abs(g / np.where(firsts != 0, firsts, 1.0))
+    return np.where(np.isnan(ratio[:, 0]), ratio[:, 0], np.fmax.reduce(ratio, axis=1))
+
+
+def _residual_rows(X, c):
+    """The raw residuals, one row per point, and their relative norms at the
+    points X (rows (a, b, d, e, L)) under the per-point constants c."""
+    import numpy as np
+
+    g, firsts = (np.stack(v, axis=1) for v in _raw_residuals(*X.T, *c.T[:5]))
+    return g, _rel_norm(g, firsts)
+
+
+def _log_jacobian(X, c):
+    """Per point, the Jacobian of the raw residuals wrt the log coordinates."""
+    import numpy as np
+
+    a, b, d, e, L = X.T
+    p, _, r, rr1, rr1r1, r2, r2r1, r2r1r1 = c.T
+    u = 1 - p - a - b
+    w = (p - e - b - d) / r
+    t = 1 - (p + a + 2 * b + d) / r
+    j = np.zeros((len(X), 5, 5))
+    j[:, 0, 0] = -2 * u - L * t / r + L * a / r2
+    j[:, 0, 1] = -2 * u + 2 * L * a / r2
+    j[:, 0, 2] = L * a / r2
+    j[:, 0, 4] = -(a / r) * t
+    j[:, 1, 0] = -w + L * b / r2r1
+    j[:, 1, 1] = -w - u / r - L * t / rr1 + 2 * L * b / r2r1
+    j[:, 1, 2] = -u / r + L * b / r2r1
+    j[:, 1, 3] = -u / r
+    j[:, 1, 4] = -(b / rr1) * t
+    j[:, 2, 0] = L * d / r2r1r1
+    j[:, 2, 1] = -2 * w / r + 2 * L * d / r2r1r1
+    j[:, 2, 2] = -2 * w / r - L * t / rr1r1 + L * d / r2r1r1
+    j[:, 2, 3] = -2 * w / r
+    j[:, 2, 4] = -d * t / rr1r1
+    j[:, 3, 1] = -2 * w / r
+    j[:, 3, 2] = -2 * w / r
+    j[:, 3, 3] = -2 * w / r - L * (p - 2 * e) / r2
+    j[:, 3, 4] = -((p - e) / r) * (e / r)
+    j[:, 4] = (1.0, 2.0, 1.0, 1.0, 0.0)
+    # chain rule: column k times d exp(x_k) / dx_k = exp(x_k)
+    j *= X[:, None, :]
+    return j
+
+
+def _newton_steps(jac, rhs):
+    """Each point's Newton step, and which points' systems were nonsingular."""
+    import numpy as np
+
+    ok = np.ones(len(rhs), dtype=bool)
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], ok
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole stack: solve one at a time
+        step = np.zeros_like(rhs)
+        for i in range(len(rhs)):
+            try:
+                step[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return step, ok
+
+
+def _newton_attempt(x, live, const, tol, state):
+    """One damped Newton attempt from the log points x at the point indices
+    live.  Counts each point's iterations and keeps its best point (a point
+    that converges is its best), and returns the indices of the points that
+    did not converge."""
+    import numpy as np
+
+    iters, best, best_norm = state
+    stalled = []
+    for _ in range(MAX_NEWTON_ITERATIONS):
+        if not live.size:
+            break
+        X = np.exp(x)
+        c = const[live]
+        g, rel = _residual_rows(X, c)
+        iters[live] += 1
+        better = rel < best_norm[live]
+        best_norm[live[better]] = rel[better]
+        best[live[better]] = X[better]
+        go = ~(rel < tol)
+        x, X, c, g, rel, live = x[go], X[go], c[go], g[go], rel[go], live[go]
+        step, ok = _newton_steps(_log_jacobian(X, c), -g)
+        # backtracking damping on the relative residual norm: each point
+        # takes its first trial that is feasible and lowers its norm
+        moved = np.zeros(live.size, dtype=bool)
+        trying = np.flatnonzero(ok)
+        scale = 1.0
+        for _ in range(MAX_HALVINGS):
+            if not trying.size:
+                break
+            xn = x[trying] + scale * step[trying]
+            Xn = np.exp(xn)
+            a, b, d, e, _ = Xn.T
+            cn = c[trying]
+            p, r = cn[:, 0], cn[:, 2]
+            feasible = ((e < p) & (p - e - b - d > 0) & (1 - p - a - b > 0)
+                        & (1 - (p + a + 2 * b + d) / r > 0))
+            take = feasible & (_residual_rows(Xn, cn)[1] < rel[trying])
+            x[trying[take]] = xn[take]
+            moved[trying[take]] = True
+            trying = trying[~take]
+            scale *= 0.5
+        stalled.append(live[~moved])
+        x, live = x[moved], live[moved]
+    stalled.append(live)
+    return np.sort(np.concatenate(stalled))
+
+
+def solve_stationary_batch(points, tol=DEFAULT_SOLVER_TOL) -> list:
+    """Damped Newton iteration on the stationarity system at each (p, q, r).
+
+    Works in log coordinates so all five unknowns stay positive.  The
+    first attempt starts at (q/2, q/8, q/8, q/8, 1); a point where that
+    stalls gets a second attempt from a mildly perturbed closed-form point.
+    The points iterate together, one array row and one stacked 5x5 Newton
+    system each, but each keeps its own step damping, iteration count and
+    best point.  Returns, in order, each point's StationarySolution or,
+    where both attempts fail, a SolverError carrying its best point.
+    """
+    import numpy as np
+
+    for p, q, r in points:
+        _check_point(p, q, r)
+    if not 0 < tol < math.inf:
+        raise DomainError(f"need a finite tol > 0, got {tol}")
+    n = len(points)
+    # per point: p, q and the r terms, the constants of every evaluation
+    const = np.array([(p, q, *_r_terms(r)) for p, q, r in points], dtype=float).reshape(n, 8)
+    iters = np.zeros(n, dtype=int)
+    best = np.zeros((n, 5))
+    best_norm = np.full(n, math.inf)
+    state = (iters, best, best_norm)
+    starts = [(q / 2, q / 8, q / 8, q / 8, 1.0) for _, q, _ in points]
+    wiggle = (1.1, 0.9, 1.1, 0.9, 1.1)
+    # A full step can overshoot far enough that a trial exp overflows, and
+    # the trial's residuals then hold inf - inf; the feasibility test
+    # rejects such a trial, so neither is an error.  np.exp, np.log and
+    # np.linalg.solve get contiguous arrays, as they did one point at a
+    # time: numpy's SIMD loops need not round a strided array's elements as
+    # they round a contiguous one's, and the recorded outputs pin every bit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.log(np.array(starts, dtype=float).reshape(n, 5))
+        left = _newton_attempt(x, np.arange(n), const, tol, state)
+        if left.size:
+            starts = [[v * f for v, f in zip(_closed_form(*points[i]), wiggle)]
+                      for i in left.tolist()]
+            left = _newton_attempt(np.log(np.array(starts)), left, const, tol, state)
+    failed = set(left.tolist())
+    results = []
+    rows = zip(points, best.tolist(), best_norm.tolist(), iters.tolist())
+    for i, ((p, q, r), point, norm, its) in enumerate(rows):
+        if i in failed:
+            results.append(SolverError(
+                f"stationarity solve failed at (p={p}, q={q}, r={r}); "
+                f"best relative residual {norm:.3e}",
+                best=tuple(point) if norm < math.inf else None,
+            ))
+        else:
+            results.append(_solution(*point, p, q, r, iterations=its))
+    return results
+
+
+def solve_stationary(p, q, r, tol=DEFAULT_SOLVER_TOL) -> StationarySolution:
+    """solve_stationary_batch at one point; raises its SolverError."""
+    (sol,) = solve_stationary_batch([(p, q, r)], tol)
+    if isinstance(sol, SolverError):
+        raise sol
+    return sol

@@ -27,6 +27,7 @@ from .asymptotics import (
     product_rate,
     single_rate,
     solve_stationary,
+    solve_stationary_batch,
 )
 from .errors import CapacityError, DomainError, SolverError
 from .model import TUPLE_BUDGET_DEFAULT, EnsembleSpec, check_seed
@@ -248,25 +249,34 @@ def _suite_stationarity(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     return rows, worst, worst < tol, tol
 
 
+def _solve_points(points):
+    """Newton solutions at every point, in one batch; raises the first failure."""
+    sols = solve_stationary_batch(points)
+    for sol in sols:
+        if isinstance(sol, SolverError):
+            raise sol
+    return sols
+
+
 def _suite_factorization(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     """product_rate(p, q) against single_rate(p) + single_rate(q) over the
     grid; the Newton solver's rate must agree within 1e-6."""
     tol = 1e-9
     solver_tol = 1e-6
+    points = [(p, q, r) for r in _r_values(r, GRID_R)
+              for p in GRID_DENSITIES for q in GRID_DENSITIES]
+    gaps = []
+    for p, q, r in points:
+        target = single_rate(p, r) + single_rate(q, r)
+        gaps.append((target, abs(product_rate(p, q, r) - target)))
     rows = []
     worst = 0.0
     ok = True
-    for r in _r_values(r, GRID_R):
-        for p in GRID_DENSITIES:
-            for q in GRID_DENSITIES:
-                target = single_rate(p, r) + single_rate(q, r)
-                gap = abs(product_rate(p, q, r) - target)
-                sol = solve_stationary(p, q, r)
-                solver_gap = abs(sol.s_over_n - target)
-                worst = max(worst, gap)
-                ok = ok and gap < tol and solver_gap < solver_tol
-                rows.append({"p": p, "q": q, "r": r, "gap": gap,
-                             "solver_gap": solver_gap})
+    for (p, q, r), (target, gap), sol in zip(points, gaps, _solve_points(points)):
+        solver_gap = abs(sol.s_over_n - target)
+        worst = max(worst, gap)
+        ok = ok and gap < tol and solver_gap < solver_tol
+        rows.append({"p": p, "q": q, "r": r, "gap": gap, "solver_gap": solver_gap})
     return rows, worst, ok, tol
 
 
@@ -276,16 +286,17 @@ def _suite_solver(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
 
     tol = 1e-8
     rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
-    rows = []
-    worst = 0.0
+    points = []
     for _ in range(20):
         p = float(rng.uniform(0.05, 0.95))
         q = float(rng.uniform(0.05, 0.95))
         drawn = int(rng.integers(2, 7))
         # r is drawn even when given, so --r keeps the same (p, q) points
-        r_point = drawn if r is None else r
-        ref = analytic_solution(p, q, r_point)
-        sol = solve_stationary(p, q, r_point)
+        points.append((p, q, drawn if r is None else r))
+    refs = [analytic_solution(*point) for point in points]
+    rows = []
+    worst = 0.0
+    for (p, q, r_point), ref, sol in zip(points, refs, _solve_points(points)):
         diff = max(abs(sol.a - ref.a), abs(sol.b - ref.b), abs(sol.d - ref.d),
                    abs(sol.e - ref.e), abs(sol.L - ref.L))
         worst = max(worst, diff)

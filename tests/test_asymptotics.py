@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from permex import asymptotics, cli
 from permex import (
     DomainError,
     InfeasiblePointError,
@@ -14,6 +15,7 @@ from permex import (
     single_rate,
     single_rate_limit,
     solve_stationary,
+    solve_stationary_batch,
     stationarity_residuals,
     stirling_f,
 )
@@ -214,9 +216,15 @@ def test_solver_matches_analytic():
         assert sol.residual_max < 1e-10
 
 
+def batch_with_good_first(p, q, r):
+    # a batch checks every point, and one bad point fails it whole
+    return solve_stationary_batch([(0.5, 0.5, 2), (p, q, r)], tol=math.nan)
+
+
 @pytest.mark.parametrize("fn", [
     analytic_solution, solve_stationary,
     lambda p, q, r: stationarity_residuals(0.1, 0.1, 0.1, 0.1, 1.0, p, q, r),
+    batch_with_good_first,
 ])
 def test_point_domain(fn):
     # one point check: p and q before r, with the same messages everywhere
@@ -247,17 +255,90 @@ def test_solver_failure_carries_best_point():
 
 
 def test_solver_failure_on_singular_jacobian(monkeypatch):
-    # a singular Newton system ends the attempt; both attempts ending so is a
-    # SolverError that still carries the best point seen
+    # a singular Newton system ends that point's attempt; both attempts ending
+    # so is a SolverError that still carries the best point seen
+    points = [(0.3, 0.7, 3), (0.1, 0.3, 2), (0.9, 0.9, 6)]
+    want = solve_stationary_batch(points)
+    real_solve = np.linalg.solve
+
+    def no_stacks(a, b):
+        # LAPACK refuses a stack as soon as one matrix in it is singular
+        if a.ndim > 2 and len(a) > 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", no_stacks)
+    # the batch re-solves such a stack one matrix at a time
+    assert solve_stationary_batch(points) == want
+
     def singular(*args):
         raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(SolverError) as err:
         solve_stationary(0.3, 0.7, 3)
-    best = err.value.best
-    assert len(best) == 5
-    assert all(isinstance(x, float) and x > 0 for x in best)
+    failures = [err.value, *solve_stationary_batch(points)]
+    for failure in failures:
+        assert isinstance(failure, SolverError)
+        assert len(failure.best) == 5
+        assert all(isinstance(x, float) and x > 0 for x in failure.best)
+
+
+def test_batch_equals_one_point_solves(monkeypatch):
+    # every field bit for bit, iteration counts included: the solver suite's
+    # points at two seeds, and grid points whose first attempt stalls
+    points = [(row["p"], row["q"], row["r"])
+              for seed in (0, 2718) for row in cli._suite_solver(seed=seed)[0]]
+    restarts = [(0.1, 0.3, 2), (0.5, 0.9, 4), (0.9, 0.9, 6)]
+    one_by_one = [solve_stationary(*point) for point in points + restarts]
+    real_closed_form = asymptotics._closed_form
+    restarted = []
+
+    def closed_form(*point):
+        restarted.append(point)
+        return real_closed_form(*point)
+
+    monkeypatch.setattr(asymptotics, "_closed_form", closed_form)
+    batch = solve_stationary_batch(points + restarts)
+    assert set(restarts) <= set(restarted)
+    assert len(batch) == len(one_by_one)
+    # recorded at seed 2718: a change to the step damping or the restart moves them
+    assert [sol.iterations for sol in batch[20:40]] == [
+        8, 7, 11, 7, 6, 7, 7, 7, 6, 9, 9, 7, 6, 6, 6, 6, 6, 8, 7, 7]
+    for got, want in zip(batch, one_by_one):
+        for field in ("a", "b", "d", "e", "L", "s_over_n", "residuals", "iterations"):
+            assert getattr(got, field) == getattr(want, field), (got, field)
+
+
+def test_rel_norm_takes_python_max():
+    # the batch's row norm is the max() the one-point residual norm took:
+    # a NaN first term is the norm, a later NaN term is passed over
+    nan = math.nan
+    g = np.array([[nan, 1.0, 2.0, 0.0, 3.0], [1.0, nan, -4.0, 0.0, 2.0],
+                  [-1.0, 2.0, 6.0, 5.0, 0.5]])
+    firsts = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [2.0, 1.0, 0.0, 0.0, 4.0],
+                       [nan, 1.0, 2.0, 0.0, 1.0]])
+    norms = asymptotics._rel_norm(g, firsts)
+    for row, norm in zip(zip(g.tolist(), firsts.tolist()), norms.tolist()):
+        want = max(abs(gi / fi) if fi != 0 else abs(gi) for gi, fi in zip(*row))
+        assert norm == want or (math.isnan(norm) and math.isnan(want)), (row, norm)
+    assert math.isnan(norms[0]) and math.isnan(norms[2])
+    assert norms[1] == 4.0
+
+
+def test_batch_keeps_each_points_failure():
+    # a point where both attempts fail gets its SolverError in its place,
+    # returned, not raised, and the points around it still solve
+    assert solve_stationary_batch([]) == []
+    hard = (0.07313656993340666, 0.9387812628920866, 2)
+    sols = solve_stationary_batch([(0.5, 0.5, 2), hard, (0.3, 0.7, 3)])
+    assert sols[0] == solve_stationary(0.5, 0.5, 2)
+    assert sols[2] == solve_stationary(0.3, 0.7, 3)
+    with pytest.raises(SolverError) as err:
+        solve_stationary(*hard)
+    assert isinstance(sols[1], SolverError)
+    assert str(sols[1]) == str(err.value)
+    assert sols[1].best == err.value.best
 
 
 def test_product_rate_value_and_symmetry():
