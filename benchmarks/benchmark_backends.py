@@ -7,9 +7,9 @@ matrices, and the per-matrix API ``kernels.subperm_profile`` runs it on a
 block of one; the oracle's small tables run the reference DP itself.
 Both numpy calls are timed here against ``_pykernels.subperm_profile``,
 and both must reproduce its values.  Monte Carlo draws its permutations
-one pass of ``kernels.PASS_SAMPLES`` samples at a time, with
+one pass of ``montecarlo.PASS_SAMPLES`` samples at a time, with
 ``model.sample_block`` or, for r = 2 runs of at most
-``kernels.PURE_DRAWS`` shuffle draws, the pure-Python ``model.sample_block_pure``;
+``montecarlo.PURE_DRAWS`` shuffle draws, the pure-Python ``model.sample_block_pure``;
 both are timed against the per-sample reference stream
 ``model.sample_stream`` and must reproduce its permutations (speedup =
 stream / block).  The fresh-process table times ``permex <sub>
@@ -35,7 +35,7 @@ import numpy as np
 
 import permex
 from permex import EnsembleSpec, sample_matrix, sample_permutation, sample_stream
-from permex import _pykernels, kernels
+from permex import _pykernels, kernels, montecarlo
 from permex.model import sample_block, sample_block_pure
 
 SUBCOMMANDS = ("expect", "product", "oracle", "rate", "solve", "analytic", "mc",
@@ -124,7 +124,7 @@ def bench_profiles():
 
 
 def bench_sampling():
-    count = kernels.PASS_SAMPLES
+    count = montecarlo.PASS_SAMPLES
     print(f"Philox sample stream, r = 2 ({count} samples each; us per sample)")
     print(f"{'n':>4} {'stream':>10} {'pure':>10} {'block':>10} {'speedup':>8}")
     for n in (6, 8, 10, 13):

@@ -227,7 +227,7 @@ def _cmd_argmax(args):
 # Each suite is the one definition of an acceptance criterion (criteria 1-5
 # of tests/test_acceptance.py), its tolerance included.  It takes keyword
 # overrides (r=None meaning the suite's own r values; budget bounds the
-# oracle suites' matrices) and returns (rows, worst, passed, tol).
+# oracle suites' DP cells) and returns (rows, worst, passed, tol).
 
 
 def _r_values(r, default):
@@ -471,6 +471,9 @@ def dispatch(argv) -> int:
 
 
 def main():
+    # permex's largest LAPACK call is a stack of 5x5 solves, so BLAS threads
+    # would only slow numpy's import; a value the caller set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = dispatch(sys.argv[1:])
         sys.stdout.flush()

@@ -41,21 +41,6 @@ BLOCK_MAX_N = 12
 # admit (14, 1), at 0.29-0.32 s.
 PURE_ORACLE_CELLS = 1 << 12
 
-# Samples per Monte Carlo sampler pass (``model.sample_block``), rounded
-# down to whole blocks, at least one.  The pass's numpy operations per
-# draw do not grow with its length: on 2 shared vCPUs it costs 17-28 us
-# per sample at 64 samples and 2.4-4.6 us at 1024 (n = 6..13, r = 2).
-PASS_SAMPLES = 1 << 10
-
-# r = 2 Monte Carlo runs of at most this many shuffle draws,
-# samples * r * (n - 1), draw their permutations with the pure-Python
-# sampler (``model.sample_block_pure``), so they never import numpy; larger
-# runs use ``model.sample_block``.  Past the import of numpy (about 0.12 s)
-# each side's cost grows with the draws: fresh ``mc --threads 1`` processes
-# on 2 shared vCPUs cross at 115k-150k draws for n = 6..20 (11.4k samples
-# at n = 6, 4.9k at n = 16).
-PURE_DRAWS = 1 << 17
-
 
 def block_size(n: int) -> int:
     return max(BLOCK_MATRICES, BLOCK_CELLS >> n) if n <= BLOCK_MAX_N else 1
@@ -188,6 +173,11 @@ def oracle_matrix_count(n: int, r: int) -> int:
     return sum(1 for _ in rising_splits(n, n)) * factorial(n) ** (r - 2)
 
 
+def oracle_cells(n: int, r: int) -> int:
+    """DP cells of the oracle's work: ``oracle_matrix_count`` matrices x 2^n states."""
+    return oracle_matrix_count(n, r) << n
+
+
 def oracle_product_sums(n: int, r: int):
     """Exact sums of perm_m * perm_m2 over all (n!)^r permutation tuples.
 
@@ -212,7 +202,7 @@ def oracle_product_sums(n: int, r: int):
         heads = [[[int(i == j) + (j == rep[i]) for j in range(n)] for i in range(n)]
                  for rep, _ in classes]
         weights = [nfact * size for _, size in classes]
-    if oracle_matrix_count(n, r) << n <= PURE_ORACLE_CELLS:
+    if oracle_cells(n, r) <= PURE_ORACLE_CELLS:
         blocks = _pure_oracle_blocks(heads, n, r)
     else:
         blocks = _numpy_oracle_blocks(heads, n, r)

@@ -3,24 +3,23 @@
 Integer statistics (sums and sums of squares) are accumulated exactly and
 only converted to floats at the very end, so no precision is lost to
 cancellation no matter how large the subpermanent values grow.  Samples
-are drawn in passes of about ``kernels.PASS_SAMPLES``.
+are drawn in passes of ``PASS_SAMPLES``.
 
 At r = 2 no matrix is built and no DP runs: relabelling its columns turns
 P1 + P2 into I + P1^-1 P2, so a sample's profile depends only on the cycle
 type of P1^-1 P2.  Samples are counted per cycle type, and each type's
 profile comes once from ``kernels.cycle_profile``.  Runs of at most
-``kernels.PURE_DRAWS`` shuffle draws (samples * r * (n - 1)) draw their
+``PURE_DRAWS`` shuffle draws (samples * r * (n - 1)) draw their
 permutations with the pure-Python ``model.sample_block_pure`` and never
 import numpy; larger runs with ``model.sample_block``.  At other r one
-``model.sample_block`` call gives a pass's permutations, which fill blocks
-of ``kernels.block_size(n)`` matrices; each block's profiles come from one
-call of the batched numpy kernel ``kernels.subperm_profiles``, which
-certifies int64 or Python-int arithmetic once for the block.  When the
-whole tuple space is smaller than the requested sample count, estimation
-switches to enumeration mode and returns the exact ensemble average with
-zero standard error, from the oracle table
-(``permanents.product_sum_table``), which at small (n, r) builds no arrays
-and so does not import numpy.
+``model.sample_block`` call gives a pass's permutations and one step its
+matrices, profiled in blocks of ``kernels.block_size(n)`` by the batched
+numpy kernel ``kernels.subperm_profiles``, which certifies int64 or
+Python-int arithmetic once per block.  When the whole tuple space is
+smaller than the requested sample count, estimation switches to
+enumeration mode and returns the exact ensemble average with zero
+standard error, from the oracle table (``permanents.product_sum_table``),
+which at small (n, r) builds no arrays and so does not import numpy.
 """
 
 import math
@@ -36,6 +35,21 @@ from .errors import CapacityError, DomainError
 from .model import (EnsembleSpec, sample_block, sample_block_pure,  # noqa: F401
                     sample_stream, tuple_count)
 from .permanents import DIM_LIMIT_DEFAULT, check_moment, product_sum_table
+
+# Samples per sampler pass (``model.sample_block``).  The pass's numpy
+# operations per draw do not grow with its length: on 2 shared vCPUs it
+# costs 17-28 us per sample at 64 samples and 2.4-4.6 us at 1024 (n =
+# 6..13, r = 2).
+PASS_SAMPLES = 1 << 10
+
+# r = 2 runs of at most this many shuffle draws, samples * r * (n - 1),
+# draw their permutations with the pure-Python ``model.sample_block_pure``
+# and never import numpy; larger runs use ``model.sample_block``.  Past
+# the import of numpy (about 0.12 s) each side's cost grows with the
+# draws: fresh ``mc --threads 1`` processes on 2 shared vCPUs cross at
+# 115k-150k draws for n = 6..20 (11.4k samples at n = 6, 4.9k at n = 16).
+PURE_DRAWS = 1 << 17
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -86,8 +100,8 @@ def _cycle_type(p1, p2):
 def _class_sums(spec, m, m2, lo, hi, pure):
     """The sums of samples lo..hi-1 at r = 2, one profile per cycle type."""
     counts = Counter()
-    for first in range(lo, hi, kernels.PASS_SAMPLES):
-        size = min(kernels.PASS_SAMPLES, hi - first)
+    for first in range(lo, hi, PASS_SAMPLES):
+        size = min(PASS_SAMPLES, hi - first)
         perms = (sample_block_pure(spec, first, size) if pure
                  else sample_block(spec, first, size).tolist())
         counts.update(_cycle_type(p1, p2) for p1, p2 in perms)
@@ -110,19 +124,14 @@ def _mc_worker(args):
     import numpy as np
 
     block = kernels.block_size(n)
-    span = max(1, kernels.PASS_SAMPLES // block) * block
-    batch = np.arange(block)[:, None]
-    rows = np.arange(n)
+    cols = np.arange(n)
     sums = [0] * 6
-    for first in range(lo, hi, span):
-        perms = sample_block(spec, first, min(span, hi - first))
-        for start in range(0, len(perms), block):
-            chunk = perms[start:start + block]
-            mats = np.zeros((len(chunk), n, n), dtype=np.int64)
-            for k in range(r):
-                # one summand puts one entry in every row of every matrix
-                mats[batch[:len(chunk)], rows, chunk[:, k]] += 1
-            prof = kernels.subperm_profiles(mats, n, r)
+    for first in range(lo, hi, PASS_SAMPLES):
+        perms = sample_block(spec, first, min(PASS_SAMPLES, hi - first))
+        # entry (i, j) of a sample's matrix counts its summands with i -> j
+        mats = (perms[..., None] == cols).sum(axis=1, dtype=np.int64)
+        for start in range(0, len(mats), block):
+            prof = kernels.subperm_profiles(mats[start:start + block], n, r)
             xs, ys = prof[m], prof[m2]
             for k, vals in enumerate((xs, ys, [x * y for x, y in zip(xs, ys)])):
                 sums[2 * k] += sum(vals)
@@ -174,7 +183,7 @@ def estimate_moments(
 
     # r = 2 runs of few shuffle draws use the pure-Python sampler and import
     # no numpy
-    pure = r == 2 and samples * r * (n - 1) <= kernels.PURE_DRAWS
+    pure = r == 2 and samples * r * (n - 1) <= PURE_DRAWS
     if threads > 1 and samples >= 2 * threads:
         import concurrent.futures
 

@@ -78,18 +78,19 @@ def product_sum_table(n: int, r: int, tuple_budget: int = TUPLE_BUDGET_DEFAULT):
 
     Cached per (n, r).  The budget is checked on every call, cached or not,
     so whether an input is refused does not depend on earlier calls.  It
-    bounds the p(n) (n!)^(r-2) matrices the oracle evaluates (one at r = 1)
-    for the (n!)^r tuples the table sums over.
+    bounds the oracle's DP cells (``kernels.oracle_cells``): p(n) (n!)^(r-2)
+    matrices (one at r = 1) for the (n!)^r tuples the table sums over, times
+    the 2^n states of each matrix's DP.
     """
     if n < 1 or r < 1:
         raise DomainError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
     if n > DIM_LIMIT_DEFAULT:
         # each matrix's profile DP holds 2^n states
         raise CapacityError(f"oracle limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
-    evaluated = kernels.oracle_matrix_count(n, r)
-    if evaluated > tuple_budget:
+    cells = kernels.oracle_cells(n, r)
+    if cells > tuple_budget:
         raise CapacityError(
-            f"{evaluated} matrices for (n={n}, r={r}) exceed budget {tuple_budget}"
+            f"{cells} DP cells for (n={n}, r={r}) exceed budget {tuple_budget}"
         )
     key = (n, r)
     with _table_lock:

@@ -238,6 +238,25 @@ def test_closed_stdout_exits_1_without_traceback():
     assert b"Traceback" not in proc.stderr
 
 
+def test_main_starts_numpy_with_one_blas_thread(monkeypatch, capsys):
+    # importing permex and dispatching leave the environment alone
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    proc = _child("-c", "import os, permex.cli\n"
+                        "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert proc.stdout == b"None\n", proc.stderr.decode()
+    run(capsys, "rate", "--r", "2", "--p", "0.5")
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    # main sets the default, and keeps a value the caller set
+    monkeypatch.setattr(sys, "argv", ["permex", "rate", "--r", "2", "--p", "0.5"])
+    for preset, want in ((None, "1"), ("3", "3")):
+        if preset is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == want
+
+
 def _loads_numpy(*commands):
     """Whether dispatching ``commands`` in a fresh interpreter imports numpy."""
     proc = _child(
@@ -266,7 +285,7 @@ def test_startup_without_numpy():
         ("oracle", "--n", "4", "--r", "3", "--m", "2", "--m2", "2"),
         # 36 tuples <= 100 samples: enumeration mode reads the oracle table
         ("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "100"),
-        # r = 2 sampling up to kernels.PURE_DRAWS: the pure-Python sampler
+        # r = 2 sampling up to montecarlo.PURE_DRAWS: the pure-Python sampler
         # and one profile per cycle type, in one process or two
         ("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "4"),
         ("mc", "--n", "16", "--r", "2", "--m", "8", "--samples", "50", "--threads", "2"),
@@ -361,8 +380,11 @@ def test_failed_verify_exits_1(capsys, monkeypatch):
 
 
 def test_capacity_error_exits_2(capsys):
-    # an explicit --budget 0 is a value, not "use the default budget"
+    # an explicit --budget 0 is a value, not "use the default budget"; the
+    # oracle's default budget of 10^8 counts DP cells, so r = 2 at n = 18
+    # (p(18) = 385 matrices of 2^18 states) is refused before any work
     for argv in (("oracle", "--n", "10", "--r", "3", "--m", "2", "--m2", "0"),
+                 ("oracle", "--n", "18", "--r", "2", "--m", "9", "--m2", "9"),
                  ("product", "--n", "3", "--r", "2", "--m", "1", "--m2", "1",
                   "--budget", "0", "--threads", "1")):
         code, _, err = run(capsys, *argv)

@@ -93,11 +93,20 @@ def test_worker_pool_capped_at_cpu_count(monkeypatch):
     assert started == [3]
 
 
+def reference_estimates(xs, ys, n):
+    """The three estimates from per-sample values of perm_m and perm_m2."""
+    columns = (xs, ys, [x * y for x, y in zip(xs, ys)])
+    return [_make_estimate(sum(vals), sum(v * v for v in vals), len(xs), n)
+            for vals in columns]
+
+
 @pytest.mark.parametrize("n, r, m, m2, samples", [
     (6, 3, 2, 4, block_size(6) + 1),  # one sample past the first DP block
     (10, 3, 5, 4, block_size(10) + 6),  # DP blocks held at 64 matrices
     (13, 3, 6, 7, 4),  # DP blocks of one matrix
     (4, 3, 2, 2, 1500),  # one DP block per pass: ends part way through the second
+    # a DP block of 2048 matrices cut by passes of 1024, below the 1296 tuples
+    (3, 4, 1, 2, 1100),
     # r = 2 counts samples per cycle type of P1^-1 P2: its tally against
     # the per-sample DP, from few cycle types to about one per sample
     (5, 2, 2, 3, 301),
@@ -110,11 +119,7 @@ def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
     spec = EnsembleSpec(n, r, seed=7)
     profiles = [_pykernels.subperm_profile(sample_matrix(spec, i).entries, n)
                 for i in range(samples)]
-    xs = [p[m] for p in profiles]
-    ys = [p[m2] for p in profiles]
-    columns = (xs, ys, [x * y for x, y in zip(xs, ys)])
-    want = [_make_estimate(sum(vals), sum(v * v for v in vals), samples, n)
-            for vals in columns]
+    want = reference_estimates([p[m] for p in profiles], [p[m2] for p in profiles], n)
 
     # with two workers each range ends part-way through a block
     for threads in (1, 2):
@@ -132,17 +137,14 @@ def test_r2_samplers_match_dp_reference(monkeypatch, n, m, m2, samples):
     for k in range(2):
         mats[np.arange(samples)[:, None], np.arange(n), perms[:, k]] += 1
     profiles = kernels.subperm_profiles(mats, n, 2)
-    xs, ys = profiles[m], profiles[m2]
-    columns = (xs, ys, [x * y for x, y in zip(xs, ys)])
-    want = [_make_estimate(sum(vals), sum(v * v for v in vals), samples, n)
-            for vals in columns]
+    want = reference_estimates(profiles[m], profiles[m2], n)
 
     # with the bound at the run's shuffle draws the pure sampler runs, one
     # below them the block pass; the other sampler is removed, so each run
     # shows which one it used
     draws = samples * 2 * (n - 1)
     for bound, unused in ((draws, "sample_block"), (draws - 1, "sample_block_pure")):
-        monkeypatch.setattr(kernels, "PURE_DRAWS", bound)
+        monkeypatch.setattr(montecarlo, "PURE_DRAWS", bound)
         monkeypatch.setattr(montecarlo, unused, None)
         for threads in (1, 2):
             est = estimate_moments(spec, m, m2, samples, threads=threads)

@@ -173,7 +173,7 @@ def test_oracle_blocks_end_part_way(monkeypatch, n, r):
 # where each table is one 1 x 1 matrix).  Beside them, (5, 3) is left to
 # numpy and (6, 2) is pure.
 PURE_RULE_TABLES = [(n, r) for n in range(1, 6) for r in range(1, 13)
-                    if kernels.oracle_matrix_count(n, r) << n <= kernels.PURE_ORACLE_CELLS]
+                    if kernels.oracle_cells(n, r) <= kernels.PURE_ORACLE_CELLS]
 
 
 @pytest.mark.parametrize("n, r", PURE_RULE_TABLES + [(5, 3), (6, 2)])
@@ -191,16 +191,18 @@ def test_oracle_paths_agree(monkeypatch, n, r):
 
 
 def test_oracle_budget_counts_evaluated_matrices(monkeypatch):
-    # (5, 3) sums over (5!)^3 tuples but evaluates p(5) * 5! = 840 matrices;
-    # the budget is on the matrices, at both edges.  A cached table would
-    # skip the evaluation, not the budget check.
+    # (5, 3) sums over (5!)^3 tuples but evaluates p(5) * 5! = 840 matrices,
+    # each a DP over 2^5 states; the budget is on those 26,880 cells, at
+    # both edges.  A cached table would skip the evaluation, not the budget
+    # check.
     monkeypatch.setattr(permanents, "_table_cache", {})
     assert kernels.oracle_matrix_count(5, 3) == 7 * 120
     assert kernels.oracle_matrix_count(5, 1) == 1
-    moment = ensemble_average_bruteforce(5, 3, 1, 1, tuple_budget=840)
+    assert kernels.oracle_cells(5, 3) == 7 * 120 * 32
+    moment = ensemble_average_bruteforce(5, 3, 1, 1, tuple_budget=26_880)
     assert moment.term_count == factorial(5) ** 3
     with pytest.raises(CapacityError):
-        ensemble_average_bruteforce(5, 3, 1, 1, tuple_budget=839)
+        ensemble_average_bruteforce(5, 3, 1, 1, tuple_budget=26_879)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -256,7 +258,8 @@ def test_oracle_matrix_count_is_partition_count():
 
 
 def test_oracle_dimension_limit():
-    # one matrix at r = 1 passes any budget, but its DP holds 2^n states
+    # one matrix at r = 1: its 2^25 DP cells fit the default budget, but
+    # its DP holds more than 2^24 states
     with pytest.raises(CapacityError):
         product_sum_table(DIM_LIMIT_DEFAULT + 1, 1)
 
