@@ -10,7 +10,7 @@ single-subpermanent rates.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, InfeasiblePointError, SolverError
 
@@ -47,16 +47,11 @@ def single_rate_limit(p: float, r: int) -> float:
     return single_rate(p, r)
 
 
-@dataclass(frozen=True)
-class RateComponents:
+class RateComponents(namedtuple("RateComponents",
+                                "base fresh dup row_hit cross completion")):
     """The six density-scale components of the dominant log-weight."""
 
-    base: float
-    fresh: float
-    dup: float
-    row_hit: float
-    cross: float
-    completion: float
+    __slots__ = ()
 
     @property
     def total(self) -> float:
@@ -153,18 +148,11 @@ def stationarity_residuals(a, b, d, e, L, p, q, r):
     return tuple(gi / fi if fi != 0 else gi for gi, fi in zip(g, firsts))
 
 
-@dataclass(frozen=True)
-class StationarySolution:
+class StationarySolution(namedtuple(
+        "StationarySolution", "a b d e L s_over_n residuals iterations", defaults=(0,))):
     """Stationary densities (a, b, d, e), multiplier L, and diagnostics."""
 
-    a: float
-    b: float
-    d: float
-    e: float
-    L: float
-    s_over_n: float
-    residuals: tuple
-    iterations: int = 0
+    __slots__ = ()
 
     @property
     def residual_max(self) -> float:

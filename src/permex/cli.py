@@ -15,7 +15,6 @@ in the parser.
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -204,7 +203,7 @@ def _cmd_argmax(args):
         **_pick(args, "n", "r", "m", "m2"),
         **_rational("value", value),
         # the fields in ColorProfile's order; json writes tuples as lists
-        "profile": {**dataclasses.asdict(profile), "totals": totals},
+        "profile": {**profile._asdict(), "totals": totals},
     }
     # the one flat CSV record: splits joined with "|", the hit matrices totalled
     record = {

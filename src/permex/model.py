@@ -24,15 +24,19 @@ Philox on uint64 arrays, one row of words per sample, with the 64 x 64 ->
 in lockstep, one numpy operation per draw across all rows.  Each row gets
 ``WORDS_PER_DRAW * r * (n - 1)`` words up front; rejection can exceed any
 fixed allotment, so a row that runs out is refilled with its next blocks.
-``sample_block_pure`` gives the same permutations without numpy: it runs
-Philox on Python ints, one sample and one block at a time, as that
-sample's shuffle asks for words.
+``sample_block_pure`` gives the same permutations without numpy.  It
+encrypts the same allotments for up to ``PHILOX_LANES`` counters at once
+on Python ints, each counter a 128-bit lane of four ints c0..c3, so a
+round costs a few big-integer operations for all of them; then it runs
+each sample's shuffle on its words, and a sample that runs out takes its
+next blocks one counter at a time.
 """
 
-import functools
+import array
 import itertools
 import math
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 
 from .errors import CapacityError, DomainError
 
@@ -49,43 +53,47 @@ PHILOX_ROUNDS = 10
 # allotment are refilled, which costs extra numpy operations.
 WORDS_PER_DRAW = 2
 
+# Philox counters one ``_philox_lanes`` call encrypts at most, so its
+# Python ints stay at 16 KiB each and its words at 32 KiB.  On 2 shared
+# vCPUs calls of 512 to 8,192 counters take about the same time per counter.
+PHILOX_LANES = 1 << 10
+
 _U64 = (1 << 64) - 1
+_LANE = 16  # bytes of one counter lane in ``_philox_lanes``
+_ONE_LANE = (1).to_bytes(_LANE, "little")
 _LO32 = 0xFFFFFFFF
 _SHIFT32 = 32
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(namedtuple("EnsembleSpec", "n r seed", defaults=(0,))):
     """Parameters of the permutation-sum ensemble: dimension, summands, seed."""
 
-    n: int
-    r: int
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-        if self.r < 1:
-            raise DomainError(f"r must be >= 1, got {self.r}")
-        check_seed(self.seed)
+    def __new__(cls, n: int, r: int, seed: int = 0):
+        if n < 1:
+            raise DomainError(f"n must be >= 1, got {n}")
+        if r < 1:
+            raise DomainError(f"r must be >= 1, got {r}")
+        check_seed(seed)
+        return super().__new__(cls, n, r, seed)
 
 
-@dataclass(frozen=True)
-class SquareMatrix:
+class SquareMatrix(namedtuple("SquareMatrix", "n entries")):
     """Immutable square matrix with non-negative integer entries."""
 
-    n: int
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.n}")
-        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
-            raise DomainError(f"entries must form an {self.n}x{self.n} array")
-        for row in self.entries:
+    def __new__(cls, n: int, entries: tuple):
+        if n < 1:
+            raise DomainError(f"dimension must be >= 1, got {n}")
+        if len(entries) != n or any(len(row) != n for row in entries):
+            raise DomainError(f"entries must form an {n}x{n} array")
+        for row in entries:
             for v in row:
                 if v < 0:
                     raise DomainError(f"entries must be non-negative, got {v}")
+        return super().__new__(cls, n, entries)
 
     @classmethod
     def from_rows(cls, rows):
@@ -157,36 +165,69 @@ def _round_keys(seed: int):
             for k in range(PHILOX_ROUNDS)]
 
 
-def _philox_block(keys, index: int, block: int):
-    """The eight 32-bit words of Philox block ``block`` of sample ``index``.
+def _philox_lanes(seed: int, start: int, samples: int, first_block: int, blocks: int):
+    """The 32-bit words of blocks first_block.. of samples start.., on Python ints.
 
-    ``_philox_words`` on Python ints, for one block: it encrypts counter
-    (block + 1, 0, index, 0) under the round keys ``keys``.
+    Encrypts the counters (first_block + b + 1, 0, start + s, 0) for
+    s < ``samples`` and b < ``blocks`` under key (seed, 0), all at once:
+    word k of every counter and every round key is one Python int with a
+    128-bit lane per counter.  A round multiplies c0 and c2 by their 64-bit
+    multipliers; each lane's 64 x 64-bit product fits in its 128 bits, so no
+    lane carries into the next, and one shift and two masks split every
+    lane's product into its high and low words.  The keys advance by their
+    Weyl increments, an addition and a mask.  Returns an unsigned 32-bit
+    array of the words sample by sample, block by block, each block's eight
+    in stream order.
     """
+    lanes = samples * blocks
+    rep = int.from_bytes(_ONE_LANE * lanes, "little")
+    mask = _U64 * rep
+    c0 = int.from_bytes(b"".join(
+        (first_block + b + 1).to_bytes(_LANE, "little") for b in range(blocks)) * samples,
+        "little")
+    c2 = int.from_bytes(b"".join(
+        index.to_bytes(_LANE, "little") * blocks for index in range(start, start + samples)),
+        "little")
+    c1 = c3 = k1 = 0
+    k0 = seed * rep
+    w0, w1 = PHILOX_W[0] * rep, PHILOX_W[1] * rep
     m0, m1 = PHILOX_M
-    c0, c1, c2, c3 = block + 1, 0, index, 0
-    for k0, k1 in keys:
+    for _ in range(PHILOX_ROUNDS):
         p0, p1 = m0 * c0, m1 * c2
-        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _U64, (p0 >> 64) ^ c3 ^ k1, p0 & _U64
-    return [c0 & _LO32, c0 >> _SHIFT32, c1 & _LO32, c1 >> _SHIFT32,
-            c2 & _LO32, c2 >> _SHIFT32, c3 & _LO32, c3 >> _SHIFT32]
+        c0 = (p1 >> 64) & mask ^ c1 ^ k0
+        c2 = (p0 >> 64) & mask ^ c3 ^ k1
+        c1, c3 = p1 & mask, p0 & mask
+        k0, k1 = (k0 + w0) & mask, (k1 + w1) & mask
+    # the little-endian lanes of c0 | c1 << 64 and c2 | c3 << 64 hold each
+    # block's first and last 16 bytes: interleave them 8 bytes at a time
+    first, last = (array.array("Q", (lo | hi << 64).to_bytes(_LANE * lanes, "little"))
+                   for lo, hi in ((c0, c1), (c2, c3)))
+    stream = array.array("Q", bytes(32 * lanes))
+    stream[0::4], stream[1::4] = first[0::2], first[1::2]
+    stream[2::4], stream[3::4] = last[0::2], last[1::2]
+    words = array.array("I", stream.tobytes())
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
 def sample_block_pure(spec: EnsembleSpec, start: int, count: int):
     """``sample_block(spec, start, count).tolist()`` in pure Python, without numpy.
 
-    Each sample runs Philox4x64-10 on Python ints, one block at a time as
-    its shuffle asks for words, so it costs more per sample than the
-    vectorised pass but never imports numpy.
+    Each sample gets the allotment ``sample_block`` gives it, ``blocks``
+    Philox blocks, and one ``_philox_lanes`` call encrypts those of up to
+    ``PHILOX_LANES // blocks`` samples; a sample whose shuffle runs past
+    its allotment takes its next blocks one at a time.
     """
     n, r = spec.n, spec.r
     _check_range(start, count)
-    keys = _round_keys(spec.seed)
     draws = [(i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)]
-    out = []
-    for index in range(start, start + count):
-        words = itertools.chain.from_iterable(
-            map(functools.partial(_philox_block, keys, index), itertools.count()))
+    blocks = -(-WORDS_PER_DRAW * r * (n - 1) // 8)
+    width = 8 * blocks
+    chunk = max(PHILOX_LANES // max(blocks, 1), 1)  # samples a call
+
+    def shuffle(words):
+        """The r permutations of one sample, shuffled from ``words``."""
         sample = []
         for _ in range(r):
             perm = list(range(n))
@@ -196,7 +237,21 @@ def sample_block_pure(spec: EnsembleSpec, start: int, count: int):
                     j = next(words) & mask
                 perm[i], perm[j] = perm[j], perm[i]
             sample.append(perm)
-        out.append(sample)
+        return sample
+
+    out = []
+    for first in range(start, start + count, chunk):
+        size = min(chunk, start + count - first)
+        words = _philox_lanes(spec.seed, first, size, 0, blocks)
+        for s in range(size):
+            allot = words[s * width:(s + 1) * width]
+            try:
+                out.append(shuffle(iter(allot)))
+            except StopIteration:
+                index = first + s
+                more = itertools.chain.from_iterable(
+                    _philox_lanes(spec.seed, index, 1, b, 1) for b in itertools.count(blocks))
+                out.append(shuffle(itertools.chain(allot, more)))
     return out
 
 

@@ -61,9 +61,8 @@ The first largest term, which ``argmax_profile`` reports, lies in such a
 split too.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import tee
 from math import comb, factorial, perm, prod
@@ -175,8 +174,8 @@ def _offdiag_rowsum_matrices(r, row_sums, col_caps):
 # profiles
 
 
-@dataclass(frozen=True)
-class ColorProfile:
+class ColorProfile(namedtuple(
+        "ColorProfile", "base fresh dup row_hits col_hits cross_rows cross_cols")):
     """Per-color collision census of one second placement against a first.
 
     ``base[i]`` is the number of first-placement cells of color i; the other
@@ -188,13 +187,7 @@ class ColorProfile:
     ``cross_cols[i][k']`` (column host k').
     """
 
-    base: tuple
-    fresh: tuple
-    dup: tuple
-    row_hits: tuple
-    col_hits: tuple
-    cross_rows: tuple
-    cross_cols: tuple
+    __slots__ = ()
 
 
 def _loads(p):

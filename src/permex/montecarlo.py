@@ -24,8 +24,7 @@ which at small (n, r) builds no arrays and so does not import numpy.
 
 import math
 import os
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import kernels
@@ -45,35 +44,28 @@ PASS_SAMPLES = 1 << 10
 # r = 2 runs of at most this many shuffle draws, samples * r * (n - 1),
 # draw their permutations with the pure-Python ``model.sample_block_pure``
 # and never import numpy; larger runs use ``model.sample_block``.  Past
-# the import of numpy (about 0.12 s) each side's cost grows with the
-# draws: fresh ``mc --threads 1`` processes on 2 shared vCPUs cross at
-# 115k-150k draws for n = 6..20 (11.4k samples at n = 6, 4.9k at n = 16).
-PURE_DRAWS = 1 << 17
+# the import of numpy (about 0.1 s with one BLAS thread) each side's cost
+# grows with the draws: fresh ``mc --threads 1`` processes on 2 shared
+# vCPUs, median of 7, cross at about 197k draws for n = 6 (19.7k samples),
+# 262k for n = 10 and 393k for n = 16 (13.1k samples).
+PURE_DRAWS = 1 << 18
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(namedtuple("MCEstimate",
+                            "mean stderr samples log_mean_over_n mean_exact")):
     """Sample mean and error of one statistic; exact mean carried alongside.
 
     ``log_mean_over_n`` is (1/n) ln(mean), computed from the exact rational
     mean via big-integer logarithms.
     """
 
-    mean: float
-    stderr: float
-    samples: int
-    log_mean_over_n: float
-    mean_exact: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MomentEstimates:
+class MomentEstimates(namedtuple("MomentEstimates", "first second product mode")):
     """Estimates for perm_m, perm_m2, and their product, from one sample set."""
 
-    first: MCEstimate
-    second: MCEstimate
-    product: MCEstimate
-    mode: str
+    __slots__ = ()
 
 
 def _log_fraction(fr: Fraction) -> float:
@@ -208,19 +200,11 @@ def estimate_moments(
                            mode="sampling")
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(namedtuple("ScanRow", "n m m2 samples mode mean_exact log_mean_over_n "
+                                     "prediction gap")):
     """One dimension of a finite-size convergence scan."""
 
-    n: int
-    m: int
-    m2: int
-    samples: int
-    mode: str
-    mean_exact: Fraction
-    log_mean_over_n: float
-    prediction: float
-    gap: float
+    __slots__ = ()
 
 
 def convergence_scan(

@@ -11,7 +11,7 @@ moment's (n, r, m, m2); an ``ExactMoment`` holds a value and its term count.
 """
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -34,12 +34,10 @@ def check_moment(n: int, r: int, m: int, m2: int = 0) -> None:
         raise DomainError(f"r must be >= 1, got {r}")
 
 
-@dataclass(frozen=True)
-class ExactMoment:
+class ExactMoment(namedtuple("ExactMoment", "value term_count")):
     """An exact rational expectation plus how many terms produced it."""
 
-    value: Fraction
-    term_count: int
+    __slots__ = ()
 
 
 def subpermanent_profile(matrix: SquareMatrix) -> tuple:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -257,8 +256,9 @@ def test_main_starts_numpy_with_one_blas_thread(monkeypatch, capsys):
         assert os.environ["OPENBLAS_NUM_THREADS"] == want
 
 
-def _loads_numpy(*commands):
-    """Whether dispatching ``commands`` in a fresh interpreter imports numpy."""
+def _loaded(modules, *commands):
+    """Which of ``modules`` a fresh interpreter holds after it imports
+    ``permex.cli`` and dispatches ``commands``."""
     proc = _child(
         "-c",
         "import contextlib, io, sys\n"
@@ -266,14 +266,15 @@ def _loads_numpy(*commands):
         f"for argv in {[_one_thread(c) for c in commands]!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert permex.cli.dispatch(argv) == 0, argv\n"
-        "print('numpy' in sys.modules)\n"
+        f"print(*[m for m in {list(modules)!r} if m in sys.modules])\n"
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    return {b"True\n": True, b"False\n": False}[proc.stdout]
+    return set(proc.stdout.decode().split())
 
 
 def test_startup_without_numpy():
-    assert not _loads_numpy(
+    assert not _loaded(
+        ["numpy"],
         ("rate", "--r", "2", "--p", "0.5", "--q", "0.3"),
         ("analytic", "--r", "3", "--p", "0.4", "--q", "0.6"),
         ("expect", "--n", "4", "--r", "2", "--m", "2"),
@@ -293,7 +294,15 @@ def test_startup_without_numpy():
          "--samples", "300"),
     )
     # the same check sees numpy once a command builds arrays
-    assert _loads_numpy(("mc", "--n", "3", "--r", "3", "--m", "1", "--samples", "4"))
+    assert _loaded(["numpy"], ("mc", "--n", "3", "--r", "3", "--m", "1", "--samples", "4"))
+
+
+def test_startup_without_record_codegen():
+    # result records are namedtuples: no dataclass code generation at import,
+    # and no inspect, which dataclasses imports
+    assert not _loaded(["dataclasses", "inspect"])
+    # the same check sees a module that is loaded
+    assert _loaded(["dataclasses", "argparse"]) == {"argparse"}
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -370,7 +379,7 @@ def test_failed_verify_exits_1(capsys, monkeypatch):
 
     def wrong(n, r, m):
         moment = real(n, r, m)
-        return dataclasses.replace(moment, value=moment.value + 1)
+        return moment._replace(value=moment.value + 1)
 
     monkeypatch.setattr(cli, "expectation_perm", wrong)
     code, out, err = run(capsys, "verify", "--suite", "oracle-single", "--r", "1")

@@ -115,19 +115,26 @@ def test_block_sampler_refills_rows(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 2718, 2**64 - 1])
 def test_pure_sampler_matches_block_and_stream(seed):
-    for n in (1, 2, 5, 8, 13):
-        for r in (1, 2, 3):
-            spec = EnsembleSpec(n=n, r=r, seed=seed)
-            for start in (0, 2**64 - 3):
-                want = sample_block(spec, start, 3).tolist()
-                assert want == _stream_block(spec, start, 3)
-                assert sample_block_pure(spec, start, 3) == want
+    # three samples at every shape, and r = 2 runs of 600 and 1,100 samples,
+    # each longer than one _philox_lanes call (PHILOX_LANES // blocks samples)
+    cases = [(n, r, 3) for n in (1, 2, 5, 8, 13) for r in (1, 2, 3)]
+    cases += [(n, 2, count) for n in (6, 8, 13) for count in (600, 1100)]
+    for n, r, count in cases:
+        spec = EnsembleSpec(n=n, r=r, seed=seed)
+        for start in (0, 2**64 - count):
+            want = sample_block(spec, start, count).tolist()
+            assert want == _stream_block(spec, start, count)
+            assert sample_block_pure(spec, start, count) == want
+    assert 600 > model.PHILOX_LANES // 3  # n = 6 takes 3 blocks a sample
 
 
 def test_pure_sampler_input_checks():
     spec = EnsembleSpec(n=3, r=2, seed=5)
     assert sample_block_pure(spec, 2**64 - 1, 1) == _stream_block(spec, 2**64 - 1, 1)
     assert sample_block_pure(spec, 10, 0) == []
+    # a sample of more than PHILOX_LANES blocks (1,025) takes a call of its own
+    wide = EnsembleSpec(n=2, r=4100, seed=5)
+    assert sample_block_pure(wide, 0, 2) == sample_block(wide, 0, 2).tolist()
     with pytest.raises(DomainError, match="below 2\\^64"):
         sample_block_pure(spec, 2**64 - 1, 2)
     with pytest.raises(DomainError, match="start >= 0"):
@@ -135,22 +142,26 @@ def test_pure_sampler_input_checks():
 
 
 def test_pure_sampler_reads_past_first_block(monkeypatch):
-    # n = 5, r = 1 takes 4 draws, under 5 words on average: a sample whose
-    # rejections run past the 8 words of its first Philox block is rare
-    blocks = []
-    philox = model._philox_block
-    monkeypatch.setattr(model, "_philox_block",
-                        lambda *args: blocks.append(args[1:]) or philox(*args))
-    spec = EnsembleSpec(n=5, r=1, seed=2718)
-    long_rows = []
-    for i in range(300):
-        blocks.clear()
-        got = sample_block_pure(spec, i, 1)
-        if len(blocks) > 1:
-            assert blocks == [(i, b) for b in range(len(blocks))]
-            assert got == sample_block(spec, i, 1).tolist() == _stream_block(spec, i, 1)
-            long_rows.append(i)
-    assert long_rows
+    # 24 words (3 blocks) for 3 * 7 draws that take about 25 on average: many
+    # samples run past their allotment, each after its own number of
+    # rejections, and take their next blocks one at a time
+    monkeypatch.setattr(model, "WORDS_PER_DRAW", 1)
+    calls = []
+    philox = model._philox_lanes
+    monkeypatch.setattr(model, "_philox_lanes",
+                        lambda *args: calls.append(args[1:]) or philox(*args))
+    spec = EnsembleSpec(n=8, r=3, seed=31)
+    got = sample_block_pure(spec, 17, 200)
+    assert got == sample_block(spec, 17, 200).tolist() == _stream_block(spec, 17, 200)
+    # (start, samples, first block, blocks): one call for all 200
+    # allotments, then each long sample's blocks 3, 4, .. in order
+    assert calls[0] == (17, 200, 0, 3)
+    refills = {}
+    for index, samples, block, blocks in calls[1:]:
+        assert (samples, blocks) == (1, 1) and 17 <= index < 217
+        refills.setdefault(index, []).append(block)
+    assert refills
+    assert all(blocks == list(range(3, 3 + len(blocks))) for blocks in refills.values())
 
 
 @pytest.mark.parametrize(
