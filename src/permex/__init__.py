@@ -38,6 +38,7 @@ from .moments import (
     argmax_profile,
     expectation_perm,
     expectation_product,
+    product_table,
     profile_iterator,
     validate_profile,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "expectation_perm",
     "expectation_product",
     "product_rate",
+    "product_table",
     "profile_iterator",
     "rate_components",
     "sample_matrix",

@@ -256,6 +256,25 @@ def _log_jacobian(X, c):
     return j
 
 
+def _feasible(a, b, d, e, p, r):
+    """Whether (a, b, d, e) lies strictly inside the domain at (p, r), on
+    floats or elementwise on arrays."""
+    return ((e < p) & (p - e - b - d > 0) & (1 - p - a - b > 0)
+            & (1 - (p + a + 2 * b + d) / r > 0))
+
+
+def _restart(p, q, r):
+    """The second attempt's start: the closed form scaled by (1.1, 0.9, 1.1,
+    0.9, 1.1), each factor's distance from 1 halved until the start is
+    feasible (the closed form itself if no halving is)."""
+    point = _closed_form(p, q, r)
+    for k in range(MAX_HALVINGS):
+        start = [v * (1 + (f - 1) / 2**k) for v, f in zip(point, (1.1, 0.9, 1.1, 0.9, 1.1))]
+        if _feasible(*start[:4], p, r):
+            return start
+    return list(point)
+
+
 def _newton_steps(jac, rhs):
     """Each point's Newton step, and which points' systems were nonsingular."""
     import numpy as np
@@ -309,9 +328,7 @@ def _newton_attempt(x, live, const, tol, state):
             a, b, d, e, _ = Xn.T
             cn = c[trying]
             p, r = cn[:, 0], cn[:, 2]
-            feasible = ((e < p) & (p - e - b - d > 0) & (1 - p - a - b > 0)
-                        & (1 - (p + a + 2 * b + d) / r > 0))
-            take = feasible & (_residual_rows(Xn, cn)[1] < rel[trying])
+            take = _feasible(a, b, d, e, p, r) & (_residual_rows(Xn, cn)[1] < rel[trying])
             x[trying[take]] = xn[take]
             moved[trying[take]] = True
             trying = trying[~take]
@@ -327,7 +344,8 @@ def solve_stationary_batch(points, tol=DEFAULT_SOLVER_TOL) -> list:
 
     Works in log coordinates so all five unknowns stay positive.  The
     first attempt starts at (q/2, q/8, q/8, q/8, 1); a point where that
-    stalls gets a second attempt from a mildly perturbed closed-form point.
+    stalls gets a second attempt from a mildly perturbed, feasible
+    closed-form point (``_restart``).
     The points iterate together, one array row and one stacked 5x5 Newton
     system each, but each keeps its own step damping, iteration count and
     best point.  Returns, in order, each point's StationarySolution or,
@@ -347,7 +365,6 @@ def solve_stationary_batch(points, tol=DEFAULT_SOLVER_TOL) -> list:
     best_norm = np.full(n, math.inf)
     state = (iters, best, best_norm)
     starts = [(q / 2, q / 8, q / 8, q / 8, 1.0) for _, q, _ in points]
-    wiggle = (1.1, 0.9, 1.1, 0.9, 1.1)
     # A full step can overshoot far enough that a trial exp overflows, and
     # the trial's residuals then hold inf - inf; the feasibility test
     # rejects such a trial, so neither is an error.  np.exp, np.log and
@@ -358,8 +375,7 @@ def solve_stationary_batch(points, tol=DEFAULT_SOLVER_TOL) -> list:
         x = np.log(np.array(starts, dtype=float).reshape(n, 5))
         left = _newton_attempt(x, np.arange(n), const, tol, state)
         if left.size:
-            starts = [[v * f for v, f in zip(_closed_form(*points[i]), wiggle)]
-                      for i in left.tolist()]
+            starts = [_restart(*points[i]) for i in left.tolist()]
             left = _newton_attempt(np.log(np.array(starts)), left, const, tol, state)
     failed = set(left.tolist())
     results = []

@@ -30,7 +30,13 @@ from .asymptotics import (
 )
 from .errors import CapacityError, DomainError, SolverError
 from .model import TUPLE_BUDGET_DEFAULT, EnsembleSpec, check_seed
-from .moments import TERM_BUDGET_DEFAULT, argmax_profile, expectation_perm, expectation_product
+from .moments import (
+    TERM_BUDGET_DEFAULT,
+    argmax_profile,
+    expectation_perm,
+    expectation_product,
+    product_table,
+)
 from .montecarlo import convergence_scan, estimate_moments
 from .permanents import ensemble_average_bruteforce
 
@@ -224,7 +230,7 @@ def _cmd_argmax(args):
 # verification suites
 #
 # Each suite is the one definition of an acceptance criterion (criteria 1-5
-# of tests/test_acceptance.py), its tolerance included.  It takes keyword
+# and 10 of tests/test_acceptance.py), its tolerance included.  It takes keyword
 # overrides (r=None meaning the suite's own r values; budget bounds the
 # oracle suites' DP cells) and returns (rows, worst, passed, tol).
 
@@ -304,39 +310,65 @@ def _suite_solver(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     return rows, worst, worst < tol, tol
 
 
-def _oracle_rows(cases, budget, product):
+def _exact_rows(cases, want, got, product):
+    """Rows comparing want(n, r, m, m2) with got(n, r, m, m2) exactly at every
+    point of each case (n, r), m <= m2 for products; a row carries got."""
     rows = []
     ok = True
     for n, r in cases:
         for m in range(n + 1):
             for m2 in range(m, n + 1) if product else (0,):
-                want = ensemble_average_bruteforce(n, r, m, m2, tuple_budget=budget)
-                if product:
-                    got = expectation_product(n, r, m, m2)
-                else:
-                    got = expectation_perm(n, r, m)
-                equal = want.value == got.value
+                expected = want(n, r, m, m2)
+                value = got(n, r, m, m2)
+                equal = expected == value
                 ok = ok and equal
                 rows.append({"n": n, "r": r, "m": m, "m2": m2, "equal": equal,
-                             **_rational("value", got.value)})
+                             **_rational("value", value)})
     return rows, 0.0 if ok else 1.0, ok, 0.0
+
+
+def _oracle(budget):
+    return lambda n, r, m, m2: ensemble_average_bruteforce(
+        n, r, m, m2, tuple_budget=budget).value
+
+
+def _profile_sum(n, r, m, m2):
+    return expectation_product(n, r, m, m2).value
 
 
 def _suite_oracle_single(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     """expectation_perm equals the oracle exactly for n <= 5, r <= 3."""
     r_values = _r_values(r, [1, 2, 3])
     cases = [(n, r) for n in range(1, 6) for r in r_values]
-    return _oracle_rows(cases, budget, product=False)
+    return _exact_rows(cases, _oracle(budget),
+                       lambda n, r, m, _: expectation_perm(n, r, m).value, product=False)
 
 
 def _suite_oracle_product(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
-    """expectation_product equals the oracle exactly, m <= m2, for n <= 4
-    at r <= 3 and for n = 5 at r = 2."""
+    """The exact E(perm_m perm_m2) equals the oracle exactly, m <= m2, for
+    n <= 4 at r <= 3 and for n = 5 at r = 2: at r <= 2 read off one
+    product_table per (n, r), at r = 3 from expectation_product."""
     r_values = _r_values(r, [1, 2, 3])
     cases = [(n, r) for n in range(1, 5) for r in r_values]
     if r is None or r == 2:
         cases.append((5, 2))
-    return _oracle_rows(cases, budget, product=True)
+    tables = {(n, r): product_table(n, r, n, n) for n, r in cases if r <= 2}
+
+    def exact(n, r, m, m2):
+        table = tables.get((n, r))
+        return _profile_sum(n, r, m, m2) if table is None else table[m][m2]
+
+    return _exact_rows(cases, _oracle(budget), exact, product=True)
+
+
+def _suite_recurrence(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
+    """expectation_product equals product_table exactly, m <= m2, for n <= 9
+    at r = 2 (or at the given r <= 2)."""
+    r_values = _r_values(r, [2])
+    cases = [(n, r) for n in range(1, 10) for r in r_values]
+    tables = {(n, r): product_table(n, r, n, n) for n, r in cases}
+    return _exact_rows(cases, _profile_sum,
+                       lambda n, r, m, m2: tables[n, r][m][m2], product=True)
 
 
 SUITES = {
@@ -345,6 +377,7 @@ SUITES = {
     "solver": _suite_solver,
     "oracle-single": _suite_oracle_single,
     "oracle-product": _suite_oracle_product,
+    "recurrence": _suite_recurrence,
 }
 
 

@@ -59,6 +59,9 @@ rearrangements; the term count stays the raw profile count.  The orbits
 are ``kernels.rising_splits(m, r)``, the oracle's partition enumerator.
 The first largest term, which ``argmax_profile`` reports, lies in such a
 split too.
+
+``product_table`` reaches every E(perm_m perm_m2) of one (n, r <= 2) at once
+without profiles, from a linear recurrence in n; it has no term count.
 """
 
 from collections import Counter, namedtuple
@@ -231,8 +234,14 @@ def _prefixes(n, r, m, m2, bases):
             # the slack part, m2 - a - sum(dup), is what the hits may still take
             for *dup, left in _capped_compositions(m2 - a, (*base, m2 - a)):
                 hosts = [bi - ei for bi, ei in zip(base, dup)]
-                dups.append((tuple(dup), left, _dup_integer(base, dup),
-                             _hit_list(r, free, min(free, left), hosts)))
+                # row plus cross hits stand on distinct host rows, col plus
+                # cross hits on distinct host columns: past 2 sum(hosts), no
+                # split of the slack into hits fits
+                if left <= 2 * sum(hosts):
+                    dups.append((tuple(dup), left, _dup_integer(base, dup),
+                                 _hit_list(r, free, min(free, left), hosts)))
+            if not dups:
+                continue  # no profile has this fresh count
             for fresh in _capped_compositions(a, (a,) * r):
                 w_fresh = w_base * _base_integer(fresh, n - m, a)
                 for dup, left, w_dup, hits in dups:
@@ -340,21 +349,74 @@ def _host_integer(caps, lefts, mat) -> int:
 def expectation_perm(n, r, m) -> ExactMoment:
     """Exact E(perm_m) as a sum over color splits of a single placement.
 
-    The split m_1 + .. + m_r = m weighs m!/prod m_i! * prod (n - m_i)!.
+    The split m_1 + .. + m_r = m weighs m!/prod m_i! * prod (n - m_i)!/n!.
     Summed over all C(m+r-1, r-1) splits (the term count), that is entry m
-    of the r-fold binomial convolution power of a_j = (n - j)!, where
-    (f * g)_k = sum_j C(k, j) f_j g_(k-j): O(r m^2) work for any r.
+    of the r-fold binomial convolution power of (n - j)!/n! = 1/(n)_j, where
+    (f * g)_k = sum_j C(k, j) f_j g_(k-j): O(r m^2) work for any r.  The
+    power runs on the integers a_j = (n - j)!/(n - m)! and is divided by
+    (n)_m^r at the end, so no n! is ever built.
     """
     check_moment(n, r, m)
-    a = [factorial(n - j) for j in range(m + 1)]
+    a = [perm(n - j, m - j) for j in range(m + 1)]
     power = a
     for _ in range(r - 1):
         power = [
             sum(comb(k, j) * power[j] * a[k - j] for j in range(k + 1))
             for k in range(m + 1)
         ]
-    value = Fraction(comb(n, m) ** 2 * factorial(m) * power[m], tuple_count(n, r))
+    value = Fraction(comb(n, m) ** 2 * factorial(m) * power[m], perm(n, m) ** r)
     return ExactMoment(value=value, term_count=comb(m + r - 1, r - 1))
+
+
+def product_table(n, r, m_max, m2_max) -> list:
+    """Every exact E(perm_m perm_m2) with m <= m_max, m2 <= m2_max, at r <= 2.
+
+    Returns rows m = 0..m_max of ints, m2 = 0..m2_max.  At r = 1, A is a
+    permutation matrix and E = C(n, m) C(n, m2).  At r = 2, A = P1 + P2 has
+    the profile of I + sigma, sigma = P1^-1 P2 uniform, and a sigma-cycle of
+    length c has matching polynomial g_c(z) = a^c + b^c, with a + b = s =
+    1 + 2z and ab = q = z^2.  So sum_n F_n t^n = exp(sum_c g_c(z) g_c(w) t^c
+    / c) = 1/D(t), with s' = 1 + 2w, q' = w^2 and
+
+      D(t) = 1 - ss' t + (q's^2 + qs'^2 - 2qq') t^2 - qq'ss' t^3 + q^2 q'^2 t^4,
+
+    and E(perm_m perm_m2) = [z^m w^m2] F_n.  Each F_j, cut at degree
+    (m_max, m2_max), is packed into one int (Kronecker substitution): the
+    coefficient of z^i w^k fills the B-bit slot i W + k, and W = m2_max + 5
+    leaves room for the w^4 of D before each step masks the cut back in.
+    F_j's coefficients are E's at dimension j: non-negative and at most
+    C(j, m) C(j, m2) 2^(m+m2), as perm_m <= C(j, m) 2^m.  A step's positive
+    and negative parts are each under 32 times that, which fixes B, so no
+    slot carries and the difference of the masked parts is exact.  That is
+    O(n) shifts and adds of O(m_max m2_max B)-bit ints.
+    """
+    check_moment(n, r, m_max, m2_max)
+    if r > 2:
+        raise DomainError(f"product_table needs r <= 2, got {r}")
+    if r == 1:
+        return [[comb(n, m) * comb(n, m2) for m2 in range(m2_max + 1)]
+                for m in range(m_max + 1)]
+    top = comb(n, min(m_max, n // 2)) * comb(n, min(m2_max, n // 2)) << m_max + m2_max + 5
+    size = -(-top.bit_length() // 8)  # slot bytes
+    width = m2_max + 5
+    w1, z1 = 8 * size, 8 * size * width  # shifts that multiply by w and by z
+    mask = sum(((1 << w1 * (m2_max + 1)) - 1) << z1 * i for i in range(m_max + 1))
+
+    def times(f, x):  # f (1 + 2z) at x = z1, f (1 + 2w) at x = w1
+        return f + (f << x + 1)
+
+    qq = 2 * z1 + 2 * w1  # the shift that multiplies by qq' = z^2 w^2
+    f4 = f3 = f2 = 0
+    f1 = 1  # F_0
+    for _ in range(n):
+        up = times(times(f1 + (f3 << qq), w1), z1) + (f2 << qq + 1)
+        down = ((times(times(f2, z1), z1) << 2 * w1) + (times(times(f2, w1), w1) << 2 * z1)
+                + (f4 << 2 * qq))
+        f4, f3, f2, f1 = f3, f2, f1, (up & mask) - (down & mask)
+    data = f1.to_bytes(size * (width * m_max + m2_max + 1), "little")
+    return [[int.from_bytes(data[o:o + size], "little")
+             for o in range(size * width * m, size * (width * m + m2_max + 1), size)]
+            for m in range(m_max + 1)]
 
 
 def _walk(n, r, m, m2, term_budget):

@@ -10,6 +10,7 @@ is exact integer or rational arithmetic.  ``check_moment`` checks every
 moment's (n, r, m, m2); an ``ExactMoment`` holds a value and its term count.
 """
 
+import sys
 import threading
 from collections import namedtuple
 from fractions import Fraction
@@ -26,12 +27,16 @@ BRUTEFORCE_DIM_LIMIT = 8
 def check_moment(n: int, r: int, m: int, m2: int = 0) -> None:
     """Raise DomainError unless m and m2 lie in 0..n and r >= 1.
 
-    n = 0 passes here; operations that need n >= 1 check it themselves.
+    n = 0 passes here; operations that need n >= 1 check it themselves.  An
+    n past sys.maxsize, which ``math.factorial`` cannot take, is a
+    CapacityError.
     """
     if not (0 <= m <= n and 0 <= m2 <= n):
         raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
+    if n > sys.maxsize:
+        raise CapacityError(f"n must be <= {sys.maxsize}, got {n}")
 
 
 class ExactMoment(namedtuple("ExactMoment", "value term_count")):

@@ -27,12 +27,12 @@ def report(num, name, passed, detail):
     assert passed, line
 
 
-# Criteria 1-5 are the `permex verify` suites.  Each test pins the suite's
+# Criteria 1-5 and 10 are the `permex verify` suites.  Each test pins the suite's
 # point count and tolerance, so a suite that shrinks its grid or loosens a
 # tolerance fails here.
 
 
-def _oracle_criterion(num, name, suite, points):
+def _exact_criterion(num, name, suite, points):
     rows, _, passed, tol = SUITES[suite]()
     assert (len(rows), tol) == (points, 0.0)
     bad = [row for row in rows if not row["equal"]]
@@ -41,11 +41,11 @@ def _oracle_criterion(num, name, suite, points):
 
 
 def test_criterion_1_oracle_equality_single():
-    _oracle_criterion(1, "oracle equality, single", "oracle-single", 60)
+    _exact_criterion(1, "oracle equality, single", "oracle-single", 60)
 
 
 def test_criterion_2_oracle_equality_product():
-    _oracle_criterion(2, "oracle equality, product", "oracle-product", 123)
+    _exact_criterion(2, "oracle equality, product", "oracle-product", 123)
 
 
 def test_criterion_3_stationarity_residuals():
@@ -141,3 +141,7 @@ def test_criterion_9_profile_cross_check():
     report(9, "profile vs brute force", worst is None,
            f"{checked} random matrices, all orders equal" if worst is None
            else f"mismatch at {worst}")
+
+
+def test_criterion_10_recurrence_equality():
+    _exact_criterion(10, "profile sum equals the r = 2 recurrence", "recurrence", 219)

@@ -326,11 +326,29 @@ def test_rel_norm_takes_python_max():
     assert norms[1] == 4.0
 
 
+def test_restart_is_feasible():
+    # at this point (drawn by the solver suite at seed 3) the first attempt
+    # stalls and the closed form scaled by (1.1, 0.9, 1.1, 0.9, 1.1) has
+    # 1 - p - a - b < 0: the restart shrinks the scaling until it is feasible
+    p, q, r = point = (0.07313656993340666, 0.9387812628920866, 2)
+    a, b, *_ = closed = asymptotics._closed_form(*point)
+    assert 1 - p - 1.1 * a - 0.9 * b < 0
+    start = asymptotics._restart(*point)
+    assert asymptotics._feasible(*start[:4], p, r)
+    assert 1 < start[0] / a < 1.1 and 0.9 < start[1] / b < 1
+    sol = solve_stationary(*point)
+    assert max(abs(x - y) for x, y in zip((sol.a, sol.b, sol.d, sol.e, sol.L), closed)) < 1e-8
+    # a feasible restart keeps the full scaling
+    assert asymptotics._restart(0.5, 0.5, 2) == [
+        v * f for v, f in zip(asymptotics._closed_form(0.5, 0.5, 2), (1.1, 0.9, 1.1, 0.9, 1.1))]
+
+
 def test_batch_keeps_each_points_failure():
     # a point where both attempts fail gets its SolverError in its place,
-    # returned, not raised, and the points around it still solve
+    # returned, not raised, and the points around it still solve; both
+    # attempts start feasible here, and q close to 1 defeats them
     assert solve_stationary_batch([]) == []
-    hard = (0.07313656993340666, 0.9387812628920866, 2)
+    hard = (0.6875102945721865, 0.9787504294978595, 2)
     sols = solve_stationary_batch([(0.5, 0.5, 2), hard, (0.3, 0.7, 3)])
     assert sols[0] == solve_stationary(0.5, 0.5, 2)
     assert sols[2] == solve_stationary(0.3, 0.7, 3)

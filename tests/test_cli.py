@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -54,6 +55,27 @@ def test_product_budget_boundary(capsys):
     assert code == 2
     assert out == ""
     assert "budget 1172" in err
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("no answer within 5 s")
+
+
+@pytest.mark.parametrize("n, budget", [(12, 10), (25, 10_000)])
+def test_m0_product_refuses_at_once(capsys, n, budget):
+    # with m = 0 no line hosts a hit: the walk skips every fresh count short
+    # of m2 and meets the budget among the fresh splits of m2 itself; a
+    # runaway here never returns, so an alarm ends it
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(5)
+    try:
+        code, out, err = run(capsys, "product", "--n", str(n), "--r", str(n), "--m", "0",
+                             "--m2", str(n), "--budget", str(budget), "--threads", "1")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"budget {budget}" in err
 
 
 @pytest.mark.parametrize("command", ["product", "argmax"])
@@ -202,6 +224,13 @@ def test_verify_solver_honours_r(capsys):
     code, _, err = run(capsys, "verify", "--suite", "solver", "--r", "1")
     assert code == 1
     assert "error:" in err
+
+
+def test_verify_solver_passes_at_every_seed():
+    # a restart from an infeasible start once failed seeds 3, 15 and 20
+    for seed in range(40):
+        rows, worst, passed, tol = cli._suite_solver(seed=seed)
+        assert passed and len(rows) == 20, (seed, worst)
 
 
 def test_verify_solver_warns_nothing(capsys):
@@ -360,6 +389,9 @@ def test_domain_error_exits_1(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("scan", "--r", "2", "--p", "0.5", "--q", "0.5"), "error: scan needs at least one --n\n"),
     (("rate", "--r", "0", "--p", "0.5"), "error: r must be >= 1, got 0\n"),
+    # the recurrence suite's tables exist only at r <= 2
+    (("verify", "--suite", "recurrence", "--r", "3"),
+     "error: product_table needs r <= 2, got 3\n"),
 ])
 def test_domain_error_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -399,6 +431,11 @@ def test_capacity_error_exits_2(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "error" in err
+    # an n past sys.maxsize, which math.factorial cannot take, is refused
+    huge = ("--n", str(2**64), "--r", "2", "--m", "2")
+    for argv in (("expect", *huge), ("product", *huge, "--m2", "2"), ("argmax", *huge)):
+        code, out, err = run(capsys, *_one_thread(argv))
+        assert (code, out, err) == (2, "", f"error: n must be <= {sys.maxsize}, got {2**64}\n")
     # a negative budget is a usage error on every command that takes one
     point = ("--n", "3", "--r", "2", "--m", "1", "--m2", "1")
     for argv in (("product", *point), ("oracle", *point), ("argmax", *point),

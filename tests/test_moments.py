@@ -14,6 +14,7 @@ from permex import (
     ensemble_average_bruteforce,
     expectation_perm,
     expectation_product,
+    product_table,
     profile_iterator,
     validate_profile,
 )
@@ -71,6 +72,15 @@ def test_expectation_perm_domain():
         expectation_perm(3, 2, 4)
     with pytest.raises(DomainError):
         expectation_perm(3, 2, -1)
+    # past sys.maxsize math.factorial cannot take n: a capacity refusal
+    with pytest.raises(CapacityError):
+        expectation_perm(sys.maxsize + 1, 2, 2)
+
+
+def test_expectation_perm_at_huge_n():
+    # E(perm_2) at r = 2 is (n - 1)(2n - 1): the sum never builds n!
+    for n in (10**6, sys.maxsize):
+        assert expectation_perm(n, 2, 2).value == (n - 1) * (2 * n - 1)
 
 
 def test_expectation_perm_r1_is_binomial():
@@ -294,13 +304,58 @@ def cycle_index_product(n, m, m2):
 
 def test_product_r2_cycle_index():
     # an r = 2 reference independent of profiles and of the oracle, checked
-    # against the oracle first, then against the product sum beyond its reach
+    # against the oracle first, then against the product sum beyond its
+    # reach; product_table's recurrence is checked against all three
     for n in range(1, 8):
+        table = product_table(n, 2, n, n)
         for m, m2 in itertools.product(range(n + 1), repeat=2):
             want = ensemble_average_bruteforce(n, 2, m, m2).value
-            assert cycle_index_product(n, m, m2) == want, (n, m, m2)
+            assert cycle_index_product(n, m, m2) == want == table[m][m2], (n, m, m2)
     for n, m, m2 in [(16, 8, 8), (17, 6, 9), (18, 9, 9)]:
-        assert expectation_product(n, 2, m, m2).value == cycle_index_product(n, m, m2), (n, m, m2)
+        value = expectation_product(n, 2, m, m2).value
+        assert value == cycle_index_product(n, m, m2), (n, m, m2)
+        assert value == product_table(n, 2, m, m2)[m][m2], (n, m, m2)
+
+
+def test_product_table_corners_and_r1():
+    # a table cut at (m_max, m2_max) is that corner of the full table, at
+    # r = 1 as at r = 2, and r = 1 is the oracle's C(n, m) C(n, m2)
+    for n in range(6):
+        for r in (1, 2):
+            full = product_table(n, r, n, n)
+            for m_max, m2_max in itertools.product(range(n + 1), repeat=2):
+                assert product_table(n, r, m_max, m2_max) == [
+                    row[:m2_max + 1] for row in full[:m_max + 1]], (n, r, m_max, m2_max)
+            if n:
+                assert full == [[ensemble_average_bruteforce(n, r, m, m2).value
+                                 for m2 in range(n + 1)] for m in range(n + 1)]
+
+
+def test_product_table_at_large_n():
+    # far past the profile sum: symmetric, and its m2 = 0 column is E(perm_m)
+    table = product_table(100, 2, 50, 50)
+    assert all(table[m][m2] == table[m2][m] for m in range(51) for m2 in range(51))
+    assert [row[0] for row in table] == [expectation_perm(100, 2, m).value for m in range(51)]
+    # perm_1 is the sum of A's entries, 2n for every A = P1 + P2
+    assert product_table(100, 2, 1, 1)[1][1] == 4 * 100**2
+
+
+def test_product_table_domain():
+    with pytest.raises(DomainError, match="r <= 2"):
+        product_table(4, 3, 2, 2)
+    with pytest.raises(DomainError):
+        product_table(4, 2, 5, 0)
+    with pytest.raises(CapacityError):
+        product_table(2**64, 2, 1, 1)
+    assert product_table(0, 2, 0, 0) == product_table(0, 1, 0, 0) == [[1]]
+
+
+def test_product_with_m_zero_is_single():
+    # E(perm_0 perm_m) = E(perm_m); with m = 0 no line hosts a hit, so every
+    # dup split whose slack needs hits is dropped before its fresh splits
+    for n, r in [(4, 3), (6, 5), (5, 12)]:
+        for m in range(n + 1):
+            assert expectation_product(n, r, 0, m).value == expectation_perm(n, r, m).value
 
 
 def profile_sum(n, r, m, m2):
