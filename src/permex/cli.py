@@ -336,6 +336,12 @@ def _profile_sum(n, r, m, m2):
     return expectation_product(n, r, m, m2).value
 
 
+def _tables(cases):
+    """One product_table per case (n, r), all built first, read at (n, r, m, m2)."""
+    tables = {(n, r): product_table(n, r, n, n) for n, r in cases}
+    return lambda n, r, m, m2: tables[n, r][m][m2]
+
+
 def _suite_oracle_single(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     """expectation_perm equals the oracle exactly for n <= 5, r <= 3."""
     r_values = _r_values(r, [1, 2, 3])
@@ -345,30 +351,22 @@ def _suite_oracle_single(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
 
 
 def _suite_oracle_product(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
-    """The exact E(perm_m perm_m2) equals the oracle exactly, m <= m2, for
-    n <= 4 at r <= 3 and for n = 5 at r = 2: at r <= 2 read off one
-    product_table per (n, r), at r = 3 from expectation_product."""
+    """product_table equals the oracle exactly, m <= m2, for n <= 4 at r <=
+    3 and for n = 5 at r = 2."""
     r_values = _r_values(r, [1, 2, 3])
     cases = [(n, r) for n in range(1, 5) for r in r_values]
     if r is None or r == 2:
         cases.append((5, 2))
-    tables = {(n, r): product_table(n, r, n, n) for n, r in cases if r <= 2}
-
-    def exact(n, r, m, m2):
-        table = tables.get((n, r))
-        return _profile_sum(n, r, m, m2) if table is None else table[m][m2]
-
-    return _exact_rows(cases, _oracle(budget), exact, product=True)
+    return _exact_rows(cases, _oracle(budget), _tables(cases), product=True)
 
 
 def _suite_recurrence(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
-    """expectation_product equals product_table exactly, m <= m2, for n <= 9
-    at r = 2 (or at the given r <= 2)."""
+    """expectation_product, the profile sum, equals product_table exactly,
+    m <= m2, for n <= 9 at r = 2 (or at the given r <= 2), for n <= 5 at a
+    given r >= 3."""
     r_values = _r_values(r, [2])
-    cases = [(n, r) for n in range(1, 10) for r in r_values]
-    tables = {(n, r): product_table(n, r, n, n) for n, r in cases}
-    return _exact_rows(cases, _profile_sum,
-                       lambda n, r, m, m2: tables[n, r][m][m2], product=True)
+    cases = [(n, r) for r in r_values for n in range(1, 10 if r <= 2 else 6)]
+    return _exact_rows(cases, _profile_sum, _tables(cases), product=True)
 
 
 SUITES = {

@@ -22,7 +22,10 @@ pair) counts of this classification; the expectation is the sum over all
 feasible profiles of a product of seven exact counting factors, divided by
 (n!)^r.  The factors count, in order: first-placement choices, fresh
 cells, dup choices, row hits, col hits, cross hits, and the number of ways
-to complete each permutation around its forced cells.  Fresh cells are a
+to complete each permutation around its forced cells, (n - load)!.  No
+color is forced on more than K = min(n, m + m2) cells, so the sums take
+each completion over (n - K)! and divide by (n)_K^r: no n! is built, and a
+large n costs no more than a small one.  Fresh cells are a
 placement on the (n - m) x (n - m) free board, so ``_base_integer`` gives
 both of the first two factors.
 
@@ -60,23 +63,27 @@ are ``kernels.rising_splits(m, r)``, the oracle's partition enumerator.
 The first largest term, which ``argmax_profile`` reports, lies in such a
 split too.
 
-``product_table`` reaches every E(perm_m perm_m2) of one (n, r <= 2) at once
-without profiles, from a linear recurrence in n; it has no term count.
+``product_table`` reaches every E(perm_m perm_m2) of one (n, r) at once
+without profiles, so it has no term count: at r = 2 from a linear
+recurrence in n, at r >= 3 from the paths and cycles that two placements
+form (``_path_cycle_table``), within a budget on the coefficients it keeps.
+``expectation_product`` and ``argmax_profile`` keep the profile walk, whose
+term count is the raw profile count.
 """
 
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from copy import copy
 from fractions import Fraction
 from itertools import tee
 from math import comb, factorial, perm, prod
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import CapacityError, DomainError
 from .kernels import rising_splits
-from .model import tuple_count
 from .permanents import ExactMoment, check_moment
 
 TERM_BUDGET_DEFAULT = 10**9
+TABLE_STATE_BUDGET = 2 * 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +376,30 @@ def expectation_perm(n, r, m) -> ExactMoment:
 
 
 def product_table(n, r, m_max, m2_max) -> list:
-    """Every exact E(perm_m perm_m2) with m <= m_max, m2 <= m2_max, at r <= 2.
+    """Every exact E(perm_m perm_m2) with m <= m_max, m2 <= m2_max.
 
-    Returns rows m = 0..m_max of ints, m2 = 0..m2_max.  At r = 1, A is a
-    permutation matrix and E = C(n, m) C(n, m2).  At r = 2, A = P1 + P2 has
-    the profile of I + sigma, sigma = P1^-1 P2 uniform, and a sigma-cycle of
-    length c has matching polynomial g_c(z) = a^c + b^c, with a + b = s =
-    1 + 2z and ab = q = z^2.  So sum_n F_n t^n = exp(sum_c g_c(z) g_c(w) t^c
-    / c) = 1/D(t), with s' = 1 + 2w, q' = w^2 and
+    Returns rows m = 0..m_max, each over m2 = 0..m2_max: ints at r <= 2,
+    Fractions at r >= 3.  At r = 1, A is a permutation matrix and E = C(n, m)
+    C(n, m2); r = 2 runs ``_cycle_index_table``, r >= 3
+    ``_path_cycle_table``, which refuses with CapacityError when its bound on
+    the coefficients it keeps passes TABLE_STATE_BUDGET.
+    """
+    check_moment(n, r, m_max, m2_max)
+    if r == 1:
+        return [[comb(n, m) * comb(n, m2) for m2 in range(m2_max + 1)]
+                for m in range(m_max + 1)]
+    if r == 2:
+        return _cycle_index_table(n, m_max, m2_max)
+    return _path_cycle_table(n, r, m_max, m2_max)
+
+
+def _cycle_index_table(n, m_max, m2_max):
+    """``product_table`` at r = 2, from a linear recurrence in n.
+
+    A = P1 + P2 has the profile of I + sigma, sigma = P1^-1 P2 uniform, and
+    a sigma-cycle of length c has matching polynomial g_c(z) = a^c + b^c,
+    with a + b = s = 1 + 2z and ab = q = z^2.  So sum_n F_n t^n = exp(sum_c
+    g_c(z) g_c(w) t^c / c) = 1/D(t), with s' = 1 + 2w, q' = w^2 and
 
       D(t) = 1 - ss' t + (q's^2 + qs'^2 - 2qq') t^2 - qq'ss' t^3 + q^2 q'^2 t^4,
 
@@ -390,12 +413,6 @@ def product_table(n, r, m_max, m2_max) -> list:
     slot carries and the difference of the masked parts is exact.  That is
     O(n) shifts and adds of O(m_max m2_max B)-bit ints.
     """
-    check_moment(n, r, m_max, m2_max)
-    if r > 2:
-        raise DomainError(f"product_table needs r <= 2, got {r}")
-    if r == 1:
-        return [[comb(n, m) * comb(n, m2) for m2 in range(m2_max + 1)]
-                for m in range(m_max + 1)]
     top = comb(n, min(m_max, n // 2)) * comb(n, min(m2_max, n // 2)) << m_max + m2_max + 5
     size = -(-top.bit_length() // 8)  # slot bytes
     width = m2_max + 5
@@ -419,6 +436,180 @@ def product_table(n, r, m_max, m2_max) -> list:
             for m in range(m_max + 1)]
 
 
+def _longest_path(top, m_max, m2_max):
+    """The most cells a path component of ``_path_cycle_table`` can have.
+
+    A path of 2i - 1 cells puts i in one placement and i - 1 in the other,
+    one of 2i cells i in each, and no component spans more than top rows.
+    """
+    return min(2 * top - 1, 2 * min(m_max, m2_max) + 1)
+
+
+def _table_state_bound(r, top, m_max, m2_max):
+    """An upper bound on the coefficients ``_path_cycle_table`` keeps.
+
+    Its g_(a, b), a <= b <= top, holds a coefficient per (i, j, loads).  The
+    i cells of M lie on distinct rows and columns, as do the j of M', and
+    every used line holds a cell, so max(i, j) <= a <= b <= i + j; the loads
+    sum to between max(i, j) (a dup of one color counts once) and i + j.
+    Before them come the path polynomials p_0..p_L, L = ``_longest_path``,
+    with a monomial per load tuple of sum l; the r vectors of two
+    consecutive lengths l, each keyed by the loads of sum l that use its
+    color; and the cycles, of 2i cells for i <= min(m_max, m2_max, top),
+    the first with the r dups of one color.
+    """
+    longest = _longest_path(top, m_max, m2_max)
+
+    def with_color(length):  # load tuples of sum length that use a given color
+        return comb(length + r - 2, r - 1) if length > 0 else 0
+
+    total = (comb(max(longest, 0) + r, r)
+             + r * (with_color(longest - 1) + with_color(longest))
+             + r + sum(comb(2 * i + r - 1, r - 1)
+                       for i in range(1, min(m_max, m2_max, top) + 1)))
+    for i in range(m_max + 1):
+        for j in range(m2_max + 1):
+            span = min(i + j, top) - max(i, j) + 1  # values a may take
+            if span > 0:
+                loads = comb(i + j + r, r) - comb(max(i, j) - 1 + r, r)
+                total += span * (span + 1) // 2 * loads
+    return total
+
+
+def _path_cycle_table(n, r, m_max, m2_max):
+    """``product_table`` at any r, from the paths and cycles of two placements.
+
+    Expand both subpermanents over placements M (m cells) and M' (m2 cells)
+    and color each cell by the permutation that covers it.  Color k's cells
+    must form a partial permutation of some load l_k, completed in (n - l_k)!
+    ways, so (n!)^r E = sum_(a,b) C(n, a) C(n, b) [z^m w^m2] Phi(g_(a,b)),
+    Phi(x^l) = prod_k (n - l_k)!, where g_(a,b) sums the unions M u M' on a
+    given a rows and b columns, each weighted by z^|M| w^|M'| and by its
+    color polynomial in x_1..x_r.  Cells sharing a line lie in different
+    placements and must differ in color, and a union splits into components
+    (D = diag(x), K = J - I, colors of adjacent cells differ):
+
+      component           rows, cols   z, w          copies      colors
+      dup (cell in M, M')  1, 1        zw            1           sum_k x_k + sum_(k!=l) x_k x_l
+      path, 2i - 1 cells   i, i        z^i w^(i-1),  i!^2 each   1' D (K D)^(2i-2) 1
+                                       z^(i-1) w^i
+      path, 2i cells       i+1, i or   z^i w^i       (i+1)! i!   1' D (K D)^(2i-1) 1
+                           i, i+1                    each
+      cycle, 2i cells      i, i        z^i w^i       i! (i-1)!   tr((D K)^(2i)), i >= 2
+
+    A dup of two colors is the i = 1 cycle, and the dups of one color add
+    1' D 1.
+
+    Rooting each union at its lowest row, g_(0,0) = 1 and g_(a,b) sums, over
+    the components of s rows and t columns, C(a-1, s-1) C(b, t) times the
+    component's copies, colors and z, w monomial times g_(a-s, b-t);
+    transposing shows g_(a,b) = g_(b,a), so only a <= b is kept.  The path
+    polynomials come from the vector D (K D)^(l-1) 1, and with p_l the path
+    polynomial of l cells (p_0 = 1) and P_j = sum x_k^j, -log det(I - t D K)
+    gives the cycles tr((D K)^L) = P_L + sum_(j=1..L) (-1)^(j-1) j P_j
+    p_(L-j) at even L.  Coefficients are non-negative ints
+    kept per (i, j), i <= m_max and j <= m2_max, in dicts keyed by the loads
+    packed into one int, so multiplying monomials adds keys.  Both placements
+    together use top = min(n, m_max + m2_max) rows at most, so the
+    completions are taken as (n - l)!/(n - top)! and the sum divided by
+    (n)_top^r.  Only paths of up to ``_longest_path`` cells fit in the
+    table, so no longer one is built.  CapacityError, before any of this,
+    when ``_table_state_bound`` passes TABLE_STATE_BUDGET.
+    """
+    top = min(n, m_max + m2_max)
+    bound = _table_state_bound(r, top, m_max, m2_max)
+    if bound > TABLE_STATE_BUDGET:
+        raise CapacityError(
+            f"product table keeps up to {bound} coefficients, over budget {TABLE_STATE_BUDGET} "
+            f"at (n={n}, r={r}, m_max={m_max}, m2_max={m2_max})")
+    bits = (2 * top + 1).bit_length()  # a field per color; P_L reaches degree 2 top
+    xs = [1 << bits * k for k in range(r)]
+
+    longest = _longest_path(top, m_max, m2_max)
+    paths = [{0: 1}]  # p_l for l = 0..longest; vec is D (K D)^(l-1) 1
+    vec = [{x: 1} for x in xs]
+    for length in range(1, longest + 1):
+        if length > 1:
+            vec = [{key + x: c - poly.get(key, 0) for key, c in total.items()
+                    if c != poly.get(key, 0)} for x, poly in zip(xs, vec)]
+        total = defaultdict(int)
+        for poly in vec:
+            for key, c in poly.items():
+                total[key] += c
+        paths.append(total)
+    del vec
+
+    def cycle(length):
+        tr = defaultdict(int, {length * x: 1 for x in xs})
+        for j in range(1, length + 1):
+            sign = j if j % 2 else -j
+            for key, c in paths[length - j].items():
+                for x in xs:
+                    tr[key + j * x] += sign * c
+        return {key: c for key, c in tr.items() if c}
+
+    comps = defaultdict(list)  # (s, t) -> [(z degree, w degree, copies, colors)]
+
+    def component(s, t, di, dj, copies, colors):
+        if di <= m_max and dj <= m2_max:
+            comps[s, t].append((di, dj, copies, colors))
+
+    for i in range(1, (longest + 1) // 2 + 1):
+        component(i, i, i, i - 1, factorial(i) ** 2, paths[2 * i - 1])
+        component(i, i, i - 1, i, factorial(i) ** 2, paths[2 * i - 1])
+        if i <= min(m_max, m2_max):
+            colors = cycle(2 * i)
+            if i == 1:  # the 2-cycle is a dup of two colors; add the dups of one
+                colors.update(paths[1])  # (degree 1; the 2-cycle's keys have degree 2)
+            component(i, i, i, i, factorial(i) * factorial(i - 1), colors)
+            if i < top:
+                copies = factorial(i + 1) * factorial(i)
+                component(i + 1, i, i, i, copies, paths[2 * i])
+                component(i, i + 1, i, i, copies, paths[2 * i])
+
+    tables = {(0, 0): {(0, 0): {0: 1}}}  # g_(a,b) at a <= b: (i, j) -> load key -> coefficient
+    for b in range(1, top + 1):
+        for a in range(1, b + 1):
+            g = {}
+            for (s, t), parts in comps.items():
+                if s > a or t > b:
+                    continue
+                src = tables.get((a - s, b - t) if a - s <= b - t else (b - t, a - s))
+                if not src:
+                    continue
+                scale = comb(a - 1, s - 1) * comb(b, t)
+                for (i, j), poly in src.items():
+                    for di, dj, copies, colors in parts:
+                        if i + di <= m_max and j + dj <= m2_max:
+                            out = g.get((i + di, j + dj))
+                            if out is None:
+                                out = g[i + di, j + dj] = defaultdict(int)
+                            copies *= scale
+                            for key, c in colors.items():
+                                c *= copies
+                                for key2, c2 in poly.items():
+                                    out[key + key2] += c * c2
+            if g:
+                tables[a, b] = g
+
+    sums = defaultdict(lambda: defaultdict(int))  # (i, j) -> load key -> sum_(a,b) C(n,a) C(n,b) g
+    for (a, b), g in tables.items():
+        lines = comb(n, a) * comb(n, b) << (a < b)  # g_(b,a) = g_(a,b)
+        for ij, poly in g.items():
+            out = sums[ij]
+            for key, c in poly.items():
+                out[key] += lines * c
+    falls = [perm(n - load, top - load) for load in range(top + 1)]  # (n - l)!/(n - top)!
+    field = (1 << bits) - 1
+    weights = {key: prod(falls[key >> bits * k & field] for k in range(r))
+               for key in set().union(*sums.values())}
+    rows = [[0] * (m2_max + 1) for _ in range(m_max + 1)]
+    for (i, j), poly in sums.items():
+        rows[i][j] = sum(map(mul, poly.values(), map(weights.__getitem__, poly)))
+    denominator = perm(n, top) ** r
+    return [[Fraction(v, denominator) for v in row] for row in rows]
+
+
 def _walk(n, r, m, m2, term_budget):
     """The collapsed profile sum over one non-decreasing base split per orbit.
 
@@ -426,8 +617,10 @@ def _walk(n, r, m, m2, term_budget):
     prefix (base, fresh, dup, rowh, colh) and cross-hit split dvec with both
     sides non-empty, in profile_iterator's order.  count is the running raw
     profile count, checked against term_budget; wd = W * prod_i (spare_i -
-    d_i)! d_i!; left and right are the per-call table entries (L, count,
-    Hmax) of (dvec, lcaps) and (dvec, rcaps).  A table stops past
+    d_i)!/(n - K)! d_i!, K = min(n, m + m2), as no color is forced on more
+    than K cells, so no (n - load)! is built; left and right are the
+    per-call table entries (L, count, Hmax) of (dvec, lcaps) and (dvec,
+    rcaps).  A table stops past
     term_budget matrices with a partial L, which is never yielded: its count
     is over budget, so pairing it with a non-empty side raises.
     """
@@ -436,6 +629,7 @@ def _walk(n, r, m, m2, term_budget):
         # every input has a profile (A holds a permutation matrix): refuse
         # before building any hit list or cross-hit table
         raise CapacityError(refusal)
+    floor = n - min(n, m + m2)
     table = {}
 
     def cross(dvec, caps):
@@ -465,9 +659,14 @@ def _walk(n, r, m, m2, term_budget):
                         count += orbit * left[1] * right[1]
                         if count > term_budget:
                             raise CapacityError(refusal)
-                        wd = prod((factorial(sp - di) * factorial(di)
+                        wd = prod((perm(sp - di, sp - di - floor) * factorial(di)
                                    for sp, di in zip(spare, dvec)), start=w)
                         yield count, orbit, prefix, wd, left, right, dvec, lcaps, rcaps
+
+
+def _walk_denominator(n, r, m, m2):
+    """(n!)^r over the (n - K)!^r that ``_walk`` leaves out of its terms."""
+    return perm(n, min(n, m + m2)) ** r
 
 
 def expectation_product(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT) -> ExactMoment:
@@ -481,7 +680,7 @@ def expectation_product(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT) -> ExactMo
     total = count = 0
     for count, orbit, _, wd, left, right, *_ in _walk(n, r, m, m2, term_budget):
         total += orbit * wd * left[0] * right[0]
-    return ExactMoment(value=Fraction(total, tuple_count(n, r)), term_count=count)
+    return ExactMoment(value=Fraction(total, _walk_denominator(n, r, m, m2)), term_count=count)
 
 
 def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
@@ -510,4 +709,4 @@ def argmax_profile(n, r, m, m2, term_budget=TERM_BUDGET_DEFAULT):
                     if _host_integer(caps, lefts, mat) == top)
 
     profile = ColorProfile(*prefix, first_largest(lcaps, lh), first_largest(rcaps, rh))
-    return profile, Fraction(best_w, tuple_count(n, r))
+    return profile, Fraction(best_w, _walk_denominator(n, r, m, m2))

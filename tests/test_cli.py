@@ -389,13 +389,40 @@ def test_domain_error_exits_1(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("scan", "--r", "2", "--p", "0.5", "--q", "0.5"), "error: scan needs at least one --n\n"),
     (("rate", "--r", "0", "--p", "0.5"), "error: r must be >= 1, got 0\n"),
-    # the recurrence suite's tables exist only at r <= 2
-    (("verify", "--suite", "recurrence", "--r", "3"),
-     "error: product_table needs r <= 2, got 3\n"),
 ])
 def test_domain_error_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", message)
+
+
+def test_verify_recurrence_at_r3(capsys):
+    # at r >= 3 the suite checks the path/cycle table for n <= 5 (55 points
+    # m <= m2); at r = 12 the n = 4 table passes its state budget, exit 2
+    # before any profile sum
+    code, out, err = run(capsys, "verify", "--suite", "recurrence", "--r", "3")
+    report = json.loads(out)
+    assert (code, report["points"], report["pass"]) == (0, 55, True)
+    assert {(row["n"], row["r"]) for row in report["rows"]} == {(n, 3) for n in range(1, 6)}
+    assert err == "verify recurrence: ok over 55 points\n"
+    code, out, err = run(capsys, "verify", "--suite", "recurrence", "--r", "12")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: product table keeps up to 733572 coefficients")
+
+
+def test_product_at_huge_n_is_immediate(capsys):
+    # no (n - load)! is built: perm_1 is the sum of A's entries, 2n at r = 2
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(5)
+    start = time.perf_counter()
+    try:
+        code, out, _ = run(capsys, "product", "--n", "1000000", "--r", "2", "--m", "1",
+                           "--m2", "1", "--threads", "1")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1
+    report = json.loads(out)
+    assert (code, report["value_num"], report["value_den"]) == (0, str(4 * 10**12), "1")
 
 
 def test_solver_failure_exits_2(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, perm, prod
@@ -319,35 +320,91 @@ def test_product_r2_cycle_index():
 
 def test_product_table_corners_and_r1():
     # a table cut at (m_max, m2_max) is that corner of the full table, at
-    # r = 1 as at r = 2, and r = 1 is the oracle's C(n, m) C(n, m2)
+    # every r, and r = 1 is the oracle's C(n, m) C(n, m2)
     for n in range(6):
-        for r in (1, 2):
+        for r in (1, 2, 3):
             full = product_table(n, r, n, n)
             for m_max, m2_max in itertools.product(range(n + 1), repeat=2):
                 assert product_table(n, r, m_max, m2_max) == [
                     row[:m2_max + 1] for row in full[:m_max + 1]], (n, r, m_max, m2_max)
-            if n:
+            if n and r <= 2:
                 assert full == [[ensemble_average_bruteforce(n, r, m, m2).value
                                  for m2 in range(n + 1)] for m in range(n + 1)]
 
 
 def test_product_table_at_large_n():
     # far past the profile sum: symmetric, and its m2 = 0 column is E(perm_m)
-    table = product_table(100, 2, 50, 50)
-    assert all(table[m][m2] == table[m2][m] for m in range(51) for m2 in range(51))
-    assert [row[0] for row in table] == [expectation_perm(100, 2, m).value for m in range(51)]
-    # perm_1 is the sum of A's entries, 2n for every A = P1 + P2
-    assert product_table(100, 2, 1, 1)[1][1] == 4 * 100**2
+    for r, n, top in [(2, 100, 50), (3, 100, 4)]:
+        table = product_table(n, r, top, top)
+        assert all(table[m][m2] == table[m2][m] for m in range(top + 1) for m2 in range(top + 1))
+        assert [row[0] for row in table] == [expectation_perm(n, r, m).value
+                                             for m in range(top + 1)]
+        # perm_1 is the sum of A's entries, rn for every A = P1 + .. + Pr
+        assert product_table(n, r, 1, 1)[1][1] == (r * n) ** 2
 
 
 def test_product_table_domain():
-    with pytest.raises(DomainError, match="r <= 2"):
-        product_table(4, 3, 2, 2)
     with pytest.raises(DomainError):
         product_table(4, 2, 5, 0)
     with pytest.raises(CapacityError):
         product_table(2**64, 2, 1, 1)
-    assert product_table(0, 2, 0, 0) == product_table(0, 1, 0, 0) == [[1]]
+    assert all(product_table(0, r, 0, 0) == [[1]] for r in (1, 2, 3))
+
+
+def test_product_table_refuses_past_its_state_budget(monkeypatch):
+    # the r >= 3 table bounds the coefficients it would keep before it
+    # builds any: 82,059,171 at (40, 3, 20, 20), and exactly 1,935 at (4, 3, 4, 4)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="82059171 coefficients, over budget 200000"):
+        product_table(40, 3, 20, 20)
+    assert time.perf_counter() - start < 1
+    assert moments._table_state_bound(3, 4, 4, 4) == 1935
+    full = product_table(4, 3, 4, 4)
+    monkeypatch.setattr(moments, "TABLE_STATE_BUDGET", 1935)
+    assert product_table(4, 3, 4, 4) == full
+    monkeypatch.setattr(moments, "TABLE_STATE_BUDGET", 1934)
+    with pytest.raises(CapacityError):
+        product_table(4, 3, 4, 4)
+
+
+def test_product_table_builds_only_the_paths_it_reads():
+    # at m2_max = 0 only one-cell paths fit, so a long table over many colors
+    # stays small: its bound is 125,995 and its column is E(perm_m)
+    assert moments._table_state_bound(8, 12, 12, 0) == 125995
+    start = time.perf_counter()
+    table = product_table(12, 8, 12, 0)
+    assert time.perf_counter() - start < 5
+    assert [row[0] for row in table] == [expectation_perm(12, 8, m).value for m in range(13)]
+
+
+def test_product_table_r3_equals_profile_sum():
+    # the path/cycle table against the profile sum at every m and m2: n <= 5
+    # at r = 3, n <= 4 at r = 4 and 5; symmetric, its m2 = 0 column E(perm_m)
+    for r, top in [(3, 5), (4, 4), (5, 4)]:
+        for n in range(top + 1):
+            table = product_table(n, r, n, n)
+            assert table == [[expectation_product(n, r, m, m2).value for m2 in range(n + 1)]
+                             for m in range(n + 1)], (n, r)
+            assert table == [list(col) for col in zip(*table)], (n, r)
+            assert [row[0] for row in table] == [expectation_perm(n, r, m).value
+                                                 for m in range(n + 1)], (n, r)
+
+
+def test_product_table_r3_equals_oracle():
+    for r in (3, 4):
+        for n in range(1, 5):
+            assert product_table(n, r, n, n) == [
+                [ensemble_average_bruteforce(n, r, m, m2).value for m2 in range(n + 1)]
+                for m in range(n + 1)], (n, r)
+
+
+def test_path_cycle_table_at_r1_and_r2():
+    # called directly, the r >= 3 routine gives r = 1's binomials and r = 2's
+    # recurrence
+    for r in (1, 2):
+        for n in range(9):
+            assert moments._path_cycle_table(n, r, n, n) == \
+                product_table(n, r, n, n), (n, r)
 
 
 def test_product_with_m_zero_is_single():
