@@ -158,8 +158,7 @@ def _estimate_fields(est):
 
 def _cmd_mc(args):
     spec = EnsembleSpec(n=args.n, r=args.r, seed=args.seed)
-    result = estimate_moments(spec, args.m, args.m2, args.samples,
-                              threads=args.threads)
+    result = estimate_moments(spec, args.m, args.m2, args.samples)
     first, second, product = map(_estimate_fields,
                                  (result.first, result.second, result.product))
     fields = {
@@ -179,8 +178,7 @@ def _cmd_mc(args):
 def _cmd_scan(args):
     if not args.n:
         raise DomainError("scan needs at least one --n")
-    rows = convergence_scan(args.r, args.p, args.q, args.n, args.samples,
-                            seed=args.seed, threads=args.threads)
+    rows = convergence_scan(args.r, args.p, args.q, args.n, args.samples, seed=args.seed)
     records = [
         {
             **_pick(row, "n", "m", "m2", "samples", "mode"),
@@ -232,7 +230,8 @@ def _cmd_argmax(args):
 # Each suite is the one definition of an acceptance criterion (criteria 1-5
 # and 10 of tests/test_acceptance.py), its tolerance included.  It takes keyword
 # overrides (r=None meaning the suite's own r values; budget bounds the
-# oracle suites' DP cells) and returns (rows, worst, passed, tol).
+# oracle suites' DP cells and the recurrence suite's profiles) and returns
+# (rows, worst, passed, tol).
 
 
 def _r_values(r, default):
@@ -332,8 +331,9 @@ def _oracle(budget):
         n, r, m, m2, tuple_budget=budget).value
 
 
-def _profile_sum(n, r, m, m2):
-    return expectation_product(n, r, m, m2).value
+def _profile_sum(budget):
+    return lambda n, r, m, m2: expectation_product(
+        n, r, m, m2, term_budget=budget).value
 
 
 def _tables(cases):
@@ -366,7 +366,7 @@ def _suite_recurrence(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     given r >= 3."""
     r_values = _r_values(r, [2])
     cases = [(n, r) for r in r_values for n in range(1, 10 if r <= 2 else 6)]
-    return _exact_rows(cases, _profile_sum, _tables(cases), product=True)
+    return _exact_rows(cases, _profile_sum(budget), _tables(cases), product=True)
 
 
 SUITES = {
@@ -418,11 +418,11 @@ def _add_common(sub, *names):
                                      "help": "sample count"}),
         "seed": (("--seed",), {"type": int, "default": 0, "help": "64-bit seed"}),
         "tol": (("--tol",), {"type": float, "help": "tolerance override"}),
-        "budget": (("--budget",), {"type": _budget, "help": "work budget override"}),
-        "threads": (("--threads",), {"type": int, "default": os.cpu_count() or 1,
-                                     "help": "worker processes for sampling"}),
-        "threads_ignored": (("--threads",), {"type": int, "help": "accepted and ignored:"
-                                             " this subcommand runs in one process"}),
+        "budget": (("--budget",), {"type": _budget, "help": "work budget override:"
+                                   " profiles for product, argmax and verify --suite"
+                                   " recurrence, the oracle's DP cells otherwise"}),
+        "threads": (("--threads",), {"type": int, "help": "accepted and ignored:"
+                                     " every subcommand runs in one process"}),
     }
     for name in names:
         flags, kwargs = specs[name]
@@ -437,11 +437,11 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("expect", help="exact E(perm_m)")
-    _add_common(sub, "n", "r", "m", "threads_ignored")
+    _add_common(sub, "n", "r", "m", "threads")
     sub.set_defaults(func=_cmd_expect, m2=0)  # the report's m2: expect has no --m2
 
     sub = subs.add_parser("product", help="exact E(perm_m perm_m2)")
-    _add_common(sub, "n", "r", "m", "m2", "budget", "threads_ignored")
+    _add_common(sub, "n", "r", "m", "m2", "budget", "threads")
     sub.set_defaults(func=_cmd_product, budget=TERM_BUDGET_DEFAULT)
 
     sub = subs.add_parser("oracle", help="brute-force E(perm_m perm_m2)")
@@ -474,7 +474,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("verify", help="run a verification suite")
     sub.add_argument("--suite", choices=sorted(SUITES), required=True)
-    _add_common(sub, "r_opt", "seed", "budget", "threads_ignored")
+    _add_common(sub, "r_opt", "seed", "budget", "threads")
     sub.set_defaults(func=_cmd_verify, budget=TUPLE_BUDGET_DEFAULT)
 
     return parser

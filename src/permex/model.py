@@ -3,9 +3,9 @@
 A sample is drawn by stacking ``r`` independent uniformly random n x n
 permutation matrices, so every row sum and column sum of the result equals
 ``r``.  Sampling is counter-based: sample index ``i`` of a given seed reads
-from a Philox stream whose 256-bit counter starts at ``i << 128``, which
-makes parallel sampling reproducible regardless of how samples are
-partitioned across workers.
+from a Philox stream whose 256-bit counter starts at ``i << 128``, so a
+sample's permutations depend only on (n, r, seed, i), whatever range of
+indices a call draws.
 
 The stream contract.  ``sample_stream`` is numpy's Philox4x64-10 bit
 generator (Salmon et al., SC'11) under key ``(seed, 0)``, so output block j

@@ -3,7 +3,11 @@
 Integer statistics (sums and sums of squares) are accumulated exactly and
 only converted to floats at the very end, so no precision is lost to
 cancellation no matter how large the subpermanent values grow.  Samples
-are drawn in passes of ``PASS_SAMPLES``.
+are drawn in the calling process, in passes of ``PASS_SAMPLES`` from
+sample 0; sample i reads its own Philox stream (``model.sample_stream``),
+so a run is reproducible from (n, r, seed, samples).  The (perm_m,
+perm_m2) pairs of all samples are tallied in one Counter, and the exact
+sums are read off the tally.
 
 At r = 2 no matrix is built and no DP runs: relabelling its columns turns
 P1 + P2 into I + P1^-1 P2, so a sample's profile depends only on the cycle
@@ -23,7 +27,6 @@ which at small (n, r) builds no arrays and so does not import numpy.
 """
 
 import math
-import os
 from collections import Counter, namedtuple
 from fractions import Fraction
 
@@ -45,7 +48,7 @@ PASS_SAMPLES = 1 << 10
 # draw their permutations with the pure-Python ``model.sample_block_pure``
 # and never import numpy; larger runs use ``model.sample_block``.  Past
 # the import of numpy (about 0.1 s with one BLAS thread) each side's cost
-# grows with the draws: fresh ``mc --threads 1`` processes on 2 shared
+# grows with the draws: fresh ``mc`` processes on 2 shared
 # vCPUs, median of 7, cross at about 197k draws for n = 6 (19.7k samples),
 # 262k for n = 10 and 393k for n = 16 (13.1k samples).
 PURE_DRAWS = 1 << 18
@@ -89,45 +92,44 @@ def _cycle_type(p1, p2):
     return tuple(parts)
 
 
-def _class_sums(spec, m, m2, lo, hi, pure):
-    """The sums of samples lo..hi-1 at r = 2, one profile per cycle type."""
-    counts = Counter()
-    for first in range(lo, hi, PASS_SAMPLES):
-        size = min(PASS_SAMPLES, hi - first)
-        perms = (sample_block_pure(spec, first, size) if pure
-                 else sample_block(spec, first, size).tolist())
-        counts.update(_cycle_type(p1, p2) for p1, p2 in perms)
+def _sample_sums(spec, m, m2, samples):
+    """Exact sums over samples 0..samples-1 of x, x^2, y, y^2, xy and (xy)^2,
+    for x = perm_m and y = perm_m2, as a list in that order.
+
+    The (perm_m, perm_m2) pairs are tallied in one Counter: per cycle type
+    at r = 2, per DP block otherwise.
+    """
+    n, r = spec.n, spec.r
+    pairs = Counter()
+    if r == 2:
+        # few shuffle draws: the pure-Python sampler, which imports no numpy
+        pure = samples * r * (n - 1) <= PURE_DRAWS
+        classes = Counter()
+        for first in range(0, samples, PASS_SAMPLES):
+            size = min(PASS_SAMPLES, samples - first)
+            perms = (sample_block_pure(spec, first, size) if pure
+                     else sample_block(spec, first, size).tolist())
+            classes.update(_cycle_type(p1, p2) for p1, p2 in perms)
+        for parts, count in classes.items():
+            prof = kernels.cycle_profile(parts)
+            pairs[prof[m], prof[m2]] += count
+    else:
+        import numpy as np
+
+        block = kernels.block_size(n)
+        cols = np.arange(n)
+        for first in range(0, samples, PASS_SAMPLES):
+            perms = sample_block(spec, first, min(PASS_SAMPLES, samples - first))
+            # entry (i, j) of a sample's matrix counts its summands with i -> j
+            mats = (perms[..., None] == cols).sum(axis=1, dtype=np.int64)
+            for start in range(0, len(mats), block):
+                prof = kernels.subperm_profiles(mats[start:start + block], n, r)
+                pairs.update(zip(prof[m], prof[m2]))
     sums = [0] * 6
-    for parts, count in counts.items():
-        prof = kernels.cycle_profile(parts)
-        x, y = prof[m], prof[m2]
+    for (x, y), count in pairs.items():
         for k, v in enumerate((x, y, x * y)):
             sums[2 * k] += count * v
             sums[2 * k + 1] += count * v * v
-    return sums
-
-
-def _mc_worker(args):
-    n, r, seed, m, m2, lo, hi, pure = args
-    spec = EnsembleSpec(n=n, r=r, seed=seed)
-    if r == 2:
-        return _class_sums(spec, m, m2, lo, hi, pure)
-
-    import numpy as np
-
-    block = kernels.block_size(n)
-    cols = np.arange(n)
-    sums = [0] * 6
-    for first in range(lo, hi, PASS_SAMPLES):
-        perms = sample_block(spec, first, min(PASS_SAMPLES, hi - first))
-        # entry (i, j) of a sample's matrix counts its summands with i -> j
-        mats = (perms[..., None] == cols).sum(axis=1, dtype=np.int64)
-        for start in range(0, len(mats), block):
-            prof = kernels.subperm_profiles(mats[start:start + block], n, r)
-            xs, ys = prof[m], prof[m2]
-            for k, vals in enumerate((xs, ys, [x * y for x, y in zip(xs, ys)])):
-                sums[2 * k] += sum(vals)
-                sums[2 * k + 1] += sum(v * v for v in vals)
     return sums
 
 
@@ -143,13 +145,11 @@ def _make_estimate(total, total_sq, count, n) -> MCEstimate:
     return _estimate(Fraction(total, count), math.sqrt(float(stderr_sq)), count, n)
 
 
-def estimate_moments(
-    spec: EnsembleSpec, m: int, m2: int, samples: int, threads: int = 1
-) -> MomentEstimates:
+def estimate_moments(spec: EnsembleSpec, m: int, m2: int, samples: int) -> MomentEstimates:
     """Estimate E(perm_m), E(perm_m2), and E(perm_m perm_m2) from one seed.
 
-    Samples are drawn from per-index streams, so the result is identical for
-    any partitioning of the index range across workers.
+    Sample i reads its own per-index stream, so the result depends only on
+    (n, r, seed, samples), not on the order or grouping of the draws.
     """
     n, r = spec.n, spec.r
     if samples < 2:
@@ -160,8 +160,6 @@ def estimate_moments(
         # cycle types and runs no DP, but keeps the same cap and exit code
         raise CapacityError(f"profile limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
 
-    # the pool starts all its workers at once; more than the CPUs gain nothing
-    threads = min(threads, os.cpu_count() or 1)
     space = tuple_count(n, r)
     if space <= samples:
         # enumeration covers the whole space: means exact, no sampling error
@@ -173,26 +171,7 @@ def estimate_moments(
             mode="enumeration",
         )
 
-    # r = 2 runs of few shuffle draws use the pure-Python sampler and import
-    # no numpy
-    pure = r == 2 and samples * r * (n - 1) <= PURE_DRAWS
-    if threads > 1 and samples >= 2 * threads:
-        import concurrent.futures
-
-        if not pure:
-            # load numpy before the pool forks its workers, so that they
-            # inherit it rather than each import it again
-            import numpy  # noqa: F401
-
-        bounds = [samples * i // threads for i in range(threads + 1)]
-        jobs = [(n, r, spec.seed, m, m2, bounds[i], bounds[i + 1], pure)
-                for i in range(threads)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_mc_worker, jobs))
-        sums = [sum(p[k] for p in parts) for k in range(6)]
-    else:
-        sums = _mc_worker((n, r, spec.seed, m, m2, 0, samples, pure))
-
+    sums = _sample_sums(spec, m, m2, samples)
     first = _make_estimate(sums[0], sums[1], samples, n)
     second = _make_estimate(sums[2], sums[3], samples, n)
     product = _make_estimate(sums[4], sums[5], samples, n)
@@ -214,7 +193,6 @@ def convergence_scan(
     n_list,
     samples: int,
     seed: int = 0,
-    threads: int = 1,
 ):
     """Product-moment estimates along n_list against the limiting prediction.
 
@@ -227,7 +205,7 @@ def convergence_scan(
         m = round(p * n)
         m2 = round(q * n)
         spec = EnsembleSpec(n=n, r=r, seed=seed)
-        est = estimate_moments(spec, m, m2, samples, threads=threads)
+        est = estimate_moments(spec, m, m2, samples)
         value = est.product.log_mean_over_n
         rows.append(
             ScanRow(

@@ -15,6 +15,7 @@ import threading
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 from . import kernels
 from .errors import CapacityError, DomainError
@@ -29,7 +30,8 @@ def check_moment(n: int, r: int, m: int, m2: int = 0) -> None:
 
     n = 0 passes here; operations that need n >= 1 check it themselves.  An
     n past sys.maxsize, which ``math.factorial`` cannot take, is a
-    CapacityError.
+    CapacityError, and so is an r past it, which ``range`` and ``math.comb``
+    cannot take.
     """
     if not (0 <= m <= n and 0 <= m2 <= n):
         raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
@@ -37,6 +39,8 @@ def check_moment(n: int, r: int, m: int, m2: int = 0) -> None:
         raise DomainError(f"r must be >= 1, got {r}")
     if n > sys.maxsize:
         raise CapacityError(f"n must be <= {sys.maxsize}, got {n}")
+    if r > sys.maxsize:
+        raise CapacityError(f"r must be <= {sys.maxsize}, got {r}")
 
 
 class ExactMoment(namedtuple("ExactMoment", "value term_count")):
@@ -90,10 +94,15 @@ def product_sum_table(n: int, r: int, tuple_budget: int = TUPLE_BUDGET_DEFAULT):
     if n > DIM_LIMIT_DEFAULT:
         # each matrix's profile DP holds 2^n states
         raise CapacityError(f"oracle limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
-    cells = kernels.oracle_cells(n, r)
+    # (n!)^(r-2) is never built: the count stops growing past the budget
+    cells = kernels.oracle_cells(n, min(r, 2))
+    for _ in range(r - 2 if n > 1 else 0):
+        if cells > tuple_budget:
+            break
+        cells *= factorial(n)
     if cells > tuple_budget:
         raise CapacityError(
-            f"{cells} DP cells for (n={n}, r={r}) exceed budget {tuple_budget}"
+            f"the oracle's DP cells for (n={n}, r={r}) exceed budget {tuple_budget}"
         )
     key = (n, r)
     with _table_lock:

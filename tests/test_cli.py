@@ -166,21 +166,10 @@ def _golden_id(command):
     return "-".join(word for word in command.split() if not word.startswith("--"))
 
 
-# the subcommands that take --threads: mc and scan sample in worker
-# processes; product, verify and expect accept it and run in one process
-THREADED = ("mc", "scan", "product", "verify", "expect")
-
-
-def _one_thread(argv):
-    if argv[0] in THREADED and "--threads" not in argv:
-        return [*argv, "--threads", "1"]
-    return list(argv)
-
-
 @pytest.mark.parametrize("command", sorted(REPORTS_GOLDEN), ids=_golden_id)
 def test_reports_golden(capsys, command):
     for fmt in ("json", "csv"):
-        code, out, _ = run(capsys, *_one_thread([*command.split(), "--format", fmt]))
+        code, out, _ = run(capsys, *command.split(), "--format", fmt)
         assert code == 0
         assert out == REPORTS_GOLDEN[command][fmt]
 
@@ -241,7 +230,7 @@ def test_verify_solver_warns_nothing(capsys):
                  ("verify", "--suite", "factorization")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, _ = run(capsys, *_one_thread(argv))
+            code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert json.loads(out)["pass"] is True
 
@@ -292,7 +281,7 @@ def _loaded(modules, *commands):
         "-c",
         "import contextlib, io, sys\n"
         "import permex, permex.cli\n"
-        f"for argv in {[_one_thread(c) for c in commands]!r}:\n"
+        f"for argv in {list(commands)!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert permex.cli.dispatch(argv) == 0, argv\n"
         f"print(*[m for m in {list(modules)!r} if m in sys.modules])\n"
@@ -316,7 +305,7 @@ def test_startup_without_numpy():
         # 36 tuples <= 100 samples: enumeration mode reads the oracle table
         ("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "100"),
         # r = 2 sampling up to montecarlo.PURE_DRAWS: the pure-Python sampler
-        # and one profile per cycle type, in one process or two
+        # and one profile per cycle type
         ("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "4"),
         ("mc", "--n", "16", "--r", "2", "--m", "8", "--samples", "50", "--threads", "2"),
         ("scan", "--r", "2", "--p", "0.5", "--q", "0.5", "--n", "6", "--n", "8",
@@ -324,6 +313,17 @@ def test_startup_without_numpy():
     )
     # the same check sees numpy once a command builds arrays
     assert _loaded(["numpy"], ("mc", "--n", "3", "--r", "3", "--m", "1", "--samples", "4"))
+
+
+def test_sampling_runs_in_one_process():
+    # --threads is accepted and ignored: no process pool is loaded, let
+    # alone started, whatever it asks for
+    assert not _loaded(
+        ["concurrent.futures", "multiprocessing"],
+        ("mc", "--n", "6", "--r", "3", "--m", "3", "--samples", "2100", "--threads", "8"),
+        ("scan", "--r", "2", "--p", "0.5", "--q", "0.5", "--n", "6", "--n", "8",
+         "--samples", "1500", "--threads", "8"),
+    )
 
 
 def test_startup_without_record_codegen():
@@ -381,7 +381,7 @@ def test_domain_error_exits_1(capsys):
                  ("verify", "--suite", "solver", "--seed", "-1"),
                  ("verify", "--suite", "solver", "--seed", "18446744073709551616"),
                  ("solve", "--r", "2", "--p", "0.5", "--q", "0.5", "--tol", "nan")):
-        code, _, err = run(capsys, *_one_thread(argv))
+        code, _, err = run(capsys, *argv)
         assert code == 1
         assert "error:" in err and "unrecognized arguments" not in err
 
@@ -454,24 +454,58 @@ def test_capacity_error_exits_2(capsys):
     for argv in (("oracle", "--n", "10", "--r", "3", "--m", "2", "--m2", "0"),
                  ("oracle", "--n", "18", "--r", "2", "--m", "9", "--m2", "9"),
                  ("product", "--n", "3", "--r", "2", "--m", "1", "--m2", "1",
-                  "--budget", "0", "--threads", "1")):
+                  "--budget", "0", "--threads", "1"),
+                 # the profile sums of the recurrence suite take the budget too
+                 ("verify", "--suite", "recurrence", "--budget", "0")):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "error" in err
     # an n past sys.maxsize, which math.factorial cannot take, is refused
     huge = ("--n", str(2**64), "--r", "2", "--m", "2")
     for argv in (("expect", *huge), ("product", *huge, "--m2", "2"), ("argmax", *huge)):
-        code, out, err = run(capsys, *_one_thread(argv))
+        code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: n must be <= {sys.maxsize}, got {2**64}\n")
     # a negative budget is a usage error on every command that takes one
     point = ("--n", "3", "--r", "2", "--m", "1", "--m2", "1")
     for argv in (("product", *point), ("oracle", *point), ("argmax", *point),
                  ("verify", "--suite", "oracle-product")):
-        code, out, err = run(capsys, *_one_thread([*argv, "--budget", "-1"]))
+        code, out, err = run(capsys, *argv, "--budget", "-1")
         assert code == 1, argv
         assert out == ""
         assert "usage" in err and "budget must be >= 0" in err
         assert "unrecognized arguments" not in err
+
+
+HUGE = str(2**64)
+
+
+@pytest.mark.parametrize("argv", [
+    # an r past sys.maxsize, which range and math.comb cannot take
+    ("product", "--n", "3", "--r", HUGE, "--m", "1", "--m2", "1"),
+    ("argmax", "--n", "3", "--r", HUGE, "--m", "1", "--m2", "1"),
+    ("verify", "--suite", "oracle-single", "--r", HUGE),
+    ("expect", "--n", "3", "--r", HUGE, "--m", "1"),
+    ("oracle", "--n", "3", "--r", HUGE, "--m", "1", "--m2", "1"),
+    ("mc", "--n", "3", "--r", HUGE, "--m", "1"),
+    ("scan", "--r", HUGE, "--p", "0.5", "--q", "0.5", "--n", "3"),
+    # the oracle's cell count stops growing past the budget: no 6,000-digit
+    # (n!)^(r-2) is built, let alone printed
+    ("oracle", "--n", "2", "--r", "20000", "--m", "1", "--m2", "1"),
+    ("oracle", "--n", "3", "--r", "9000", "--m", "1", "--m2", "1"),
+], ids=lambda argv: f"{argv[0]}-r{argv[argv.index('--r') + 1]}")
+def test_huge_r_exits_2_at_once(capsys, argv):
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(5)
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    want = f"r must be <= {sys.maxsize}" if HUGE in argv else "exceed budget 100000000"
+    assert err.startswith("error: ") and want in err
 
 
 def test_mc_report_independent_of_backend(capsys, monkeypatch):

@@ -1,5 +1,3 @@
-import concurrent.futures
-
 import numpy as np
 import pytest
 
@@ -58,41 +56,6 @@ def test_seeded_determinism():
     assert a == b
 
 
-def test_worker_count_independence():
-    spec = EnsembleSpec(5, 2, seed=4)
-    serial = estimate_moments(spec, 2, 2, samples=200, threads=1)
-    parallel = estimate_moments(spec, 2, 2, samples=200, threads=2)
-    assert serial.product.mean_exact == parallel.product.mean_exact
-    assert serial.first.mean_exact == parallel.first.mean_exact
-    assert serial.second.mean_exact == parallel.second.mean_exact
-
-
-def test_worker_pool_capped_at_cpu_count(monkeypatch):
-    # the pool starts all its workers at once: never more than the CPUs
-    started = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-    spec = EnsembleSpec(5, 2, seed=4)
-    capped = estimate_moments(spec, 2, 2, samples=400, threads=200)
-    assert started == [3]
-    assert capped == estimate_moments(spec, 2, 2, samples=400, threads=1)
-    assert started == [3]
-
-
 def reference_estimates(xs, ys, n):
     """The three estimates from per-sample values of perm_m and perm_m2."""
     columns = (xs, ys, [x * y for x, y in zip(xs, ys)])
@@ -121,11 +84,9 @@ def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
                 for i in range(samples)]
     want = reference_estimates([p[m] for p in profiles], [p[m2] for p in profiles], n)
 
-    # with two workers each range ends part-way through a block
-    for threads in (1, 2):
-        est = estimate_moments(spec, m, m2, samples, threads=threads)
-        assert est.mode == "sampling"
-        assert [est.first, est.second, est.product] == want
+    est = estimate_moments(spec, m, m2, samples)
+    assert est.mode == "sampling"
+    assert [est.first, est.second, est.product] == want
 
 
 @pytest.mark.parametrize("n, m, m2, samples", [(6, 3, 3, 2300), (9, 4, 5, 700)])
@@ -146,9 +107,8 @@ def test_r2_samplers_match_dp_reference(monkeypatch, n, m, m2, samples):
     for bound, unused in ((draws, "sample_block"), (draws - 1, "sample_block_pure")):
         monkeypatch.setattr(montecarlo, "PURE_DRAWS", bound)
         monkeypatch.setattr(montecarlo, unused, None)
-        for threads in (1, 2):
-            est = estimate_moments(spec, m, m2, samples, threads=threads)
-            assert [est.first, est.second, est.product] == want
+        est = estimate_moments(spec, m, m2, samples)
+        assert [est.first, est.second, est.product] == want
         monkeypatch.undo()
 
 
