@@ -16,8 +16,9 @@ stream / block).  The fresh-process table times ``permex <sub>
 --help`` for every subcommand, one ``rate`` run, five ``argmax`` runs
 (the collapsed walk of ``moments``, at r = 2, 3, 5 and 250), six ``product``
 runs (r = 3, 4, 12, 60 twice and 250, the last four with few profiles but
-long compositions and mostly empty rows), four ``oracle`` runs (the orbit sum of ``kernels``, at
-r = 2, 3 and 4; (4, 3) is small enough for the pure path) and ``verify
+long compositions and mostly empty rows), five ``oracle`` runs (the orbit sum of ``kernels``, at
+r = 2, 3, 4 and 5; (4, 3) is small enough for the pure path, and (4, 5) tallies 69,120
+matrices into few distinct profiles) and ``verify
 --suite oracle-product`` in fresh child processes, and shows whether each
 loaded numpy.  Run after an editable install:
 
@@ -74,7 +75,8 @@ def bench_startup():
                                     (1, 250, 1, 1))),
                         ("product", ((10, 3, 5, 5), (8, 4, 4, 4), (4, 12, 2, 2), (1, 60, 1, 1),
                                      (2, 60, 1, 2), (1, 250, 1, 1))),
-                        ("oracle", ((12, 2, 6, 6), (7, 3, 3, 4), (5, 4, 2, 3), (4, 3, 2, 2)))):
+                        ("oracle", ((12, 2, 6, 6), (7, 3, 3, 4), (5, 4, 2, 3), (4, 3, 2, 2),
+                                    (4, 5, 2, 2)))):
         for n, r, m, m2 in points:
             commands.append([sub, "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])
     commands.append(["verify", "--suite", "oracle-product"])

@@ -9,14 +9,14 @@ picks its arithmetic from its input, once per block: when
 and otherwise on ``object`` arrays of exact Python integers.  The
 pure-Python DP in ``_pykernels`` is the reference the tests compare that
 kernel against; it also profiles the oracle's small tables
-(``PURE_ORACLE_CELLS``), which then never import numpy.
+(``PURE_ORACLE_CELLS``), which then never import numpy.  The oracle reads
+its table off one tally of (head index, profile) pairs, one per matrix.
 """
 
 import itertools
 from bisect import bisect_right
 from collections import Counter
 from math import comb, factorial
-from operator import mul
 
 from . import _pykernels
 
@@ -189,9 +189,11 @@ def oracle_product_sums(n: int, r: int):
     I + P2 per class, weighted by n! times the class size.  P3..Pr still
     range over all of S_n, so p(n) (n!)^(r-2) matrices are evaluated.  A
     table of at most ``PURE_ORACLE_CELLS`` DP cells runs the reference DP
-    on Python lists (``_pure_oracle_blocks``), larger ones numpy's
-    (``_numpy_oracle_blocks``); both yield blocks of (head index, profile
-    columns).  Returns an (n+1) x (n+1) symmetric table of exact integers.
+    on Python lists (``_pure_oracle_profiles``), larger ones numpy's
+    (``_numpy_oracle_profiles``); both yield a (head index, profile) pair
+    per matrix.  One tally of the pairs weighs each distinct profile p, and
+    the symmetric (n+1) x (n+1) table of exact integers this returns is
+    read off it: entry (m, m2) is the sum of w_p p[m] p[m2].
     """
     nfact = factorial(n)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -203,47 +205,40 @@ def oracle_product_sums(n: int, r: int):
                  for rep, _ in classes]
         weights = [nfact * size for _, size in classes]
     if oracle_cells(n, r) <= PURE_ORACLE_CELLS:
-        blocks = _pure_oracle_blocks(heads, n, r)
+        pairs = _pure_oracle_profiles(heads, n, r)
     else:
-        blocks = _numpy_oracle_blocks(heads, n, r)
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    for head, prof in blocks:
-        weight = [weights[h] for h in head]
-        for m in range(n + 1):
-            weighted = list(map(mul, weight, prof[m]))
-            row = table[m]
-            for m2 in range(m, n + 1):
-                row[m2] += sum(map(mul, weighted, prof[m2]))
-    for m in range(n + 1):
-        for m2 in range(m + 1, n + 1):
-            table[m2][m] = table[m][m2]
-    return table
+        pairs = _numpy_oracle_profiles(heads, n, r)
+    weight = Counter()
+    for (h, prof), count in Counter(pairs).items():
+        weight[prof] += weights[h] * count
+    return [[sum(w * prof[m] * prof[m2] for prof, w in weight.items()) for m2 in range(n + 1)]
+            for m in range(n + 1)]
 
 
-def _pure_oracle_blocks(heads, n: int, r: int):
-    """Every oracle matrix as one block of Python lists, profiled by the reference DP.
+def _pure_oracle_profiles(heads, n: int, r: int):
+    """Every oracle matrix's (head index, profile), profiled by the reference DP.
 
     Each head is followed by its P3..Pr tails; a tail adds one entry per
     row of each of its permutations.
     """
+    if n == 1:  # every tail is the identity: the one matrix is [[r]]
+        yield 0, (1, r)
+        return
     perms = list(itertools.permutations(range(n))) if r > 2 else []  # n! only for tails
-    head_of, profiles = [], []
     for h, head in enumerate(heads):
         for tail in itertools.product(perms, repeat=max(r - 2, 0)):
             mat = [row[:] for row in head]
             for perm in tail:
                 for i, j in enumerate(perm):
                     mat[i][j] += 1
-            head_of.append(h)
-            profiles.append(_pykernels.subperm_profile(mat, n))
-    yield head_of, list(zip(*profiles))
+            yield h, tuple(_pykernels.subperm_profile(mat, n))
 
 
-def _numpy_oracle_blocks(heads, n: int, r: int):
-    """The oracle's matrices in int64 blocks of ``block_size(n)``, profiled by numpy.
+def _numpy_oracle_profiles(heads, n: int, r: int):
+    """Every oracle matrix's (head index, profile), by numpy in int64 blocks.
 
-    Matrix k is head k // (n!)^(r-2) plus the tail whose base-n! digits
-    are k % (n!)^(r-2).
+    Blocks hold ``block_size(n)`` matrices.  Matrix k is head k // (n!)^(r-2)
+    plus the tail whose base-n! digits are k % (n!)^(r-2).
     """
     import numpy as np
 
@@ -263,4 +258,4 @@ def _numpy_oracle_blocks(heads, n: int, r: int):
         for _ in range(tail_len):
             tail, digit = np.divmod(tail, nfact)
             mats[batch, rows, perms[digit]] += 1
-        yield head.tolist(), subperm_profiles(mats, n, r)
+        yield from zip(head.tolist(), zip(*subperm_profiles(mats, n, r)))

@@ -359,19 +359,21 @@ def expectation_perm(n, r, m) -> ExactMoment:
     The split m_1 + .. + m_r = m weighs m!/prod m_i! * prod (n - m_i)!/n!.
     Summed over all C(m+r-1, r-1) splits (the term count), that is entry m
     of the r-fold binomial convolution power of (n - j)!/n! = 1/(n)_j, where
-    (f * g)_k = sum_j C(k, j) f_j g_(k-j): O(r m^2) work for any r.  The
-    power runs on the integers a_j = (n - j)!/(n - m)! and is divided by
-    (n)_m^r at the end, so no n! is ever built.
+    (f * g)_k = sum_j C(k, j) f_j g_(k-j); it runs on the integers
+    a_j = (n - j)!/(n - m)!, so no n! is ever built.  With a = a_0 delta + h
+    (delta the unit, h_0 = 0), a^(*r) = sum_k C(r, k) a_0^(r-k) h^(*k), and
+    h^(*k) vanishes below degree k, so E = C(n, m)^2 m! times the sum over
+    k <= min(m, r) of C(r, k) h^(*k)_m / (n)_m^k: O(m^3) work at any r.
     """
     check_moment(n, r, m)
-    a = [perm(n - j, m - j) for j in range(m + 1)]
-    power = a
-    for _ in range(r - 1):
-        power = [
-            sum(comb(k, j) * power[j] * a[k - j] for j in range(k + 1))
-            for k in range(m + 1)
-        ]
-    value = Fraction(comb(n, m) ** 2 * factorial(m) * power[m], perm(n, m) ** r)
+    falling = perm(n, m)
+    h = [0] + [perm(n - j, m - j) for j in range(1, m + 1)]
+    power, total = [1] + [0] * m, int(m == 0)  # h^(*0) = delta, and its entry m
+    for k in range(1, min(m, r) + 1):  # Horner's rule in (n)_m
+        power = [sum(comb(i, j) * power[j] * h[i - j] for j in range(k - 1, i))
+                 for i in range(m + 1)]
+        total = total * falling + comb(r, k) * power[m]
+    value = Fraction(comb(n, m) ** 2 * factorial(m) * total, falling ** min(m, r))
     return ExactMoment(value=value, term_count=comb(m + r - 1, r - 1))
 
 

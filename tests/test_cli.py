@@ -508,6 +508,34 @@ def test_huge_r_exits_2_at_once(capsys, argv):
     assert err.startswith("error: ") and want in err
 
 
+MAXR = sys.maxsize
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    # at n = 1 every permutation is the identity, so the one matrix is [[r]]
+    (("oracle", "--n", "1", "--r", str(MAXR), "--m", "1", "--m2", "1"), ("value_num",), MAXR**2),
+    # one tuple <= 2 samples: enumeration mode reads the same oracle table
+    (("mc", "--n", "1", "--r", str(MAXR), "--m", "1", "--m2", "1", "--samples", "2"),
+     ("product", "mean_num"), MAXR**2),
+    # E(perm_2) at n = 3 is 2r^2 + r: two powers of h reach degree 2 at any r
+    (("expect", "--n", "3", "--r", str(MAXR), "--m", "2"), ("value_num",), 2 * MAXR**2 + MAXR),
+], ids=["oracle", "mc", "expect"])
+def test_largest_r_answers_at_once(capsys, argv, key, want):
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(5)
+    start = time.perf_counter()
+    try:
+        code, out, _ = run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1
+    report = json.loads(out)
+    for name in key:
+        report = report[name]
+    assert (code, report) == (0, str(want))
+
+
 def test_mc_report_independent_of_backend(capsys, monkeypatch):
     args = ("mc", "--n", "6", "--r", "2", "--m", "3", "--m2", "4",
             "--samples", "300", "--seed", "5", "--threads", "1")

@@ -91,6 +91,26 @@ def test_expectation_perm_r1_is_binomial():
             assert expectation_perm(n, 1, m).value == comb(n, m)
 
 
+def _expectation_perm_by_convolutions(n, r, m):
+    """E(perm_m) as r - 1 binomial convolutions of a_j = (n - j)!/(n - m)!."""
+    a = [perm(n - j, m - j) for j in range(m + 1)]
+    power = a
+    for _ in range(r - 1):
+        power = [sum(comb(k, j) * power[j] * a[k - j] for j in range(k + 1))
+                 for k in range(m + 1)]
+    return Fraction(comb(n, m) ** 2 * factorial(m) * power[m], perm(n, m) ** r)
+
+
+def test_expectation_perm_equals_the_r_fold_convolution():
+    # the binomial expansion in r sums min(m, r) powers of h, not r - 1
+    # convolutions of a; both must give the same Fraction
+    for n in range(13):
+        for r in range(1, 9):
+            for m in range(n + 1):
+                want = _expectation_perm_by_convolutions(n, r, m)
+                assert expectation_perm(n, r, m).value == want, (n, r, m)
+
+
 # ---------------------------------------------------------------------------
 # profile iterator
 

@@ -4,6 +4,7 @@ drawn inputs, derandomized so every run draws the same examples."""
 import contextlib
 import io
 import math
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,11 +33,13 @@ def test_product_table_is_the_symmetric_profile_sum(point):
 # The CLI's exit-code contract over drawn argv.  Integers are small or
 # extreme (past sys.maxsize, negative, zero); densities include the edges
 # and non-finite values.  Known runaways are left out by drawing r small or
-# past sys.maxsize, never in between: `expect` at r = 10^8 (r - 1
-# convolutions), `product` at r = 10^5 (no pre-flight before its budget) and
-# `mc`/`scan` at r = 10^6 (no work budget).  `oracle` also draws r = 20000,
-# whose cell count passes any budget.
+# past sys.maxsize, never in between: `product` at r = 10^5 (no pre-flight
+# before its budget) and `mc`/`scan` at r = 10^6 (no work budget).  `expect`
+# and `oracle` also draw large r: `expect`'s work does not grow with r, the
+# oracle's cell count passes any budget from r = 20000 at n >= 2, and at
+# n = 1 its one matrix is [[r]].
 INTS = st.sampled_from([-1, 0, 2**63, 2**64]) | st.integers(1, 4)
+LARGE_RS = st.sampled_from([20000, 10**8, sys.maxsize])
 DENSITIES = st.sampled_from([0.0, 1.0, math.nan, math.inf, 1 - 2**-53]) | st.floats(0.05, 0.95)
 BUDGETS = st.sampled_from([0, 1, 10**4])
 SAMPLES = st.sampled_from([0, 1, 2, 40])
@@ -63,7 +66,7 @@ def cli_argv(draw):
         dims = draw(st.lists(INTS, min_size=1, max_size=2))
         return [command, *_flags(**values, samples=draw(SAMPLES)),
                 *(word for n in dims for word in ("--n", str(n)))]
-    rs = (INTS | st.just(20000)) if command == "oracle" else INTS
+    rs = (LARGE_RS | INTS) if command in ("expect", "oracle") else INTS
     values = {"n": draw(INTS), "r": draw(rs), "m": draw(INTS)}
     if command == "expect":
         return [command, *_flags(**values)]
