@@ -6,14 +6,13 @@ kernel ``kernels.subperm_profiles`` on blocks of ``kernels.block_size(n)``
 matrices, and the per-matrix API ``kernels.subperm_profile`` runs it on a
 block of one; the oracle's small tables run the reference DP itself.
 Both numpy calls are timed here against ``_pykernels.subperm_profile``,
-and both must reproduce its values.  Monte Carlo draws its permutations
-one pass of ``montecarlo.PASS_SAMPLES`` samples at a time, with
-``model.sample_block`` or, for r = 2 runs of at most
-``montecarlo.PURE_DRAWS`` shuffle draws, the pure-Python ``model.sample_block_pure``;
-both are timed against the per-sample reference stream
-``model.sample_stream`` and must reproduce its permutations (speedup =
-stream / block).  The fresh-process table times ``permex <sub>
---help`` for every subcommand, one ``rate`` run, five ``argmax`` runs
+and both must reproduce its values.  At r = 2 Monte Carlo reads each
+sample's class, the cycle type of P1^-1 P2, off its Philox words with the
+pure-Python ``model.sample_classes``; it is timed against the classes of
+the permutations of the numpy block pass ``model.sample_block`` and of
+the per-sample reference stream ``model.sample_stream``, and all three
+tallies must be equal (speedup = stream / sample_classes).  The
+fresh-process table times ``permex <sub> --help`` for every subcommand, one ``rate`` run, five ``argmax`` runs
 (the collapsed walk of ``moments``, at r = 2, 3, 5 and 250), six ``product``
 runs (r = 3, 4, 12, 60 twice and 250, the last four with few profiles but
 long compositions and mostly empty rows), five ``oracle`` runs (the orbit sum of ``kernels``, at
@@ -30,14 +29,15 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import permex
 from permex import EnsembleSpec, sample_matrix, sample_permutation, sample_stream
-from permex import _pykernels, kernels, montecarlo
-from permex.model import sample_block, sample_block_pure
+from permex import _pykernels, kernels
+from permex.model import sample_block, sample_classes
 
 SUBCOMMANDS = ("expect", "product", "oracle", "rate", "solve", "analytic", "mc",
                "scan", "argmax", "verify")
@@ -125,10 +125,28 @@ def bench_profiles():
               f"{t_pure / t_batch:>7.1f}x")
 
 
+def cycle_types(samples):
+    """Counter of the sorted cycle lengths of P1^-1 P2 over (P1, P2) samples."""
+    tally = Counter()
+    for p1, p2 in samples:
+        inverse = sorted(range(len(p1)), key=p1.__getitem__)
+        sigma = [inverse[col] for col in p2]
+        lengths = []
+        for first in range(len(sigma)):
+            length, i = 0, first
+            while sigma[i] >= 0:
+                sigma[i], i = -1, sigma[i]
+                length += 1
+            if length:
+                lengths.append(length)
+        tally[tuple(sorted(lengths))] += 1
+    return tally
+
+
 def bench_sampling():
-    count = montecarlo.PASS_SAMPLES
-    print(f"Philox sample stream, r = 2 ({count} samples each; us per sample)")
-    print(f"{'n':>4} {'stream':>10} {'pure':>10} {'block':>10} {'speedup':>8}")
+    count = 1024
+    print(f"r = 2 sample classes ({count} samples each; us per sample)")
+    print(f"{'n':>4} {'stream':>10} {'block':>10} {'classes':>10} {'speedup':>8}")
     for n in (6, 8, 10, 13):
         spec = EnsembleSpec(n=n, r=2, seed=1)
 
@@ -137,15 +155,16 @@ def bench_sampling():
             for i in range(count):
                 rng = sample_stream(spec, i)
                 out.append([list(sample_permutation(n, rng)) for _ in range(spec.r)])
-            return out
+            return cycle_types(out)
 
         t_stream, want = time_call(per_sample)
-        t_pure, got_pure = time_call(sample_block_pure, spec, 0, count, repeat=3)
-        t_block, got = time_call(sample_block, spec, 0, count, repeat=3)
-        assert got_pure == want
-        assert got.tolist() == want
-        print(f"{n:>4} {t_stream / count * 1e6:>10.1f} {t_pure / count * 1e6:>10.1f} "
-              f"{t_block / count * 1e6:>10.1f} {t_stream / t_block:>7.1f}x")
+        t_block, got_block = time_call(
+            lambda: cycle_types(sample_block(spec, 0, count).tolist()), repeat=3)
+        t_classes, got = time_call(sample_classes, spec, 0, count, repeat=3)
+        assert got_block == want
+        assert got == want
+        print(f"{n:>4} {t_stream / count * 1e6:>10.1f} {t_block / count * 1e6:>10.1f} "
+              f"{t_classes / count * 1e6:>10.1f} {t_stream / t_classes:>7.1f}x")
 
 
 if __name__ == "__main__":

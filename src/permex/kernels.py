@@ -1,9 +1,10 @@
 """The subpermanent profile kernel, the arithmetic it runs on, and the oracle.
 
-Sampled profiles at r != 2, and those of every oracle table too large for
+Sampled profiles at r >= 3, and those of every oracle table too large for
 Python lists, come from one vectorised numpy DP, ``subperm_profiles``, run
 over a block of matrices; a sampled r = 2 matrix needs no DP, as its
-profile is ``cycle_profile`` of the cycle type of P1^-1 P2.  Each DP call
+profile is ``cycle_profile`` of the cycle type of P1^-1 P2, which
+``model.sample_classes`` reads off the sample's shuffle draws.  Each DP call
 picks its arithmetic from its input, once per block: when
 ``profile_value_bound`` proves that all values fit, the DP runs on int64,
 and otherwise on ``object`` arrays of exact Python integers.  The

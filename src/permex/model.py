@@ -24,11 +24,12 @@ Philox on uint64 arrays, one row of words per sample, with the 64 x 64 ->
 in lockstep, one numpy operation per draw across all rows.  Each row gets
 ``WORDS_PER_DRAW * r * (n - 1)`` words up front; rejection can exceed any
 fixed allotment, so a row that runs out is refilled with its next blocks.
-``sample_block_pure`` gives the same permutations without numpy.  It
-encrypts the same allotments for up to ``PHILOX_LANES`` counters at once
-on Python ints, each counter a 128-bit lane of four ints c0..c3, so a
-round costs a few big-integer operations for all of them; then it runs
-each sample's shuffle on its words, and a sample that runs out takes its
+``sample_classes`` reads the class of each r = 2 sample, the cycle type
+of P1^-1 P2, without numpy.  It encrypts the same allotments for up to
+``PHILOX_LANES`` counters at once on Python ints, each counter a 128-bit
+lane of four ints c0..c3, so a round costs a few big-integer operations
+for all of them; then it reads each sample's class off its words with
+one shuffle list and no inverse, and a sample that runs out takes its
 next blocks one counter at a time.
 """
 
@@ -36,7 +37,7 @@ import array
 import itertools
 import math
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .errors import CapacityError, DomainError
 
@@ -211,48 +212,71 @@ def _philox_lanes(seed: int, start: int, samples: int, first_block: int, blocks:
     return words
 
 
-def sample_block_pure(spec: EnsembleSpec, start: int, count: int):
-    """``sample_block(spec, start, count).tolist()`` in pure Python, without numpy.
+def sample_classes(spec: EnsembleSpec, start: int, count: int):
+    """Counter of the cycle types of P1^-1 P2 over samples start..start+count-1.
 
-    Each sample gets the allotment ``sample_block`` gives it, ``blocks``
-    Philox blocks, and one ``_philox_lanes`` call encrypts those of up to
-    ``PHILOX_LANES // blocks`` samples; a sample whose shuffle runs past
-    its allotment takes its next blocks one at a time.
+    A cycle type is the sorted tuple of cycle lengths, the class of
+    P1 + P2 at r = 2.  Each sample gets the allotment ``sample_block``
+    gives it, ``blocks`` Philox blocks, and one ``_philox_lanes`` call
+    encrypts those of up to ``PHILOX_LANES // blocks`` samples; a sample
+    whose shuffles run past its allotment takes its next blocks one at a
+    time.  A sample keeps P1's accepted draws, shuffles the identity list
+    with P2's, and replays P1's swaps in reverse: the list then holds
+    P2 P1^-1, conjugate to P1^-1 P2, and one walk reads its cycles.
     """
-    n, r = spec.n, spec.r
+    n = spec.n
+    if spec.r != 2:
+        raise DomainError(f"cycle types are those of r = 2 samples, got r = {spec.r}")
     _check_range(start, count)
     draws = [(i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)]
-    blocks = -(-WORDS_PER_DRAW * r * (n - 1) // 8)
+    blocks = -(-WORDS_PER_DRAW * 2 * (n - 1) // 8)
     width = 8 * blocks
     chunk = max(PHILOX_LANES // max(blocks, 1), 1)  # samples a call
+    points = list(range(n))
 
-    def shuffle(words):
-        """The r permutations of one sample, shuffled from ``words``."""
-        sample = []
-        for _ in range(r):
-            perm = list(range(n))
-            for i, mask in draws:
-                j = next(words) & mask
-                while j > i:
-                    j = next(words) & mask
-                perm[i], perm[j] = perm[j], perm[i]
-            sample.append(perm)
-        return sample
+    def cycle_type(take):
+        """The class of one sample, from ``take``, its words' next()."""
+        swaps = []
+        for i, mask in draws:
+            j = take() & mask
+            while j > i:
+                j = take() & mask
+            swaps.append(j)
+        perm = points[:]
+        for i, mask in draws:
+            j = take() & mask
+            while j > i:
+                j = take() & mask
+            perm[i], perm[j] = perm[j], perm[i]
+        swaps.reverse()
+        for i, j in zip(range(1, n), swaps):
+            perm[i], perm[j] = perm[j], perm[i]
+        parts = []
+        for i in points:
+            length = 0
+            while perm[i] >= 0:
+                perm[i], i = -1, perm[i]
+                length += 1
+            if length:
+                parts.append(length)
+        parts.sort()
+        return tuple(parts)
 
-    out = []
+    tally = Counter()
     for first in range(start, start + count, chunk):
         size = min(chunk, start + count - first)
         words = _philox_lanes(spec.seed, first, size, 0, blocks)
+        classes = []
         for s in range(size):
             allot = words[s * width:(s + 1) * width]
             try:
-                out.append(shuffle(iter(allot)))
+                classes.append(cycle_type(iter(allot).__next__))
             except StopIteration:
-                index = first + s
                 more = itertools.chain.from_iterable(
-                    _philox_lanes(spec.seed, index, 1, b, 1) for b in itertools.count(blocks))
-                out.append(shuffle(itertools.chain(allot, more)))
-    return out
+                    _philox_lanes(spec.seed, first + s, 1, b, 1) for b in itertools.count(blocks))
+                classes.append(cycle_type(itertools.chain(allot, more).__next__))
+        tally.update(classes)
+    return tally
 
 
 def _mulhilo(m: int, x):

@@ -3,27 +3,27 @@
 Integer statistics (sums and sums of squares) are accumulated exactly and
 only converted to floats at the very end, so no precision is lost to
 cancellation no matter how large the subpermanent values grow.  Samples
-are drawn in the calling process, in passes of ``PASS_SAMPLES`` from
-sample 0; sample i reads its own Philox stream (``model.sample_stream``),
-so a run is reproducible from (n, r, seed, samples).  The (perm_m,
-perm_m2) pairs of all samples are tallied in one Counter, and the exact
-sums are read off the tally.
+are drawn in the calling process from sample 0; sample i reads its own
+Philox stream (``model.sample_stream``), so a run is reproducible from
+(n, r, seed, samples).  The (perm_m, perm_m2) pairs of all samples are
+tallied in one Counter, and the exact sums are read off the tally.
 
-At r = 2 no matrix is built and no DP runs: relabelling its columns turns
-P1 + P2 into I + P1^-1 P2, so a sample's profile depends only on the cycle
-type of P1^-1 P2.  Samples are counted per cycle type, and each type's
-profile comes once from ``kernels.cycle_profile``.  Runs of at most
-``PURE_DRAWS`` shuffle draws (samples * r * (n - 1)) draw their
-permutations with the pure-Python ``model.sample_block_pure`` and never
-import numpy; larger runs with ``model.sample_block``.  At other r one
-``model.sample_block`` call gives a pass's permutations and one step its
-matrices, profiled in blocks of ``kernels.block_size(n)`` by the batched
-numpy kernel ``kernels.subperm_profiles``, which certifies int64 or
-Python-int arithmetic once per block.  When the whole tuple space is
-smaller than the requested sample count, estimation switches to
-enumeration mode and returns the exact ensemble average with zero
-standard error, from the oracle table (``permanents.product_sum_table``),
-which at small (n, r) builds no arrays and so does not import numpy.
+At r = 1 every matrix is a permutation matrix, with perm_m = C(n, m), so
+no sample is drawn.  At r = 2 no matrix is built and no DP runs:
+relabelling its columns turns P1 + P2 into I + P1^-1 P2, so a sample's
+profile depends only on the cycle type of P1^-1 P2.
+``model.sample_classes`` reads each sample's cycle type off its Philox
+words in pure Python, so r <= 2 never imports numpy, and each type's
+profile comes once from ``kernels.cycle_profile``.  At other r one
+``model.sample_block`` call gives the permutations of a pass of
+``PASS_SAMPLES`` and one step its matrices, profiled in blocks of
+``kernels.block_size(n)`` by the batched numpy kernel
+``kernels.subperm_profiles``, which certifies int64 or Python-int
+arithmetic once per block.  When the whole tuple space is smaller than
+the requested sample count, estimation switches to enumeration mode and
+returns the exact ensemble average with zero standard error, from the
+oracle table (``permanents.product_sum_table``), which at small (n, r)
+builds no arrays and so does not import numpy.
 """
 
 import math
@@ -34,24 +34,15 @@ from . import kernels
 from .asymptotics import single_rate_limit
 from .errors import CapacityError, DomainError
 # sample_stream is not called here; perfbench traces it under this name
-from .model import (EnsembleSpec, sample_block, sample_block_pure,  # noqa: F401
+from .model import (EnsembleSpec, sample_block, sample_classes,  # noqa: F401
                     sample_stream, tuple_count)
 from .permanents import DIM_LIMIT_DEFAULT, check_moment, product_sum_table
 
-# Samples per sampler pass (``model.sample_block``).  The pass's numpy
-# operations per draw do not grow with its length: on 2 shared vCPUs it
-# costs 17-28 us per sample at 64 samples and 2.4-4.6 us at 1024 (n =
-# 6..13, r = 2).
+# Samples per sampler pass (``model.sample_block``, r >= 3).  The pass's
+# numpy operations per draw do not grow with its length: on 2 shared
+# vCPUs it costs 11-23 us per sample at 64 samples and 1.8-4.8 us at
+# 1024 (n = 6..13, r = 3, min of 7 in process, three sets).
 PASS_SAMPLES = 1 << 10
-
-# r = 2 runs of at most this many shuffle draws, samples * r * (n - 1),
-# draw their permutations with the pure-Python ``model.sample_block_pure``
-# and never import numpy; larger runs use ``model.sample_block``.  Past
-# the import of numpy (about 0.1 s with one BLAS thread) each side's cost
-# grows with the draws: fresh ``mc`` processes on 2 shared
-# vCPUs, median of 7, cross at about 197k draws for n = 6 (19.7k samples),
-# 262k for n = 10 and 393k for n = 16 (13.1k samples).
-PURE_DRAWS = 1 << 18
 
 
 class MCEstimate(namedtuple("MCEstimate",
@@ -75,42 +66,20 @@ def _log_fraction(fr: Fraction) -> float:
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
-def _cycle_type(p1, p2):
-    """Sorted cycle lengths of sigma = P1^-1 P2, the class of P1 + P2."""
-    # row_of[c] is the row whose P1 entry lies in column c
-    row_of = sorted(range(len(p1)), key=p1.__getitem__)
-    sigma = [row_of[c] for c in p2]
-    parts = []
-    for start in range(len(sigma)):
-        length, i = 0, start
-        while sigma[i] >= 0:
-            sigma[i], i = -1, sigma[i]
-            length += 1
-        if length:
-            parts.append(length)
-    parts.sort()
-    return tuple(parts)
-
-
 def _sample_sums(spec, m, m2, samples):
     """Exact sums over samples 0..samples-1 of x, x^2, y, y^2, xy and (xy)^2,
     for x = perm_m and y = perm_m2, as a list in that order.
 
-    The (perm_m, perm_m2) pairs are tallied in one Counter: per cycle type
-    at r = 2, per DP block otherwise.
+    The (perm_m, perm_m2) pairs are tallied in one Counter: all samples at
+    once at r = 1, per cycle type at r = 2, per DP block otherwise.
     """
     n, r = spec.n, spec.r
     pairs = Counter()
-    if r == 2:
-        # few shuffle draws: the pure-Python sampler, which imports no numpy
-        pure = samples * r * (n - 1) <= PURE_DRAWS
-        classes = Counter()
-        for first in range(0, samples, PASS_SAMPLES):
-            size = min(PASS_SAMPLES, samples - first)
-            perms = (sample_block_pure(spec, first, size) if pure
-                     else sample_block(spec, first, size).tolist())
-            classes.update(_cycle_type(p1, p2) for p1, p2 in perms)
-        for parts, count in classes.items():
+    if r == 1:
+        # every r = 1 matrix is a permutation matrix: perm_m = C(n, m)
+        pairs[math.comb(n, m), math.comb(n, m2)] = samples
+    elif r == 2:
+        for parts, count in sample_classes(spec, 0, samples).items():
             prof = kernels.cycle_profile(parts)
             pairs[prof[m], prof[m2]] += count
     else:
@@ -156,8 +125,9 @@ def estimate_moments(spec: EnsembleSpec, m: int, m2: int, samples: int) -> Momen
         raise DomainError(f"need samples >= 2, got {samples}")
     check_moment(n, r, m, m2)
     if n > DIM_LIMIT_DEFAULT:
-        # each sample's profile DP holds 2^n states; r = 2 reads profiles off
-        # cycle types and runs no DP, but keeps the same cap and exit code
+        # each sample's profile DP holds 2^n states; r <= 2 reads profiles
+        # off C(n, m) or cycle types and runs no DP, but keeps the same cap
+        # and exit code
         raise CapacityError(f"profile limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
 
     space = tuple_count(n, r)

@@ -304,10 +304,14 @@ def test_startup_without_numpy():
         ("oracle", "--n", "4", "--r", "3", "--m", "2", "--m2", "2"),
         # 36 tuples <= 100 samples: enumeration mode reads the oracle table
         ("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "100"),
-        # r = 2 sampling up to montecarlo.PURE_DRAWS: the pure-Python sampler
-        # and one profile per cycle type
+        # r = 2 sampling at any length: classes read off the Philox words
+        # in pure Python, one profile per cycle type
         ("mc", "--n", "3", "--r", "2", "--m", "1", "--samples", "4"),
         ("mc", "--n", "16", "--r", "2", "--m", "8", "--samples", "50", "--threads", "2"),
+        # 270,000 shuffle draws, past the 2^18 that once switched to numpy
+        ("mc", "--n", "16", "--r", "2", "--m", "8", "--m2", "8", "--samples", "9000"),
+        # r = 1 sampling draws nothing: perm_m = C(n, m) on every sample
+        ("mc", "--n", "9", "--r", "1", "--m", "4", "--m2", "3", "--samples", "500"),
         ("scan", "--r", "2", "--p", "0.5", "--q", "0.5", "--n", "6", "--n", "8",
          "--samples", "300"),
     )

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,7 @@ from permex import (
     tuple_count,
 )
 from permex import model
-from permex.model import sample_block, sample_block_pure
+from permex.model import sample_block, sample_classes
 
 
 def _stream_block(spec, start, count):
@@ -26,6 +27,26 @@ def _stream_block(spec, start, count):
         rng = sample_stream(spec, i)
         out.append([list(sample_permutation(spec.n, rng)) for _ in range(spec.r)])
     return out
+
+
+def _classes(samples):
+    """Counter of the sorted cycle lengths of P1^-1 P2 over (P1, P2) samples."""
+    tally = Counter()
+    for p1, p2 in samples:
+        inverse = [0] * len(p1)
+        for row, col in enumerate(p1):
+            inverse[col] = row
+        sigma = [inverse[col] for col in p2]
+        lengths = []
+        for first in range(len(sigma)):
+            length, i = 0, first
+            while sigma[i] is not None:
+                sigma[i], i = None, sigma[i]
+                length += 1
+            if length:
+                lengths.append(length)
+        tally[tuple(sorted(lengths))] += 1
+    return tally
 
 
 def test_spec_validation():
@@ -115,53 +136,55 @@ def test_block_sampler_refills_rows(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 2718, 2**64 - 1])
 def test_pure_sampler_matches_block_and_stream(seed):
-    # three samples at every shape, and r = 2 runs of 600 and 1,100 samples,
-    # each longer than one _philox_lanes call (PHILOX_LANES // blocks samples)
-    cases = [(n, r, 3) for n in (1, 2, 5, 8, 13) for r in (1, 2, 3)]
-    cases += [(n, 2, count) for n in (6, 8, 13) for count in (600, 1100)]
-    for n, r, count in cases:
-        spec = EnsembleSpec(n=n, r=r, seed=seed)
-        for start in (0, 2**64 - count):
-            want = sample_block(spec, start, count).tolist()
-            assert want == _stream_block(spec, start, count)
-            assert sample_block_pure(spec, start, count) == want
-    assert 600 > model.PHILOX_LANES // 3  # n = 6 takes 3 blocks a sample
+    # runs of 600 and 1,100 samples are longer than one _philox_lanes call
+    # (PHILOX_LANES // blocks samples)
+    for n in (1, 2, 5, 8, 13, 24):
+        spec = EnsembleSpec(n=n, r=2, seed=seed)
+        for count in (3, 600, 1100):
+            for start in (0, 2**64 - count):
+                want = sample_block(spec, start, count).tolist()
+                assert want == _stream_block(spec, start, count)
+                assert sample_classes(spec, start, count) == _classes(want)
+    assert 600 > model.PHILOX_LANES // 2  # n = 5 takes 2 blocks a sample
 
 
 def test_pure_sampler_input_checks():
     spec = EnsembleSpec(n=3, r=2, seed=5)
-    assert sample_block_pure(spec, 2**64 - 1, 1) == _stream_block(spec, 2**64 - 1, 1)
-    assert sample_block_pure(spec, 10, 0) == []
+    assert sample_classes(spec, 2**64 - 1, 1) == _classes(_stream_block(spec, 2**64 - 1, 1))
+    assert sample_classes(spec, 10, 0) == Counter()
     # a sample of more than PHILOX_LANES blocks (1,025) takes a call of its own
-    wide = EnsembleSpec(n=2, r=4100, seed=5)
-    assert sample_block_pure(wide, 0, 2) == sample_block(wide, 0, 2).tolist()
+    wide = EnsembleSpec(n=2051, r=2, seed=5)
+    assert sample_classes(wide, 0, 2) == _classes(sample_block(wide, 0, 2).tolist())
     with pytest.raises(DomainError, match="below 2\\^64"):
-        sample_block_pure(spec, 2**64 - 1, 2)
+        sample_classes(spec, 2**64 - 1, 2)
     with pytest.raises(DomainError, match="start >= 0"):
-        sample_block_pure(spec, -1, 1)
+        sample_classes(spec, -1, 1)
+    with pytest.raises(DomainError, match="r = 2"):
+        sample_classes(EnsembleSpec(n=3, r=3, seed=5), 0, 1)
 
 
 def test_pure_sampler_reads_past_first_block(monkeypatch):
-    # 24 words (3 blocks) for 3 * 7 draws that take about 25 on average: many
-    # samples run past their allotment, each after its own number of
+    # 16 words (2 blocks) for 2 * 7 draws that take about 16.8 on average:
+    # many samples run past their allotment, each after its own number of
     # rejections, and take their next blocks one at a time
     monkeypatch.setattr(model, "WORDS_PER_DRAW", 1)
     calls = []
     philox = model._philox_lanes
     monkeypatch.setattr(model, "_philox_lanes",
                         lambda *args: calls.append(args[1:]) or philox(*args))
-    spec = EnsembleSpec(n=8, r=3, seed=31)
-    got = sample_block_pure(spec, 17, 200)
-    assert got == sample_block(spec, 17, 200).tolist() == _stream_block(spec, 17, 200)
+    spec = EnsembleSpec(n=8, r=2, seed=31)
+    want = sample_block(spec, 17, 200).tolist()
+    assert want == _stream_block(spec, 17, 200)
+    assert sample_classes(spec, 17, 200) == _classes(want)
     # (start, samples, first block, blocks): one call for all 200
-    # allotments, then each long sample's blocks 3, 4, .. in order
-    assert calls[0] == (17, 200, 0, 3)
+    # allotments, then each long sample's blocks 2, 3, .. in order
+    assert calls[0] == (17, 200, 0, 2)
     refills = {}
     for index, samples, block, blocks in calls[1:]:
         assert (samples, blocks) == (1, 1) and 17 <= index < 217
         refills.setdefault(index, []).append(block)
     assert refills
-    assert all(blocks == list(range(3, 3 + len(blocks))) for blocks in refills.values())
+    assert all(blocks == list(range(2, 2 + len(blocks))) for blocks in refills.values())
 
 
 @pytest.mark.parametrize(

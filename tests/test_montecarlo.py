@@ -77,6 +77,8 @@ def reference_estimates(xs, ys, n):
     (10, 2, 5, 4, block_size(10) + 6),
     (13, 2, 6, 7, 4),
     (6, 2, 3, 3, 2300),  # sampler passes of 1024: ends in the third pass
+    # r = 1 draws no sample: every permutation matrix has perm_m = C(n, m)
+    (7, 1, 2, 4, 300),
 ])
 def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
     spec = EnsembleSpec(n, r, seed=7)
@@ -89,7 +91,8 @@ def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
     assert [est.first, est.second, est.product] == want
 
 
-@pytest.mark.parametrize("n, m, m2, samples", [(6, 3, 3, 2300), (9, 4, 5, 700)])
+@pytest.mark.parametrize("n, m, m2, samples",
+                         [(6, 3, 3, 2300), (9, 4, 5, 700), (6, 3, 3, 30000)])
 def test_r2_samplers_match_dp_reference(monkeypatch, n, m, m2, samples):
     # the reference: the block pass's permutations, profiled by the subset DP
     spec = EnsembleSpec(n, 2, seed=11)
@@ -100,16 +103,11 @@ def test_r2_samplers_match_dp_reference(monkeypatch, n, m, m2, samples):
     profiles = kernels.subperm_profiles(mats, n, 2)
     want = reference_estimates(profiles[m], profiles[m2], n)
 
-    # with the bound at the run's shuffle draws the pure sampler runs, one
-    # below them the block pass; the other sampler is removed, so each run
-    # shows which one it used
-    draws = samples * 2 * (n - 1)
-    for bound, unused in ((draws, "sample_block"), (draws - 1, "sample_block_pure")):
-        monkeypatch.setattr(montecarlo, "PURE_DRAWS", bound)
-        monkeypatch.setattr(montecarlo, unused, None)
-        est = estimate_moments(spec, m, m2, samples)
-        assert [est.first, est.second, est.product] == want
-        monkeypatch.undo()
+    # r = 2 reads classes with model.sample_classes at every length (30,000
+    # samples at n = 6 are 300,000 shuffle draws): the block pass is removed
+    monkeypatch.setattr(montecarlo, "sample_block", None)
+    est = estimate_moments(spec, m, m2, samples)
+    assert [est.first, est.second, est.product] == want
 
 
 def test_convergence_scan_rows():

@@ -17,8 +17,8 @@ from permex import (
     subpermanent_bruteforce,
     subpermanent_profile,
 )
-from permex import _pykernels, kernels, montecarlo, permanents
-from permex.model import sample_block
+from permex import _pykernels, kernels, permanents
+from permex.model import sample_block, sample_classes
 from permex.permanents import DIM_LIMIT_DEFAULT, product_sum_table
 
 IDENTITY3 = SquareMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -242,13 +242,14 @@ def test_cycle_profile_of_sampled_matrices():
     # P1 + P2 has the profile of the cycle type of P1^-1 P2
     count = 3
     for n in (12, 16):
-        perms = sample_block(EnsembleSpec(n=n, r=2, seed=n), 0, count)
+        spec = EnsembleSpec(n=n, r=2, seed=n)
+        perms = sample_block(spec, 0, count)
         mats = np.zeros((count, n, n), dtype=np.int64)
         for k in range(2):
             mats[np.arange(count)[:, None], np.arange(n), perms[:, k]] += 1
         profiles = kernels.subperm_profiles(mats, n, 2)
-        for b, (p1, p2) in enumerate(perms.tolist()):
-            parts = montecarlo._cycle_type(p1, p2)
+        for b in range(count):
+            (parts,) = sample_classes(spec, b, 1)
             assert sum(parts) == n
             assert kernels.cycle_profile(parts) == [column[b] for column in profiles]
 
