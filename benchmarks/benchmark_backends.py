@@ -43,8 +43,9 @@ SUBCOMMANDS = ("expect", "product", "oracle", "rate", "solve", "analytic", "mc",
                "scan", "argmax", "verify")
 STARTUP_RUNS = 5
 
-# Runs `permex <argv>` as the console script does; at exit, after main()'s
-# sys.exit, writes to stderr whether numpy was imported.
+# Runs `permex <argv>` as the console script does; the hook, registered
+# before main(), runs in main()'s atexit step and writes to stderr whether
+# numpy was imported.
 _CHILD = """
 import atexit, sys
 atexit.register(lambda: sys.stderr.write(f"\\nnumpy={'numpy' in sys.modules}\\n"))

@@ -14,6 +14,7 @@ in the parser.
 """
 
 import argparse
+import atexit
 import csv
 import io
 import json
@@ -501,6 +502,13 @@ def dispatch(argv) -> int:
 
 
 def main():
+    """Run the command in ``sys.argv`` and end the process with its exit code.
+
+    This never returns: in-process callers use `dispatch`.  The process
+    ends as a normal exit does, atexit handlers first and then both
+    streams flushed, but without the interpreter's teardown, which frees
+    every module and object one by one and does nothing for permex.
+    """
     # permex's largest LAPACK call is a stack of 5x5 solves, so BLAS threads
     # would only slow numpy's import; a value the caller set is kept
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -508,11 +516,16 @@ def main():
         code = dispatch(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout.  Python flushes stdout again at exit, so
-        # point it at devnull, or that flush fails too and prints a traceback.
+        # The reader closed stdout.  stdout is flushed again below, so point
+        # it at devnull, or that flush fails too and prints a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    sys.exit(code)
+    # Handlers registered before main (coverage, a caller's peak-RSS hook)
+    # run first and may still write; os._exit flushes nothing itself.
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -36,10 +36,12 @@ BLOCK_MAX_N = 12
 
 # Oracle tables of at most this many DP cells (matrices x 2^n states) run
 # the reference DP on Python lists, so they never import numpy.  The pure
-# DP's cost per cell grows as n^2.  In fresh processes on 2 shared vCPUs
-# the largest such table, (n, r) = (12, 1), takes 0.10-0.16 s against
-# 0.20-0.23 s for `python -c "import numpy"`; a bound of BLOCK_CELLS would
-# admit (14, 1), at 0.29-0.32 s.
+# DP's cost per cell grows with n, so where it stops paying depends on n as
+# well as on the cells.  Fresh `oracle --m n/2 --m2 n/2` processes on 2
+# shared vCPUs, pure against numpy, median of 15 alternating runs: (n, r) =
+# (12, 1), 4,096 cells, 0.109 against 0.145 s; (8, 2), 5,632 cells, 0.090
+# against 0.131 s; (13, 1), 8,192 cells, 0.149 against 0.145 s.  A bound
+# of 8,192 would slow (13, 1), one of 16,384 (14, 1) (0.233 against 0.135 s).
 PURE_ORACLE_CELLS = 1 << 12
 
 

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from fractions import Fraction
@@ -255,6 +256,74 @@ def test_closed_stdout_exits_1_without_traceback():
     assert b"Traceback" not in proc.stderr
 
 
+def test_closed_buffered_stdout_exits_1_without_traceback(monkeypatch):
+    # with stdout buffered, the report is still pending when main flushes
+    # it after the atexit handlers, and that flush must find devnull
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    test_closed_stdout_exits_1_without_traceback()
+
+
+def _main_with_hook(hook, *argv):
+    """Run ``permex *argv`` as perfbench's child does: ``permex.cli`` as
+    ``__main__``, after registering the atexit hook ``lambda: <hook>``."""
+    return _child("-c", "import atexit, os, runpy, sys\n"
+                        f"atexit.register(lambda: {hook})\n"
+                        "runpy.run_module('permex.cli', run_name='__main__', alter_sys=True)\n",
+                  *argv)
+
+
+def test_main_runs_atexit_hooks_then_flushes(monkeypatch, capsys):
+    # main skips the interpreter's teardown, not the handlers registered
+    # before it, and what a handler writes still reaches both streams; the
+    # streams are buffered, and the hook ends each write without a newline,
+    # so line buffering flushes neither
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    argv = ("verify", "--suite", "stationarity", "--r", "2")
+    _, report, _ = run(capsys, *argv)
+    proc = _main_with_hook("(sys.stdout.write('hook-out'), sys.stderr.write('hook-err'))",
+                           *argv)
+    assert proc.returncode == 0
+    assert proc.stdout.decode() == report + "hook-out"
+    assert proc.stderr.decode() == "verify stationarity: ok over 81 points\nhook-err"
+
+
+def test_main_flushes_a_blocking_stdout_whole(monkeypatch, capsys):
+    # a 4 KiB pipe holds under a ninth of the 37 kB report, so the writes block
+    # until the reader drains them, and the process may end only after
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe size cannot be set here")
+    argv = ("verify", "--suite", "factorization")
+    _, report, _ = run(capsys, *argv)
+    assert len(report) > 9 * 4096
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    chunks = []
+    with os.fdopen(read_end, "rb") as reader:
+        drain = threading.Thread(target=lambda: chunks.append(reader.read()))
+        drain.start()
+        try:
+            proc = _child("-m", "permex.cli", *argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        drain.join()
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert chunks[0].decode() == report
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("scan", "--r", "2", "--p", "0.5", "--q", "0.5"), 1,
+     "error: scan needs at least one --n\n"),
+    (("oracle", "--n", "18", "--r", "2", "--m", "9", "--m2", "9"), 2,
+     "error: the oracle's DP cells for (n=18, r=2) exceed budget 100000000\n"),
+], ids=["domain", "capacity"])
+def test_main_error_exit_codes(argv, code, message):
+    proc = _child("-m", "permex.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+    assert proc.stderr.decode() == message
+
+
 def test_main_starts_numpy_with_one_blas_thread(monkeypatch, capsys):
     # importing permex and dispatching leave the environment alone
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -263,15 +332,15 @@ def test_main_starts_numpy_with_one_blas_thread(monkeypatch, capsys):
     assert proc.stdout == b"None\n", proc.stderr.decode()
     run(capsys, "rate", "--r", "2", "--p", "0.5")
     assert "OPENBLAS_NUM_THREADS" not in os.environ
-    # main sets the default, and keeps a value the caller set
-    monkeypatch.setattr(sys, "argv", ["permex", "rate", "--r", "2", "--p", "0.5"])
+    # main sets the default, and keeps a value the caller set; main ends its
+    # process, so an atexit hook in the child reads the variable
     for preset, want in ((None, "1"), ("3", "3")):
         if preset is not None:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
-        with pytest.raises(SystemExit) as exc:
-            cli.main()
-        assert exc.value.code == 0
-        assert os.environ["OPENBLAS_NUM_THREADS"] == want
+        proc = _main_with_hook("print(os.environ['OPENBLAS_NUM_THREADS'])",
+                               "rate", "--r", "2", "--p", "0.5")
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().endswith(f"}}\n{want}\n")
 
 
 def _loaded(modules, *commands):
