@@ -9,9 +9,11 @@ Both numpy calls are timed here against ``_pykernels.subperm_profile``,
 and both must reproduce its values.  At r = 2 Monte Carlo reads each
 sample's class, the cycle type of P1^-1 P2, off its Philox words with the
 pure-Python ``model.sample_classes``; it is timed against the classes of
-the permutations of the numpy block pass ``model.sample_block`` and of
-the per-sample reference stream ``model.sample_stream``, and all three
-tallies must be equal (speedup = stream / sample_classes).  The
+the permutations of ``model.sample_block``, which reads the same words,
+and of the per-sample reference stream ``model.sample_stream``, and all
+three tallies must be equal (speedup = stream / sample_classes).  At
+r = 3 ``sample_block`` is timed against the reference stream, and its
+permutations must equal the stream's.  The
 fresh-process table times ``permex <sub> --help`` for every subcommand, one ``rate`` run, five ``argmax`` runs
 (the collapsed walk of ``moments``, at r = 2, 3, 5 and 250), six ``product``
 runs (r = 3, 4, 12, 60 twice and 250, the last four with few profiles but
@@ -144,21 +146,22 @@ def cycle_types(samples):
     return tally
 
 
+def stream_samples(spec, count):
+    """The permutations of samples 0..count-1, one reference stream each."""
+    out = []
+    for i in range(count):
+        rng = sample_stream(spec, i)
+        out.append([list(sample_permutation(spec.n, rng)) for _ in range(spec.r)])
+    return out
+
+
 def bench_sampling():
     count = 1024
     print(f"r = 2 sample classes ({count} samples each; us per sample)")
     print(f"{'n':>4} {'stream':>10} {'block':>10} {'classes':>10} {'speedup':>8}")
     for n in (6, 8, 10, 13):
         spec = EnsembleSpec(n=n, r=2, seed=1)
-
-        def per_sample():
-            out = []
-            for i in range(count):
-                rng = sample_stream(spec, i)
-                out.append([list(sample_permutation(n, rng)) for _ in range(spec.r)])
-            return cycle_types(out)
-
-        t_stream, want = time_call(per_sample)
+        t_stream, want = time_call(lambda: cycle_types(stream_samples(spec, count)))
         t_block, got_block = time_call(
             lambda: cycle_types(sample_block(spec, 0, count).tolist()), repeat=3)
         t_classes, got = time_call(sample_classes, spec, 0, count, repeat=3)
@@ -166,6 +169,16 @@ def bench_sampling():
         assert got == want
         print(f"{n:>4} {t_stream / count * 1e6:>10.1f} {t_block / count * 1e6:>10.1f} "
               f"{t_classes / count * 1e6:>10.1f} {t_stream / t_classes:>7.1f}x")
+    print()
+    print(f"r = 3 permutations ({count} samples each; us per sample)")
+    print(f"{'n':>4} {'stream':>10} {'block':>10} {'speedup':>8}")
+    for n in (6, 8, 10, 13):
+        spec = EnsembleSpec(n=n, r=3, seed=1)
+        t_stream, want = time_call(stream_samples, spec, count)
+        t_block, got = time_call(lambda: sample_block(spec, 0, count).tolist(), repeat=3)
+        assert got == want
+        print(f"{n:>4} {t_stream / count * 1e6:>10.1f} {t_block / count * 1e6:>10.1f} "
+              f"{t_stream / t_block:>7.1f}x")
 
 
 if __name__ == "__main__":

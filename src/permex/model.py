@@ -17,20 +17,18 @@ mask(i) the smallest all-ones mask covering i, and swaps positions i and
 ``w & mask(i)``.  ``sample_stream``, ``sample_permutation`` and
 ``sample_matrix`` are the reference definition of that stream.
 
-The block pass.  ``sample_block`` draws the permutations of many
-consecutive samples at once, bit-identical to the reference: it runs
-Philox on uint64 arrays, one row of words per sample, with the 64 x 64 ->
-128-bit multiply done on 32-bit halves, and then runs every row's shuffle
-in lockstep, one numpy operation per draw across all rows.  Each row gets
-``WORDS_PER_DRAW * r * (n - 1)`` words up front; rejection can exceed any
-fixed allotment, so a row that runs out is refilled with its next blocks.
-``sample_classes`` reads the class of each r = 2 sample, the cycle type
-of P1^-1 P2, without numpy.  It encrypts the same allotments for up to
+One engine.  ``_philox_lanes`` encrypts that stream for up to
 ``PHILOX_LANES`` counters at once on Python ints, each counter a 128-bit
 lane of four ints c0..c3, so a round costs a few big-integer operations
-for all of them; then it reads each sample's class off its words with
-one shuffle list and no inverse, and a sample that runs out takes its
-next blocks one counter at a time.
+for all of them.  ``_read_samples`` hands each sample its words: an
+allotment of ``WORDS_PER_DRAW`` words per shuffle draw, and, for a
+sample whose rejections run past it, its next blocks one counter at a
+time.  Both samplers read it, bit-identical to the reference:
+``sample_block`` runs numpy's shuffle on lists and returns the
+permutations of many samples as one array, and ``sample_classes`` reads
+the class of each r = 2 sample, the cycle type of P1^-1 P2, with one
+shuffle list, no inverse and no numpy.  numpy's Philox remains only as
+the reference, ``sample_stream``.
 """
 
 import array
@@ -48,10 +46,10 @@ PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 PHILOX_ROUNDS = 10
 
-# 32-bit words a block pass computes per shuffle draw up front.  A draw at
+# 32-bit words a sample is allotted per shuffle draw up front.  A draw at
 # bound i accepts a word with probability (i + 1) / (mask(i) + 1) > 1/2,
-# so it takes under 2 words on average; rows that reject past the
-# allotment are refilled, which costs extra numpy operations.
+# so it takes under 2 words on average; a sample that rejects past its
+# allotment takes its next blocks one ``_philox_lanes`` call each.
 WORDS_PER_DRAW = 2
 
 # Philox counters one ``_philox_lanes`` call encrypts at most, so its
@@ -62,8 +60,6 @@ PHILOX_LANES = 1 << 10
 _U64 = (1 << 64) - 1
 _LANE = 16  # bytes of one counter lane in ``_philox_lanes``
 _ONE_LANE = (1).to_bytes(_LANE, "little")
-_LO32 = 0xFFFFFFFF
-_SHIFT32 = 32
 
 
 class EnsembleSpec(namedtuple("EnsembleSpec", "n r seed", defaults=(0,))):
@@ -160,12 +156,6 @@ def _check_range(start: int, count: int):
         raise DomainError(f"sample indices must stay below 2^64, got {start + count}")
 
 
-def _round_keys(seed: int):
-    """The key words (k0, k1) of each Philox round under key (seed, 0)."""
-    return [((seed + k * PHILOX_W[0]) & _U64, (k * PHILOX_W[1]) & _U64)
-            for k in range(PHILOX_ROUNDS)]
-
-
 def _philox_lanes(seed: int, start: int, samples: int, first_block: int, blocks: int):
     """The 32-bit words of blocks first_block.. of samples start.., on Python ints.
 
@@ -212,26 +202,49 @@ def _philox_lanes(seed: int, start: int, samples: int, first_block: int, blocks:
     return words
 
 
+def _read_samples(spec: EnsembleSpec, start: int, count: int, draws: int, read):
+    """Yield ``read(take)`` for samples start..start+count-1, in order.
+
+    ``take`` is the next() of one sample's 32-bit Philox words, for a
+    sample of ``draws`` shuffle draws.  Each sample is allotted
+    ``WORDS_PER_DRAW * draws`` words in whole blocks, and one
+    ``_philox_lanes`` call encrypts the allotments of up to
+    ``PHILOX_LANES // blocks`` samples; a sample whose shuffles run past
+    its allotment takes its next blocks one at a time.
+    """
+    _check_range(start, count)
+    blocks = -(-WORDS_PER_DRAW * draws // 8)
+    width = 8 * blocks
+    chunk = max(PHILOX_LANES // max(blocks, 1), 1)  # samples a call
+    for first in range(start, start + count, chunk):
+        size = min(chunk, start + count - first)
+        words = _philox_lanes(spec.seed, first, size, 0, blocks)
+        for s in range(size):
+            allot = words[s * width:(s + 1) * width]
+            # the value is built inside the try and yielded outside it: a
+            # StopIteration raised into a generator becomes a RuntimeError
+            try:
+                value = read(iter(allot).__next__)
+            except StopIteration:
+                more = itertools.chain.from_iterable(
+                    _philox_lanes(spec.seed, first + s, 1, b, 1) for b in itertools.count(blocks))
+                value = read(itertools.chain(allot, more).__next__)
+            yield value
+
+
 def sample_classes(spec: EnsembleSpec, start: int, count: int):
     """Counter of the cycle types of P1^-1 P2 over samples start..start+count-1.
 
     A cycle type is the sorted tuple of cycle lengths, the class of
-    P1 + P2 at r = 2.  Each sample gets the allotment ``sample_block``
-    gives it, ``blocks`` Philox blocks, and one ``_philox_lanes`` call
-    encrypts those of up to ``PHILOX_LANES // blocks`` samples; a sample
-    whose shuffles run past its allotment takes its next blocks one at a
-    time.  A sample keeps P1's accepted draws, shuffles the identity list
-    with P2's, and replays P1's swaps in reverse: the list then holds
+    P1 + P2 at r = 2.  ``_read_samples`` hands each sample its words.  A
+    sample keeps P1's accepted draws, shuffles the identity list with
+    P2's, and replays P1's swaps in reverse: the list then holds
     P2 P1^-1, conjugate to P1^-1 P2, and one walk reads its cycles.
     """
     n = spec.n
     if spec.r != 2:
         raise DomainError(f"cycle types are those of r = 2 samples, got r = {spec.r}")
-    _check_range(start, count)
     draws = [(i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)]
-    blocks = -(-WORDS_PER_DRAW * 2 * (n - 1) // 8)
-    width = 8 * blocks
-    chunk = max(PHILOX_LANES // max(blocks, 1), 1)  # samples a call
     points = list(range(n))
 
     def cycle_type(take):
@@ -262,103 +275,37 @@ def sample_classes(spec: EnsembleSpec, start: int, count: int):
         parts.sort()
         return tuple(parts)
 
-    tally = Counter()
-    for first in range(start, start + count, chunk):
-        size = min(chunk, start + count - first)
-        words = _philox_lanes(spec.seed, first, size, 0, blocks)
-        classes = []
-        for s in range(size):
-            allot = words[s * width:(s + 1) * width]
-            try:
-                classes.append(cycle_type(iter(allot).__next__))
-            except StopIteration:
-                more = itertools.chain.from_iterable(
-                    _philox_lanes(spec.seed, first + s, 1, b, 1) for b in itertools.count(blocks))
-                classes.append(cycle_type(itertools.chain(allot, more).__next__))
-        tally.update(classes)
-    return tally
-
-
-def _mulhilo(m: int, x):
-    """Low and high 64-bit words of the 128-bit products m * x, uint64 x."""
-    m_lo, m_hi = m & _LO32, m >> _SHIFT32
-    x_lo, x_hi = x & _LO32, x >> _SHIFT32
-    lh, hl = x_lo * m_hi, x_hi * m_lo
-    mid = ((x_lo * m_lo) >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
-    hi = x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    return x * m, hi
-
-
-def _philox_words(seed: int, index, first_block, blocks: int):
-    """32-bit words of Philox blocks first_block..first_block+blocks-1.
-
-    Row b belongs to sample ``index[b]`` and starts at its block
-    ``first_block[b]``; block j encrypts counter (j + 1, 0, index, 0) under
-    key (seed, 0).  Returns a (rows, 8 * blocks) uint32 array.
-    """
-    import numpy as np
-
-    c0 = first_block[:, None] + np.arange(1, blocks + 1, dtype=np.uint64)
-    c2 = np.broadcast_to(index[:, None], c0.shape)
-    c1 = c3 = np.zeros_like(c0)
-    for k0, k1 in _round_keys(seed):
-        lo0, hi0 = _mulhilo(PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    out = np.stack([c0, c1, c2, c3], axis=-1)
-    # little-endian 64-bit words read as 32-bit pairs: low half first
-    return out.astype("<u8").view("<u4").reshape(len(index), -1)
+    return Counter(_read_samples(spec, start, count, 2 * (n - 1), cycle_type))
 
 
 def sample_block(spec: EnsembleSpec, start: int, count: int):
-    """Permutations of samples start..start+count-1, in one vectorised pass.
+    """Permutations of samples start..start+count-1, as one array.
 
     Returns a (count, r, n) int64 array whose entry [b, k] is the k-th
     permutation ``sample_permutation(n, sample_stream(spec, start + b))``
-    draws; see the module docstring for the stream both follow.
+    draws; ``_read_samples`` hands each sample its words, and each
+    permutation is numpy's shuffle of 0..n-1 run on a list.
     """
     import numpy as np
 
     n, r = spec.n, spec.r
-    _check_range(start, count)
-    out = np.empty((count, r, n), dtype=np.int64)
-    out[:] = np.arange(n)
-    draws = r * (n - 1)
-    if count == 0 or draws == 0:
-        return out
-    blocks = -(-WORDS_PER_DRAW * draws // 8)
-    index = np.uint64(start) + np.arange(count, dtype=np.uint64)
-    first = np.zeros(count, dtype=np.uint64)
-    words = _philox_words(spec.seed, index, first, blocks)
-    width = words.shape[1]
-    pos = np.zeros(count, dtype=np.intp)
-    rows = np.arange(count)
+    draws = [(i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)]
 
-    def take(sel):
-        """The next word of each row in ``sel``."""
-        at = pos[sel]
-        spent = sel[at == width]
-        if spent.size:
-            first[spent] += np.uint64(blocks)
-            words[spent] = _philox_words(spec.seed, index[spent], first[spent], blocks)
-            pos[spent] = 0
-            at = pos[sel]
-        pos[sel] = at + 1
-        return words[sel, at]
+    def permutations(take):
+        """The r permutations of one sample, from ``take``, its words' next()."""
+        perms = []
+        for _ in range(r):
+            perm = list(range(n))
+            for i, mask in draws:
+                j = take() & mask
+                while j > i:
+                    j = take() & mask
+                perm[i], perm[j] = perm[j], perm[i]
+            perms.append(perm)
+        return perms
 
-    for k in range(r):
-        perm = out[:, k]
-        for i in range(n - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = take(rows) & mask
-            bad = np.flatnonzero(j > i)
-            while bad.size:
-                j[bad] = take(bad) & mask
-                bad = bad[j[bad] > i]
-            held = perm[rows, j]
-            perm[rows, j] = perm[:, i]
-            perm[:, i] = held
-    return out
+    perms = list(_read_samples(spec, start, count, r * (n - 1), permutations))
+    return np.array(perms, dtype=np.int64).reshape(count, r, n)
 
 
 def tuple_count(n: int, r: int) -> int:

@@ -15,8 +15,9 @@ profile depends only on the cycle type of P1^-1 P2.
 ``model.sample_classes`` reads each sample's cycle type off its Philox
 words in pure Python, so r <= 2 never imports numpy, and each type's
 profile comes once from ``kernels.cycle_profile``.  At other r one
-``model.sample_block`` call gives the permutations of a pass of
-``PASS_SAMPLES`` and one step its matrices, profiled in blocks of
+``model.sample_block`` call reads the permutations of a pass of
+``PASS_SAMPLES`` off the same pure-Python Philox words, one bincount
+gives the pass's matrices, and they are profiled in blocks of
 ``kernels.block_size(n)`` by the batched numpy kernel
 ``kernels.subperm_profiles``, which certifies int64 or Python-int
 arithmetic once per block.  When the whole tuple space is smaller than
@@ -38,10 +39,12 @@ from .model import (EnsembleSpec, sample_block, sample_classes,  # noqa: F401
                     sample_stream, tuple_count)
 from .permanents import DIM_LIMIT_DEFAULT, check_moment, product_sum_table
 
-# Samples per sampler pass (``model.sample_block``, r >= 3).  The pass's
-# numpy operations per draw do not grow with its length: on 2 shared
-# vCPUs it costs 11-23 us per sample at 64 samples and 1.8-4.8 us at
-# 1024 (n = 6..13, r = 3, min of 7 in process, three sets).
+# Samples per sampler pass (``model.sample_block``, r >= 3).  A pass
+# bounds the pass's lists and arrays; its few numpy steps cost less per
+# sample the longer it is.  On 2 shared vCPUs a whole r = 3 run of 4,096
+# samples cost 15-22 us per sample with 64-sample passes and 11-12 us
+# with 1,024 at n = 6, 130-134 against 126-129 us at n = 10 (min of 3 in
+# process, three sets).
 PASS_SAMPLES = 1 << 10
 
 
@@ -86,11 +89,14 @@ def _sample_sums(spec, m, m2, samples):
         import numpy as np
 
         block = kernels.block_size(n)
-        cols = np.arange(n)
         for first in range(0, samples, PASS_SAMPLES):
-            perms = sample_block(spec, first, min(PASS_SAMPLES, samples - first))
-            # entry (i, j) of a sample's matrix counts its summands with i -> j
-            mats = (perms[..., None] == cols).sum(axis=1, dtype=np.int64)
+            count = min(PASS_SAMPLES, samples - first)
+            perms = sample_block(spec, first, count)
+            # entry (i, j) of sample b's matrix counts its summands with
+            # i -> j: one bincount over the flat cells (b * n + i) * n + j
+            rows = np.arange(count * n).reshape(count, 1, n)
+            mats = np.bincount((rows * n + perms).ravel(),
+                               minlength=count * n * n).reshape(count, n, n)
             for start in range(0, len(mats), block):
                 prof = kernels.subperm_profiles(mats[start:start + block], n, r)
                 pairs.update(zip(prof[m], prof[m2]))

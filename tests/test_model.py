@@ -121,17 +121,35 @@ def test_sampler_input_checks():
         sample_block(spec, 2**64 - 1, 2)
 
 
+def _log_lanes(monkeypatch):
+    """Record the (start, samples, first block, blocks) of every _philox_lanes call."""
+    calls = []
+    philox = model._philox_lanes
+    monkeypatch.setattr(model, "_philox_lanes",
+                        lambda *args: calls.append(args[1:]) or philox(*args))
+    return calls
+
+
+def _check_refills(calls, start, count, blocks):
+    """One call for all allotments, then each long sample's next blocks in order."""
+    assert calls[0] == (start, count, 0, blocks)
+    refills = {}
+    for index, samples, block, width in calls[1:]:
+        assert (samples, width) == (1, 1) and start <= index < start + count
+        refills.setdefault(index, []).append(block)
+    assert refills
+    assert all(got == list(range(blocks, blocks + len(got))) for got in refills.values())
+
+
 def test_block_sampler_refills_rows(monkeypatch):
-    # 24 words for 3 * 7 draws that take about 25 on average: many rows run
-    # out, each after its own number of rejections, and are refilled
+    # 24 words (3 blocks) for 3 * 7 draws that take about 25 on average:
+    # many samples run past their allotment, each after its own number of
+    # rejections, and take their next blocks one at a time
     monkeypatch.setattr(model, "WORDS_PER_DRAW", 1)
-    passes = []
-    philox = model._philox_words
-    monkeypatch.setattr(model, "_philox_words",
-                        lambda *args: passes.append(args) or philox(*args))
+    calls = _log_lanes(monkeypatch)
     spec = EnsembleSpec(n=8, r=3, seed=31)
     assert sample_block(spec, 17, 200).tolist() == _stream_block(spec, 17, 200)
-    assert len(passes) > 1
+    _check_refills(calls, 17, 200, 3)
 
 
 @pytest.mark.parametrize("seed", [0, 2718, 2**64 - 1])
@@ -146,6 +164,11 @@ def test_pure_sampler_matches_block_and_stream(seed):
                 assert want == _stream_block(spec, start, count)
                 assert sample_classes(spec, start, count) == _classes(want)
     assert 600 > model.PHILOX_LANES // 2  # n = 5 takes 2 blocks a sample
+    # at r = 3, n = 5 takes 3 blocks a sample and a call 341 samples
+    spec = EnsembleSpec(n=5, r=3, seed=seed)
+    for count in (600, 1100):
+        assert sample_block(spec, 2**64 - count, count).tolist() == \
+            _stream_block(spec, 2**64 - count, count)
 
 
 def test_pure_sampler_input_checks():
@@ -164,27 +187,15 @@ def test_pure_sampler_input_checks():
 
 
 def test_pure_sampler_reads_past_first_block(monkeypatch):
-    # 16 words (2 blocks) for 2 * 7 draws that take about 16.8 on average:
-    # many samples run past their allotment, each after its own number of
-    # rejections, and take their next blocks one at a time
+    # 16 words (2 blocks) for 2 * 7 draws that take about 16.8 on average
     monkeypatch.setattr(model, "WORDS_PER_DRAW", 1)
-    calls = []
-    philox = model._philox_lanes
-    monkeypatch.setattr(model, "_philox_lanes",
-                        lambda *args: calls.append(args[1:]) or philox(*args))
+    calls = _log_lanes(monkeypatch)
     spec = EnsembleSpec(n=8, r=2, seed=31)
     want = sample_block(spec, 17, 200).tolist()
     assert want == _stream_block(spec, 17, 200)
+    calls.clear()
     assert sample_classes(spec, 17, 200) == _classes(want)
-    # (start, samples, first block, blocks): one call for all 200
-    # allotments, then each long sample's blocks 2, 3, .. in order
-    assert calls[0] == (17, 200, 0, 2)
-    refills = {}
-    for index, samples, block, blocks in calls[1:]:
-        assert (samples, blocks) == (1, 1) and 17 <= index < 217
-        refills.setdefault(index, []).append(block)
-    assert refills
-    assert all(blocks == list(range(2, 2 + len(blocks))) for blocks in refills.values())
+    _check_refills(calls, 17, 200, 2)
 
 
 @pytest.mark.parametrize(
