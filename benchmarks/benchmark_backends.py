@@ -20,8 +20,10 @@ runs (r = 3, 4, 12, 60 twice and 250, the last four with few profiles but
 long compositions and mostly empty rows), five ``oracle`` runs (the orbit sum of ``kernels``, at
 r = 2, 3, 4 and 5; (4, 3) is small enough for the pure path, and (4, 5) tallies 69,120
 matrices into few distinct profiles) and ``verify
---suite oracle-product`` in fresh child processes, and shows whether each
-loaded numpy.  Run after an editable install:
+--suite oracle-product`` and ``--suite factorization`` in fresh child
+processes, and shows whether each loaded numpy and whether it loaded the
+exact layers (``fractions``, which ``moments``, ``permanents`` and
+``montecarlo`` import).  Run after an editable install:
 
     python benchmarks/benchmark_backends.py
 """
@@ -47,10 +49,11 @@ STARTUP_RUNS = 5
 
 # Runs `permex <argv>` as the console script does; the hook, registered
 # before main(), runs in main()'s atexit step and writes to stderr whether
-# numpy was imported.
+# numpy and fractions were imported.
 _CHILD = """
 import atexit, sys
-atexit.register(lambda: sys.stderr.write(f"\\nnumpy={'numpy' in sys.modules}\\n"))
+atexit.register(lambda: sys.stderr.write(
+    f"\\nnumpy={'numpy' in sys.modules} fractions={'fractions' in sys.modules}\\n"))
 from permex.cli import main
 main()
 """
@@ -71,7 +74,7 @@ def bench_startup():
     src = str(Path(permex.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     print(f"fresh processes: median wall time of {STARTUP_RUNS} each")
-    print(f"{'command':<36} {'wall':>8} {'numpy':>6}")
+    print(f"{'command':<36} {'wall':>8} {'numpy':>6} {'fractions':>9}")
     commands = [[sub, "--help"] for sub in SUBCOMMANDS]
     commands.append(["rate", "--r", "2", "--p", "0.5"])
     for sub, points in (("argmax", ((10, 2, 5, 5), (12, 2, 6, 6), (7, 3, 3, 4), (6, 5, 3, 3),
@@ -83,6 +86,7 @@ def bench_startup():
         for n, r, m, m2 in points:
             commands.append([sub, "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])
     commands.append(["verify", "--suite", "oracle-product"])
+    commands.append(["verify", "--suite", "factorization"])
     for argv in commands:
         walls = []
         for _ in range(STARTUP_RUNS):
@@ -91,9 +95,11 @@ def bench_startup():
                                   stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
             walls.append(time.perf_counter() - t0)
             assert proc.returncode == 0, proc.stderr.decode()
-        loaded = proc.stderr.decode().rsplit("numpy=", 1)[1].strip()
+        # the hook's line, "True fractions=False" after its "numpy="
+        flags = proc.stderr.decode().rsplit("numpy=", 1)[1].split()
+        numpy, fractions = ("yes" if flag.endswith("True") else "no" for flag in flags)
         print(f"{' '.join(argv):<36} {statistics.median(walls):>7.3f}s "
-              f"{'yes' if loaded == 'True' else 'no':>6}")
+              f"{numpy:>6} {fractions:>9}")
 
 
 def bench_profiles():

@@ -11,13 +11,20 @@ Each handler computes its report's fields; `_emit` alone adds the
 (the fields, unless the handler passes its records) read at the header's
 keys.  Option defaults, budgets and the solver tolerance included, live
 in the parser.
+
+A command imports only the layers it runs: `moments`, `permanents` and
+`montecarlo`, and with them `kernels` and `fractions`, load on a
+command's first call into them, so `--help`, `rate` or `verify --suite
+factorization` never load them, and `json` and `csv` are imported where
+a report is written.  The functions named in `_LAZY` are module
+attributes that `__getattr__` resolves on first use.  Handlers call them
+as attributes of `_api`, this module: a bare name would not reach
+`__getattr__`, and an import inside a handler would skip a value bound
+over the name (a test's patch, perfbench's tracer).
 """
 
 import argparse
 import atexit
-import csv
-import io
-import json
 import os
 import sys
 
@@ -30,16 +37,25 @@ from .asymptotics import (
     solve_stationary_batch,
 )
 from .errors import CapacityError, DomainError, SolverError
-from .model import TUPLE_BUDGET_DEFAULT, EnsembleSpec, check_seed
-from .moments import (
-    TERM_BUDGET_DEFAULT,
-    argmax_profile,
-    expectation_perm,
-    expectation_product,
-    product_table,
-)
-from .montecarlo import convergence_scan, estimate_moments
-from .permanents import ensemble_average_bruteforce
+from .model import TERM_BUDGET_DEFAULT, TUPLE_BUDGET_DEFAULT, EnsembleSpec, check_seed
+
+# the functions a command imports on first use, read off the package
+# namespace, which imports each one's home module
+_LAZY = frozenset({
+    "expectation_perm", "expectation_product", "argmax_profile", "product_table",
+    "estimate_moments", "convergence_scan", "ensemble_average_bruteforce",
+})
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+_api = sys.modules[__name__]
 
 SCHEMA_VERSION = 1
 
@@ -71,8 +87,13 @@ def _emit(args, fields, header, records=None):
     csv writes floats with repr, and None or a missing key as an empty cell.
     """
     if args.format == "json":
+        import json
+
         print(json.dumps({"schema_version": SCHEMA_VERSION, "op": args.command, **fields}))
         return
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, header, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
@@ -101,16 +122,16 @@ def _emit_moment(args, moment):
 
 
 def _cmd_expect(args):
-    _emit_moment(args, expectation_perm(args.n, args.r, args.m))
+    _emit_moment(args, _api.expectation_perm(args.n, args.r, args.m))
 
 
 def _cmd_product(args):
-    _emit_moment(args, expectation_product(
+    _emit_moment(args, _api.expectation_product(
         args.n, args.r, args.m, args.m2, term_budget=args.budget))
 
 
 def _cmd_oracle(args):
-    _emit_moment(args, ensemble_average_bruteforce(
+    _emit_moment(args, _api.ensemble_average_bruteforce(
         args.n, args.r, args.m, args.m2, tuple_budget=args.budget))
 
 
@@ -159,7 +180,7 @@ def _estimate_fields(est):
 
 def _cmd_mc(args):
     spec = EnsembleSpec(n=args.n, r=args.r, seed=args.seed)
-    result = estimate_moments(spec, args.m, args.m2, args.samples)
+    result = _api.estimate_moments(spec, args.m, args.m2, args.samples)
     first, second, product = map(_estimate_fields,
                                  (result.first, result.second, result.product))
     fields = {
@@ -179,7 +200,7 @@ def _cmd_mc(args):
 def _cmd_scan(args):
     if not args.n:
         raise DomainError("scan needs at least one --n")
-    rows = convergence_scan(args.r, args.p, args.q, args.n, args.samples, seed=args.seed)
+    rows = _api.convergence_scan(args.r, args.p, args.q, args.n, args.samples, seed=args.seed)
     records = [
         {
             **_pick(row, "n", "m", "m2", "samples", "mode"),
@@ -195,7 +216,7 @@ def _cmd_scan(args):
 
 
 def _cmd_argmax(args):
-    profile, value = argmax_profile(
+    profile, value = _api.argmax_profile(
         args.n, args.r, args.m, args.m2, term_budget=args.budget)
     totals = {
         "fresh": sum(profile.fresh),
@@ -328,18 +349,18 @@ def _exact_rows(cases, want, got, product):
 
 
 def _oracle(budget):
-    return lambda n, r, m, m2: ensemble_average_bruteforce(
+    return lambda n, r, m, m2: _api.ensemble_average_bruteforce(
         n, r, m, m2, tuple_budget=budget).value
 
 
 def _profile_sum(budget):
-    return lambda n, r, m, m2: expectation_product(
+    return lambda n, r, m, m2: _api.expectation_product(
         n, r, m, m2, term_budget=budget).value
 
 
 def _tables(cases):
     """One product_table per case (n, r), all built first, read at (n, r, m, m2)."""
-    tables = {(n, r): product_table(n, r, n, n) for n, r in cases}
+    tables = {(n, r): _api.product_table(n, r, n, n) for n, r in cases}
     return lambda n, r, m, m2: tables[n, r][m][m2]
 
 
@@ -348,7 +369,7 @@ def _suite_oracle_single(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     r_values = _r_values(r, [1, 2, 3])
     cases = [(n, r) for n in range(1, 6) for r in r_values]
     return _exact_rows(cases, _oracle(budget),
-                       lambda n, r, m, _: expectation_perm(n, r, m).value, product=False)
+                       lambda n, r, m, _: _api.expectation_perm(n, r, m).value, product=False)
 
 
 def _suite_oracle_product(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):

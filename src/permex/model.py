@@ -39,7 +39,9 @@ from collections import Counter, namedtuple
 
 from .errors import CapacityError, DomainError
 
+# default work budgets: the oracle's DP cells, the exact walk's profiles
 TUPLE_BUDGET_DEFAULT = 10**8
+TERM_BUDGET_DEFAULT = 10**9
 
 # Philox4x64-10 multipliers and Weyl key increments, as numpy's Philox uses
 PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)

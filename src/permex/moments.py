@@ -80,9 +80,9 @@ from operator import add, mul, sub
 
 from .errors import CapacityError, DomainError
 from .kernels import rising_splits
+from .model import TERM_BUDGET_DEFAULT
 from .permanents import ExactMoment, check_moment
 
-TERM_BUDGET_DEFAULT = 10**9
 TABLE_STATE_BUDGET = 2 * 10**5
 
 

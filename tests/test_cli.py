@@ -407,6 +407,54 @@ def test_startup_without_record_codegen():
     assert _loaded(["dataclasses", "argparse"]) == {"argparse"}
 
 
+def test_startup_loads_only_the_layers_a_command_runs():
+    # the exact, oracle and sampling layers, and the modules only they or a
+    # CSV report use
+    exact_layers = ["fractions", "decimal", "csv", "permex.moments", "permex.montecarlo",
+                    "permex.permanents", "permex.kernels"]
+    subcommands = ("expect", "product", "oracle", "rate", "solve", "analytic", "mc",
+                   "scan", "argmax", "verify")
+    # usage text writes no report, so it loads no json either
+    assert not _loaded([*exact_layers, "json"], ("--help",),
+                       *[(sub, "--help") for sub in subcommands])
+    assert not _loaded(
+        exact_layers,
+        ("rate", "--r", "2", "--p", "0.5", "--q", "0.3"),
+        ("analytic", "--r", "3", "--p", "0.4", "--q", "0.6"),
+        ("solve", "--r", "3", "--p", "0.3", "--q", "0.7"),
+        ("verify", "--suite", "stationarity"),
+        ("verify", "--suite", "factorization"),
+    )
+    # a JSON report loads no csv, and the same check sees csv in a CSV one
+    assert _loaded(["csv", "json"], ("rate", "--r", "2", "--p", "0.5")) == {"json"}
+    assert _loaded(["csv"], ("rate", "--r", "2", "--p", "0.5", "--format", "csv")) == {"csv"}
+
+
+def test_package_namespace_is_lazy():
+    import permex
+
+    *names, version = permex.__all__
+    assert version == "__version__"
+    for name in names:
+        # the object its defining module holds, whatever module that is
+        value = getattr(permex, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+    assert set(permex.__all__) <= set(dir(permex))
+    namespace = {}
+    exec("from permex import *", namespace)
+    assert set(permex.__all__) <= set(namespace)
+    for module in (permex, cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+    # a bare import loads no submodule, and a submodule still imports by name
+    proc = _child("-c", "import sys, permex\n"
+                        "print(*[m for m in sys.modules if m.startswith('permex.')])\n"
+                        "from permex import kernels\n"
+                        "print(kernels.__name__)")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"\npermex.kernels\n"
+
+
 def test_unknown_flag_exits_1(capsys):
     # expect has no work budget, so --budget is unknown to it
     for flag in ("--bogus", "--budget"):
