@@ -20,6 +20,7 @@ from collections import Counter
 from math import comb, factorial
 
 from . import _pykernels
+from .model import tuple_count
 
 I64_SAFE_BOUND = 1 << 62
 
@@ -169,16 +170,18 @@ def _cycle_classes(n: int):
         yield tuple(perm), factorial(n) // centralizer
 
 
-def oracle_matrix_count(n: int, r: int) -> int:
-    """Matrices ``oracle_product_sums`` evaluates: p(n) (n!)^(r-2), or 1 at r = 1."""
+def oracle_matrix_count(n: int, r: int, limit: int | None = None) -> int:
+    """Matrices ``oracle_product_sums`` evaluates: p(n) (n!)^(r-2), or 1 at r = 1;
+    past ``limit``, some count above it, as ``model.tuple_count`` sizes (n!)^(r-2)."""
     if r == 1:
         return 1
-    return sum(1 for _ in rising_splits(n, n)) * factorial(n) ** (r - 2)
+    parts = sum(1 for _ in rising_splits(n, n))
+    return parts * tuple_count(n, r - 2, None if limit is None else limit // parts)
 
 
-def oracle_cells(n: int, r: int) -> int:
-    """DP cells of the oracle's work: ``oracle_matrix_count`` matrices x 2^n states."""
-    return oracle_matrix_count(n, r) << n
+def oracle_cells(n: int, r: int, limit: int | None = None) -> int:
+    """The oracle's DP cells, ``oracle_matrix_count`` x 2^n, capped at ``limit`` alike."""
+    return oracle_matrix_count(n, r, None if limit is None else limit >> n) << n
 
 
 def oracle_product_sums(n: int, r: int):

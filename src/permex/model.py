@@ -310,8 +310,15 @@ def sample_block(spec: EnsembleSpec, start: int, count: int):
     return np.array(perms, dtype=np.int64).reshape(count, r, n)
 
 
-def tuple_count(n: int, r: int) -> int:
-    return math.factorial(n) ** r
+def tuple_count(n: int, r: int, limit: int | None = None) -> int:
+    """(n!)^r, or limit + 1 once bit lengths prove that (n!)^r passes ``limit``:
+    n! >= 2^(n-1) and (n!)^r >= 2^r at n >= 2, r >= 1, so neither is built past it."""
+    if limit is not None and n > 1 and r > 0:
+        bits = limit.bit_length()
+        if n > bits or r > bits or (math.factorial(n).bit_length() - 1) * r >= bits:
+            return limit + 1
+    total = math.factorial(n) ** r
+    return total if limit is None or total <= limit else limit + 1
 
 
 def enumerate_tuples(n: int, r: int, budget: int = TUPLE_BUDGET_DEFAULT):
@@ -321,10 +328,7 @@ def enumerate_tuples(n: int, r: int, budget: int = TUPLE_BUDGET_DEFAULT):
     """
     if n < 1 or r < 1:
         raise DomainError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
-    total = tuple_count(n, r)
-    if total > budget:
-        raise CapacityError(
-            f"(n!)^r = {total} tuples for (n={n}, r={r}) exceeds budget {budget}"
-        )
+    if tuple_count(n, r, budget) > budget:
+        raise CapacityError(f"the (n!)^r tuples for (n={n}, r={r}) exceed budget {budget}")
     perms = list(itertools.permutations(range(n)))
     return itertools.product(perms, repeat=r)

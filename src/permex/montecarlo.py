@@ -15,16 +15,19 @@ profile depends only on the cycle type of P1^-1 P2.
 ``model.sample_classes`` reads each sample's cycle type off its Philox
 words in pure Python, so r <= 2 never imports numpy, and each type's
 profile comes once from ``kernels.cycle_profile``.  At other r one
-``model.sample_block`` call reads the permutations of a pass of
-``PASS_SAMPLES`` off the same pure-Python Philox words, one bincount
+``model.sample_block`` call reads the permutations of a pass off the
+same pure-Python Philox words: ``PASS_SAMPLES`` samples, or as many as
+``PASS_ENTRIES`` permutation entries hold at r * n a sample, and a run
+whose one sample holds more is refused before drawing.  One bincount
 gives the pass's matrices, and they are profiled in blocks of
 ``kernels.block_size(n)`` by the batched numpy kernel
 ``kernels.subperm_profiles``, which certifies int64 or Python-int
 arithmetic once per block.  When the whole tuple space is smaller than
-the requested sample count, estimation switches to enumeration mode and
-returns the exact ensemble average with zero standard error, from the
-oracle table (``permanents.product_sum_table``), which at small (n, r)
-builds no arrays and so does not import numpy.
+the requested sample count (``model.tuple_count`` capped at that count,
+so a large r never builds (n!)^r), estimation switches to enumeration
+mode and returns the exact ensemble average with zero standard error,
+from the oracle table (``permanents.product_sum_table``), which at small
+(n, r) builds no arrays and so does not import numpy.
 """
 
 import math
@@ -46,6 +49,14 @@ from .permanents import DIM_LIMIT_DEFAULT, check_moment, product_sum_table
 # with 1,024 at n = 6, 130-134 against 126-129 us at n = 10 (min of 3 in
 # process, three sets).
 PASS_SAMPLES = 1 << 10
+
+# Permutation entries per sampler pass, r * n per sample, so a pass holds
+# min(PASS_SAMPLES, PASS_ENTRIES // (r * n)) samples and its lists and
+# arrays stay bounded at any r; a run whose one sample holds more is
+# refused before drawing.  Runs with r * n <= 1,024 keep passes of
+# PASS_SAMPLES.  `mc --n 6 --r 1000 --m 3 --samples 2000`, in passes of 174,
+# peaked at 71 MB of RSS against 238 MB in passes of 1,024.
+PASS_ENTRIES = 1 << 20
 
 
 class MCEstimate(namedtuple("MCEstimate",
@@ -86,11 +97,15 @@ def _sample_sums(spec, m, m2, samples):
             prof = kernels.cycle_profile(parts)
             pairs[prof[m], prof[m2]] += count
     else:
+        if r * n > PASS_ENTRIES:
+            raise CapacityError(f"a sample of (n={n}, r={r}) holds {r * n} permutation "
+                                f"entries, past the sampler's cap of {PASS_ENTRIES}")
         import numpy as np
 
         block = kernels.block_size(n)
-        for first in range(0, samples, PASS_SAMPLES):
-            count = min(PASS_SAMPLES, samples - first)
+        length = min(PASS_SAMPLES, PASS_ENTRIES // (r * n))  # samples a pass
+        for first in range(0, samples, length):
+            count = min(length, samples - first)
             perms = sample_block(spec, first, count)
             # entry (i, j) of sample b's matrix counts its summands with
             # i -> j: one bincount over the flat cells (b * n + i) * n + j
@@ -136,7 +151,7 @@ def estimate_moments(spec: EnsembleSpec, m: int, m2: int, samples: int) -> Momen
         # and exit code
         raise CapacityError(f"profile limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
 
-    space = tuple_count(n, r)
+    space = tuple_count(n, r, samples)
     if space <= samples:
         # enumeration covers the whole space: means exact, no sampling error
         table = product_sum_table(n, r)

@@ -15,7 +15,6 @@ import threading
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
 
 from . import kernels
 from .errors import CapacityError, DomainError
@@ -85,22 +84,16 @@ def product_sum_table(n: int, r: int, tuple_budget: int = TUPLE_BUDGET_DEFAULT):
 
     Cached per (n, r).  The budget is checked on every call, cached or not,
     so whether an input is refused does not depend on earlier calls.  It
-    bounds the oracle's DP cells (``kernels.oracle_cells``): p(n) (n!)^(r-2)
-    matrices (one at r = 1) for the (n!)^r tuples the table sums over, times
-    the 2^n states of each matrix's DP.
+    bounds the oracle's DP cells, ``kernels.oracle_cells(n, r, tuple_budget)``:
+    p(n) (n!)^(r-2) matrices (one at r = 1) times 2^n DP states each, sized
+    without building (n!)^(r-2).
     """
     if n < 1 or r < 1:
         raise DomainError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
     if n > DIM_LIMIT_DEFAULT:
         # each matrix's profile DP holds 2^n states
         raise CapacityError(f"oracle limited to n <= {DIM_LIMIT_DEFAULT}, got {n}")
-    # (n!)^(r-2) is never built: the count stops growing past the budget
-    cells = kernels.oracle_cells(n, min(r, 2))
-    for _ in range(r - 2 if n > 1 else 0):
-        if cells > tuple_budget:
-            break
-        cells *= factorial(n)
-    if cells > tuple_budget:
+    if kernels.oracle_cells(n, r, tuple_budget) > tuple_budget:
         raise CapacityError(
             f"the oracle's DP cells for (n={n}, r={r}) exceed budget {tuple_budget}"
         )

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -236,12 +237,30 @@ def test_verify_solver_warns_nothing(capsys):
         assert json.loads(out)["pass"] is True
 
 
-def _child(*args, stdout=subprocess.PIPE):
+def _child(*args, stdout=subprocess.PIPE, timeout=60, preexec_fn=None):
     """Run ``python *args`` with this checkout's permex importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, timeout=timeout, preexec_fn=preexec_fn)
+
+
+CHILD_MEMORY = 1 << 30  # bytes of address space ``run_capped`` allows
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def run_capped(*argv):
+    """``python -m permex.cli *argv`` in a child held to 1 GiB and 10 s.
+
+    An input that runs away on a regressed tree then fails its test in
+    seconds, by a MemoryError or the timeout, rather than taking the
+    memory of the whole host.
+    """
+    proc = _child("-m", "permex.cli", *argv, timeout=10, preexec_fn=_cap_memory)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
 def test_closed_stdout_exits_1_without_traceback():
@@ -599,6 +618,13 @@ def test_capacity_error_exits_2(capsys):
 
 HUGE = str(2**64)
 
+# one sample of r * n = 3 * 10^8 or 2 * 10^8 entries, refused before drawing;
+# they run in a memory-capped child, as a regressed tree runs them away
+SAMPLER_RUNAWAYS = [
+    ("mc", "--n", "3", "--r", "100000000", "--m", "1", "--samples", "2"),
+    ("scan", "--r", "100000000", "--p", "0.5", "--q", "0.5", "--n", "2", "--samples", "2"),
+]
+
 
 @pytest.mark.parametrize("argv", [
     # an r past sys.maxsize, which range and math.comb cannot take
@@ -613,20 +639,26 @@ HUGE = str(2**64)
     # (n!)^(r-2) is built, let alone printed
     ("oracle", "--n", "2", "--r", "20000", "--m", "1", "--m2", "1"),
     ("oracle", "--n", "3", "--r", "9000", "--m", "1", "--m2", "1"),
+    *SAMPLER_RUNAWAYS,
 ], ids=lambda argv: f"{argv[0]}-r{argv[argv.index('--r') + 1]}")
 def test_huge_r_exits_2_at_once(capsys, argv):
     previous = signal.signal(signal.SIGALRM, _too_slow)
     signal.alarm(5)
     start = time.perf_counter()
     try:
-        code, out, err = run(capsys, *argv)
+        code, out, err = run_capped(*argv) if argv in SAMPLER_RUNAWAYS else run(capsys, *argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    want = f"r must be <= {sys.maxsize}" if HUGE in argv else "exceed budget 100000000"
-    assert err.startswith("error: ") and want in err
+    if HUGE in argv:
+        want = f"r must be <= {sys.maxsize}"
+    elif argv in SAMPLER_RUNAWAYS:
+        want = "permutation entries, past the sampler's cap of 1048576"
+    else:
+        want = "exceed budget 100000000"
+    assert err.startswith("error: ") and want in err and err.count("\n") == 1
 
 
 MAXR = sys.maxsize

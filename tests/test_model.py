@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import time
 from collections import Counter
 
 import pytest
@@ -250,6 +252,31 @@ def test_enumerate_budget():
     with pytest.raises(CapacityError) as err:
         list(enumerate_tuples(5, 3, budget=1000))
     assert "n=5" in str(err.value) and "r=3" in str(err.value)
+    # (3!)^(10^8) is never built: the refusal is immediate
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=r"\(n=3, r=100000000\) exceed budget 100000000"):
+        enumerate_tuples(3, 10**8)
+    assert time.perf_counter() - start < 1
+
+
+def test_tuple_count_is_the_power_capped_at_limit():
+    # r = 0 is the oracle's r = 2 path: (n!)^(r - 2) at r = 2
+    for n in range(1, 7):
+        for r in range(7):
+            exact = math.factorial(n) ** r
+            assert tuple_count(n, r) == exact
+            for limit in {0, 1, exact - 1, exact, exact + 1, 10**8}:
+                assert tuple_count(n, r, limit) == min(exact, limit + 1), (n, r, limit)
+
+
+def test_tuple_count_caps_without_building_the_power():
+    start = time.perf_counter()
+    assert tuple_count(1, sys.maxsize, 0) == 1  # 1^r at any r
+    assert tuple_count(1, sys.maxsize) == 1
+    assert tuple_count(3, 10**8, 10**8) == 10**8 + 1
+    assert tuple_count(10**6, 1, 10**8) == 10**8 + 1  # n! past 2^(n-1)
+    assert tuple_count(20, 10**4, 10**300) == 10**300 + 1
+    assert time.perf_counter() - start < 1
 
 
 def test_matrix_validation():

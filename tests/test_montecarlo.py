@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from permex import (
+    CapacityError,
     DomainError,
     EnsembleSpec,
     convergence_scan,
@@ -89,6 +90,34 @@ def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
     est = estimate_moments(spec, m, m2, samples)
     assert est.mode == "sampling"
     assert [est.first, est.second, est.product] == want
+
+
+@pytest.mark.parametrize("n, r, m, m2, samples, entries", [
+    (4, 3, 2, 2, 10, 36),  # passes of 3 samples, the last of 1
+    (5, 4, 2, 3, 5, 20),  # passes of one sample: the cap is one sample's r * n
+    (3, 5, 1, 2, 7, 44),  # passes of 2 samples, the cap not a multiple of r * n
+])
+def test_short_passes_match_per_sample_reference(monkeypatch, n, r, m, m2, samples, entries):
+    # a small entry cap shortens the sampler's passes: the sums do not change
+    monkeypatch.setattr(montecarlo, "PASS_ENTRIES", entries)
+    passes = []
+
+    def counted_block(spec, start, count):
+        passes.append(count)
+        return sample_block(spec, start, count)
+
+    monkeypatch.setattr(montecarlo, "sample_block", counted_block)
+    test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples)
+    assert max(passes) == entries // (r * n) and sum(passes) == samples
+
+
+def test_sample_past_the_entry_cap_is_refused_before_drawing(monkeypatch):
+    # one sample of r * n = 15 entries against a cap of 14: nothing is drawn
+    monkeypatch.setattr(montecarlo, "PASS_ENTRIES", 14)
+    monkeypatch.setattr(montecarlo, "sample_block", None)
+    with pytest.raises(CapacityError, match="holds 15 permutation entries, past the "
+                                            "sampler's cap of 14"):
+        estimate_moments(EnsembleSpec(5, 3), 1, 2, samples=10)
 
 
 @pytest.mark.parametrize("n, m, m2, samples",

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import time
 from math import comb, factorial
 
 import numpy as np
@@ -225,6 +226,25 @@ def test_cycle_classes_cover_the_group(n):
         types.append(sorted(lengths))
     assert types == [[part for part in split if part] for split in kernels.rising_splits(n, n)]
     assert sum(size for _, size in classes) == factorial(n)
+
+
+def test_oracle_cells_exact_up_to_limit():
+    # exact whenever the count fits the limit, and above the limit otherwise
+    for n in range(1, 7):
+        for r in range(1, 6):
+            cells = kernels.oracle_cells(n, r)
+            assert cells == kernels.oracle_matrix_count(n, r) << n
+            for limit in {0, 1, cells - 1, cells, cells + 1, 10**8}:
+                capped = kernels.oracle_cells(n, r, limit)
+                assert (capped == cells) if cells <= limit else (capped > limit), (n, r, limit)
+
+
+def test_oracle_refuses_huge_r_at_once():
+    # neither (3!)^(10^8 - 2) nor a loop over r is run: the refusal is immediate
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="exceed budget 100000000"):
+        product_sum_table(3, 10**8)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("n", range(1, 10))

@@ -32,12 +32,13 @@ def test_product_table_is_the_symmetric_profile_sum(point):
 
 # The CLI's exit-code contract over drawn argv.  Integers are small or
 # extreme (past sys.maxsize, negative, zero); densities include the edges
-# and non-finite values.  Known runaways are left out by drawing r small or
+# and non-finite values.  A known runaway is left out by drawing r small or
 # past sys.maxsize, never in between: `product` at r = 10^5 (no pre-flight
-# before its budget) and `mc`/`scan` at r = 10^6 (no work budget).  `expect`
-# and `oracle` also draw large r: `expect`'s work does not grow with r, the
-# oracle's cell count passes any budget from r = 20000 at n >= 2, and at
-# n = 1 its one matrix is [[r]].
+# before its budget).  `expect`, `oracle`, `mc` and `scan` also draw large
+# r: `expect`'s work does not grow with r, the oracle's cell count passes
+# any budget from r = 20000 at n >= 2, at n = 1 its one matrix is [[r]],
+# and the sampler refuses a sample of more than 2^20 permutation entries
+# before drawing (r = 20000 at n <= 4 stays under it and is drawn).
 INTS = st.sampled_from([-1, 0, 2**63, 2**64]) | st.integers(1, 4)
 LARGE_RS = st.sampled_from([20000, 10**8, sys.maxsize])
 DENSITIES = st.sampled_from([0.0, 1.0, math.nan, math.inf, 1 - 2**-53]) | st.floats(0.05, 0.95)
@@ -58,7 +59,8 @@ def cli_argv(draw):
     if command in ("oracle-single", "oracle-product", "recurrence"):
         return ["verify", "--suite", command, *_flags(r=draw(INTS), budget=draw(BUDGETS))]
     if command in ("rate", "analytic", "solve", "scan"):
-        values = {"r": draw(INTS), "p": draw(DENSITIES)}
+        values = {"r": draw((LARGE_RS | INTS) if command == "scan" else INTS),
+                  "p": draw(DENSITIES)}
         if command != "rate" or draw(st.booleans()):
             values["q"] = draw(DENSITIES)
         if command != "scan":
@@ -66,7 +68,7 @@ def cli_argv(draw):
         dims = draw(st.lists(INTS, min_size=1, max_size=2))
         return [command, *_flags(**values, samples=draw(SAMPLES)),
                 *(word for n in dims for word in ("--n", str(n)))]
-    rs = (LARGE_RS | INTS) if command in ("expect", "oracle") else INTS
+    rs = (LARGE_RS | INTS) if command in ("expect", "oracle", "mc") else INTS
     values = {"n": draw(INTS), "r": draw(rs), "m": draw(INTS)}
     if command == "expect":
         return [command, *_flags(**values)]
