@@ -13,6 +13,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, InfeasiblePointError, SolverError
+from .model import check_maxsize
 
 
 def stirling_f(z: float) -> float:
@@ -30,6 +31,7 @@ def single_rate(p: float, r: int) -> float:
         raise DomainError(f"single_rate needs 0 < p < 1, got {p}")
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
+    check_maxsize("r", r)
     return (
         -p * math.log(p)
         + (2 * p - r) * math.log(r)
@@ -40,6 +42,7 @@ def single_rate(p: float, r: int) -> float:
 
 def single_rate_limit(p: float, r: int) -> float:
     """single_rate extended to the closed interval [0, 1] by its limits."""
+    check_maxsize("r", r)
     if p == 0:
         return 0.0
     if p == 1:
@@ -65,6 +68,7 @@ def _check_point(p, q, r):
         raise DomainError(f"need p, q in (0, 1), got p={p}, q={q}")
     if r < 2:
         raise DomainError(f"need r >= 2, got {r}")
+    check_maxsize("r", r)
 
 
 def _check_feasible(name, value):
@@ -85,6 +89,7 @@ def rate_components(p, q, r, a, b, d, e) -> RateComponents:
         raise DomainError(f"need 0 <= q <= 1, got {q}")
     if r < 2:
         raise DomainError(f"need r >= 2, got {r}")
+    check_maxsize("r", r)
     for name, v in (("a", a), ("b", b), ("d", d), ("e", e)):
         _check_feasible(f"{name} >= 0", v)
     F = stirling_f
@@ -264,9 +269,9 @@ def _feasible(a, b, d, e, p, r):
 
 
 def _restart(p, q, r):
-    """The second attempt's start: the closed form scaled by (1.1, 0.9, 1.1,
-    0.9, 1.1), each factor's distance from 1 halved until the start is
-    feasible (the closed form itself if no halving is)."""
+    """Where a point stuck on its first attempt restarts: the closed form
+    scaled by (1.1, 0.9, 1.1, 0.9, 1.1), each factor's distance from 1
+    halved until the start is feasible (the closed form itself if none is)."""
     point = _closed_form(p, q, r)
     for k in range(MAX_HALVINGS):
         start = [v * (1 + (f - 1) / 2**k) for v, f in zip(point, (1.1, 0.9, 1.1, 0.9, 1.1))]
@@ -293,63 +298,18 @@ def _newton_steps(jac, rhs):
         return step, ok
 
 
-def _newton_attempt(x, live, const, tol, state):
-    """One damped Newton attempt from the log points x at the point indices
-    live.  Counts each point's iterations and keeps its best point (a point
-    that converges is its best), and returns the indices of the points that
-    did not converge."""
-    import numpy as np
-
-    iters, best, best_norm = state
-    stalled = []
-    for _ in range(MAX_NEWTON_ITERATIONS):
-        if not live.size:
-            break
-        X = np.exp(x)
-        c = const[live]
-        g, rel = _residual_rows(X, c)
-        iters[live] += 1
-        better = rel < best_norm[live]
-        best_norm[live[better]] = rel[better]
-        best[live[better]] = X[better]
-        go = ~(rel < tol)
-        x, X, c, g, rel, live = x[go], X[go], c[go], g[go], rel[go], live[go]
-        step, ok = _newton_steps(_log_jacobian(X, c), -g)
-        # backtracking damping on the relative residual norm: each point
-        # takes its first trial that is feasible and lowers its norm
-        moved = np.zeros(live.size, dtype=bool)
-        trying = np.flatnonzero(ok)
-        scale = 1.0
-        for _ in range(MAX_HALVINGS):
-            if not trying.size:
-                break
-            xn = x[trying] + scale * step[trying]
-            Xn = np.exp(xn)
-            a, b, d, e, _ = Xn.T
-            cn = c[trying]
-            p, r = cn[:, 0], cn[:, 2]
-            take = _feasible(a, b, d, e, p, r) & (_residual_rows(Xn, cn)[1] < rel[trying])
-            x[trying[take]] = xn[take]
-            moved[trying[take]] = True
-            trying = trying[~take]
-            scale *= 0.5
-        stalled.append(live[~moved])
-        x, live = x[moved], live[moved]
-    stalled.append(live)
-    return np.sort(np.concatenate(stalled))
-
-
 def solve_stationary_batch(points, tol=DEFAULT_SOLVER_TOL) -> list:
     """Damped Newton iteration on the stationarity system at each (p, q, r).
 
-    Works in log coordinates so all five unknowns stay positive.  The
-    first attempt starts at (q/2, q/8, q/8, q/8, 1); a point where that
-    stalls gets a second attempt from a mildly perturbed, feasible
-    closed-form point (``_restart``).
-    The points iterate together, one array row and one stacked 5x5 Newton
+    Works in log coordinates so all five unknowns stay positive.  The points
+    iterate together in one loop, one array row and one stacked 5x5 Newton
     system each, but each keeps its own step damping, iteration count and
-    best point.  Returns, in order, each point's StationarySolution or,
-    where both attempts fail, a SolverError carrying its best point.
+    best point (a point that converges is its best).  A point starts at
+    (q/2, q/8, q/8, q/8, 1).  Stuck there (no damped step lowers its residual
+    norm, or the attempt has run MAX_NEWTON_ITERATIONS iterations), it
+    restarts in place at the next iteration, from ``_restart``; stuck again,
+    it fails.  Returns, in order, each point's StationarySolution or, where
+    both attempts fail, a SolverError carrying its best point.
     """
     import numpy as np
 
@@ -363,7 +323,11 @@ def solve_stationary_batch(points, tol=DEFAULT_SOLVER_TOL) -> list:
     iters = np.zeros(n, dtype=int)
     best = np.zeros((n, 5))
     best_norm = np.full(n, math.inf)
-    state = (iters, best, best_norm)
+    # per point: whether it has restarted, and its iteration count when its attempt began
+    restarted = np.zeros(n, dtype=bool)
+    began = np.zeros(n, dtype=int)
+    failed = set()
+    live = np.arange(n)
     starts = [(q / 2, q / 8, q / 8, q / 8, 1.0) for _, q, _ in points]
     # A full step can overshoot far enough that a trial exp overflows, and
     # the trial's residuals then hold inf - inf; the feasibility test
@@ -373,11 +337,45 @@ def solve_stationary_batch(points, tol=DEFAULT_SOLVER_TOL) -> list:
     # they round a contiguous one's, and the recorded outputs pin every bit.
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.log(np.array(starts, dtype=float).reshape(n, 5))
-        left = _newton_attempt(x, np.arange(n), const, tol, state)
-        if left.size:
-            starts = [_restart(*points[i]) for i in left.tolist()]
-            left = _newton_attempt(np.log(np.array(starts)), left, const, tol, state)
-    failed = set(left.tolist())
+        while live.size:
+            X = np.exp(x)
+            c = const[live]
+            g, rel = _residual_rows(X, c)
+            iters[live] += 1
+            better = rel < best_norm[live]
+            best_norm[live[better]] = rel[better]
+            best[live[better]] = X[better]
+            go = ~(rel < tol)
+            x, X, c, g, rel, live = x[go], X[go], c[go], g[go], rel[go], live[go]
+            step, ok = _newton_steps(_log_jacobian(X, c), -g)
+            # backtracking damping on the relative residual norm: each point
+            # takes its first trial that is feasible and lowers its norm
+            moved = np.zeros(live.size, dtype=bool)
+            trying = np.flatnonzero(ok)
+            scale = 1.0
+            for _ in range(MAX_HALVINGS):
+                if not trying.size:
+                    break
+                xn = x[trying] + scale * step[trying]
+                Xn = np.exp(xn)
+                a, b, d, e, _ = Xn.T
+                cn = c[trying]
+                p, r = cn[:, 0], cn[:, 2]
+                take = _feasible(a, b, d, e, p, r) & (_residual_rows(Xn, cn)[1] < rel[trying])
+                x[trying[take]] = xn[take]
+                moved[trying[take]] = True
+                trying = trying[~take]
+                scale *= 0.5
+            stuck = ~moved | (iters[live] - began[live] >= MAX_NEWTON_ITERATIONS)
+            if stuck.any():
+                stuck_at = live[stuck]
+                failed.update(stuck_at[restarted[stuck_at]].tolist())
+                retry = stuck_at[~restarted[stuck_at]]
+                restarted[retry] = True
+                began[retry] = iters[retry]
+                restarts = [_restart(*points[i]) for i in retry.tolist()]
+                x = np.concatenate([x[~stuck], np.log(np.array(restarts).reshape(-1, 5))])
+                live = np.concatenate([live[~stuck], retry])
     results = []
     rows = zip(points, best.tolist(), best_norm.tolist(), iters.tolist())
     for i, ((p, q, r), point, norm, its) in enumerate(rows):

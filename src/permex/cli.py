@@ -16,11 +16,11 @@ A command imports only the layers it runs: `moments`, `permanents` and
 `montecarlo`, and with them `kernels` and `fractions`, load on a
 command's first call into them, so `--help`, `rate` or `verify --suite
 factorization` never load them, and `json` and `csv` are imported where
-a report is written.  The functions named in `_LAZY` are module
-attributes that `__getattr__` resolves on first use.  Handlers call them
-as attributes of `_api`, this module: a bare name would not reach
-`__getattr__`, and an import inside a handler would skip a value bound
-over the name (a test's patch, perfbench's tracer).
+a report is written.  Any name in the package's `_HOME` table is a
+module attribute that `__getattr__` resolves on first use.  Handlers call
+those layers' functions as attributes of `_api`, this module: a bare
+name would not reach `__getattr__`, and an import inside a handler would
+skip a value bound over the name (a test's patch, perfbench's tracer).
 """
 
 import argparse
@@ -39,18 +39,14 @@ from .asymptotics import (
 from .errors import CapacityError, DomainError, SolverError
 from .model import TERM_BUDGET_DEFAULT, TUPLE_BUDGET_DEFAULT, EnsembleSpec, check_seed
 
-# the functions a command imports on first use, read off the package
-# namespace, which imports each one's home module
-_LAZY = frozenset({
-    "expectation_perm", "expectation_product", "argmax_profile", "product_table",
-    "estimate_moments", "convergence_scan", "ensemble_average_bruteforce",
-})
-
 
 def __getattr__(name):
-    if name not in _LAZY:
+    # a public name a command imports on first use, read off the package
+    # namespace, which imports its home module
+    package = sys.modules[__package__]
+    if name not in package._HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(sys.modules[__package__], name)
+    value = getattr(package, name)
     globals()[name] = value  # later reads skip this hook
     return value
 

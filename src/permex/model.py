@@ -103,6 +103,13 @@ class SquareMatrix(namedtuple("SquareMatrix", "n entries")):
         return max(map(max, self.entries))
 
 
+def check_maxsize(name: str, value: int) -> None:
+    """The rule of every count that ``range``, ``math.comb``,
+    ``math.factorial`` or a float conversion takes: value <= sys.maxsize."""
+    if value > sys.maxsize:
+        raise CapacityError(f"{name} must be <= {sys.maxsize}, got {value}")
+
+
 def check_seed(seed: int) -> int:
     """The seed rule of every seeded stream: 0 <= seed < 2^64."""
     if not 0 <= seed < 2**64:

@@ -10,7 +10,6 @@ is exact integer or rational arithmetic.  ``check_moment`` checks every
 moment's (n, r, m, m2); an ``ExactMoment`` holds a value and its term count.
 """
 
-import sys
 import threading
 from collections import namedtuple
 from fractions import Fraction
@@ -18,7 +17,7 @@ from itertools import combinations, permutations
 
 from . import kernels
 from .errors import CapacityError, DomainError
-from .model import TUPLE_BUDGET_DEFAULT, SquareMatrix, tuple_count
+from .model import TUPLE_BUDGET_DEFAULT, SquareMatrix, check_maxsize, tuple_count
 
 DIM_LIMIT_DEFAULT = 24
 BRUTEFORCE_DIM_LIMIT = 8
@@ -36,10 +35,8 @@ def check_moment(n: int, r: int, m: int, m2: int = 0) -> None:
         raise DomainError(f"m and m2 must lie in 0..{n}, got {m}, {m2}")
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
-    if n > sys.maxsize:
-        raise CapacityError(f"n must be <= {sys.maxsize}, got {n}")
-    if r > sys.maxsize:
-        raise CapacityError(f"r must be <= {sys.maxsize}, got {r}")
+    check_maxsize("n", n)
+    check_maxsize("r", r)
 
 
 class ExactMoment(namedtuple("ExactMoment", "value term_count")):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from permex import asymptotics, cli
 from permex import (
+    CapacityError,
     DomainError,
     InfeasiblePointError,
     SolverError,
@@ -310,6 +312,29 @@ def test_batch_equals_one_point_solves(monkeypatch):
             assert getattr(got, field) == getattr(want, field), (got, field)
 
 
+@pytest.mark.parametrize("cap, failures", [(5, 51), (8, 8)])
+def test_capped_attempts_restart_then_fail(monkeypatch, cap, failures):
+    # at these caps the 405-point grid's first attempts run into the cap,
+    # restart in place and mostly converge, and some second attempts run
+    # into it too and fail: the batch still equals the one-point solves in
+    # every field, each failure's message and best point included
+    monkeypatch.setattr(asymptotics, "MAX_NEWTON_ITERATIONS", cap)
+    points = [(p, q, r) for r in cli.GRID_R for p in GRID for q in GRID]
+    batch = solve_stationary_batch(points)
+    assert len(batch) == len(points)
+    failed = [sol for sol in batch if isinstance(sol, SolverError)]
+    assert len(failed) == failures
+    # a solution past the cap converged on its second attempt
+    assert any(not isinstance(sol, SolverError) and sol.iterations > cap for sol in batch)
+    for point, got in zip(points, batch):
+        if isinstance(got, SolverError):
+            with pytest.raises(SolverError) as err:
+                solve_stationary(*point)
+            assert (str(got), got.best) == (str(err.value), err.value.best)
+        else:
+            assert got == solve_stationary(*point)
+
+
 def test_rel_norm_takes_python_max():
     # the batch's row norm is the max() the one-point residual norm took:
     # a NaN first term is the norm, a later NaN term is passed over
@@ -341,22 +366,49 @@ def test_restart_is_feasible():
     # a feasible restart keeps the full scaling
     assert asymptotics._restart(0.5, 0.5, 2) == [
         v * f for v, f in zip(asymptotics._closed_form(0.5, 0.5, 2), (1.1, 0.9, 1.1, 0.9, 1.1))]
+    # here no scaling within MAX_HALVINGS halvings is feasible: the restart
+    # is the closed form itself
+    point = (0.5, 0.9999999999999999, 2)
+    assert asymptotics._restart(*point) == list(asymptotics._closed_form(*point))
 
 
 def test_batch_keeps_each_points_failure():
     # a point where both attempts fail gets its SolverError in its place,
     # returned, not raised, and the points around it still solve; both
-    # attempts start feasible here, and q close to 1 defeats them
+    # attempts start feasible at the first hard point, and q close to 1
+    # defeats them; the second restarts from the unscaled closed form
     assert solve_stationary_batch([]) == []
-    hard = (0.6875102945721865, 0.9787504294978595, 2)
-    sols = solve_stationary_batch([(0.5, 0.5, 2), hard, (0.3, 0.7, 3)])
+    hard = [(0.6875102945721865, 0.9787504294978595, 2), (0.5, 0.9999999999999999, 2)]
+    sols = solve_stationary_batch([(0.5, 0.5, 2), hard[0], (0.3, 0.7, 3), hard[1]])
     assert sols[0] == solve_stationary(0.5, 0.5, 2)
     assert sols[2] == solve_stationary(0.3, 0.7, 3)
-    with pytest.raises(SolverError) as err:
-        solve_stationary(*hard)
-    assert isinstance(sols[1], SolverError)
-    assert str(sols[1]) == str(err.value)
-    assert sols[1].best == err.value.best
+    for point, sol in zip(hard, sols[1::2]):
+        with pytest.raises(SolverError) as err:
+            solve_stationary(*point)
+        assert isinstance(sol, SolverError)
+        assert str(sol) == str(err.value)
+        assert sol.best == err.value.best
+    assert str(sols[3]).endswith("best relative residual 4.842e-08")
+
+
+def test_rate_layer_refuses_r_past_maxsize():
+    # the floats of the rate expressions cannot take such an r; sys.maxsize
+    # itself still evaluates
+    big = sys.maxsize + 1
+    calls = [
+        lambda r: single_rate(0.5, r),
+        *[lambda r, p=p: single_rate_limit(p, r) for p in (0, 0.5, 1)],
+        lambda r: analytic_solution(0.5, 0.5, r),
+        lambda r: product_rate(0.5, 0.5, r),
+        lambda r: solve_stationary_batch([(0.5, 0.5, 2), (0.5, 0.5, r)]),
+        lambda r: stationarity_residuals(0.1, 0.1, 0.1, 0.1, 1.0, 0.5, 0.5, r),
+        lambda r: rate_components(0.5, 0.5, r, 0.1, 0.1, 0.1, 0.1),
+    ]
+    for call in calls:
+        call(sys.maxsize)
+        for r in (big, 2**1024):
+            with pytest.raises(CapacityError, match=f"r must be <= {sys.maxsize}, got {r}"):
+                call(r)
 
 
 def test_product_rate_value_and_symmetry():

@@ -617,6 +617,18 @@ def test_capacity_error_exits_2(capsys):
 
 
 HUGE = str(2**64)
+HUGER = str(2**1024)
+
+# the rate layer's commands, whose floats cannot take an r past sys.maxsize
+RATE_LAYER = {
+    "rate": ("rate", "--p", "0.5"),
+    "rate-q": ("rate", "--p", "0.5", "--q", "0.5"),
+    "analytic": ("analytic", "--p", "0.5", "--q", "0.5"),
+    "solve": ("solve", "--p", "0.5", "--q", "0.5"),
+    "scan": ("scan", "--p", "0.5", "--q", "0.5", "--n", "3"),
+    **{f"verify-{suite}": ("verify", "--suite", suite)
+       for suite in ("factorization", "stationarity", "solver")},
+}
 
 # one sample of r * n = 3 * 10^8 or 2 * 10^8 entries, refused before drawing;
 # they run in a memory-capped child, as a regressed tree runs them away
@@ -627,7 +639,7 @@ SAMPLER_RUNAWAYS = [
 
 
 @pytest.mark.parametrize("argv", [
-    # an r past sys.maxsize, which range and math.comb cannot take
+    # an r past sys.maxsize, which range, math.comb and a float cannot take
     ("product", "--n", "3", "--r", HUGE, "--m", "1", "--m2", "1"),
     ("argmax", "--n", "3", "--r", HUGE, "--m", "1", "--m2", "1"),
     ("verify", "--suite", "oracle-single", "--r", HUGE),
@@ -635,6 +647,10 @@ SAMPLER_RUNAWAYS = [
     ("oracle", "--n", "3", "--r", HUGE, "--m", "1", "--m2", "1"),
     ("mc", "--n", "3", "--r", HUGE, "--m", "1"),
     ("scan", "--r", HUGE, "--p", "0.5", "--q", "0.5", "--n", "3"),
+    *[pytest.param((*argv, "--r", r), id=f"{name}-r{label}")
+      for name, argv in RATE_LAYER.items()
+      for r, label in ((HUGE, "2^64"), (HUGER, "2^1024"))
+      if (name, r) != ("scan", HUGE)],
     # the oracle's cell count stops growing past the budget: no 6,000-digit
     # (n!)^(r-2) is built, let alone printed
     ("oracle", "--n", "2", "--r", "20000", "--m", "1", "--m2", "1"),
@@ -652,7 +668,7 @@ def test_huge_r_exits_2_at_once(capsys, argv):
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    if HUGE in argv:
+    if HUGE in argv or HUGER in argv:
         want = f"r must be <= {sys.maxsize}"
     elif argv in SAMPLER_RUNAWAYS:
         want = "permutation entries, past the sampler's cap of 1048576"
