@@ -6,14 +6,14 @@ kernel ``kernels.subperm_profiles`` on blocks of ``kernels.block_size(n)``
 matrices, and the per-matrix API ``kernels.subperm_profile`` runs it on a
 block of one; the oracle's small tables run the reference DP itself.
 Both numpy calls are timed here against ``_pykernels.subperm_profile``,
-and both must reproduce its values.  At r = 2 Monte Carlo reads each
-sample's class, the cycle type of P1^-1 P2, off its Philox words with the
-pure-Python ``model.sample_classes``; it is timed against the classes of
-the permutations of ``model.sample_block``, which reads the same words,
-and of the per-sample reference stream ``model.sample_stream``, and all
-three tallies must be equal (speedup = stream / sample_classes).  At
-r = 3 ``sample_block`` is timed against the reference stream, and its
-permutations must equal the stream's.  The
+and both must reproduce its values.  ``model.sample_permutations`` draws
+the permutations Monte Carlo samples off pure-Python Philox words; it is
+timed against the per-sample reference stream ``model.sample_stream``,
+and its permutations must equal the stream's.  At r = 2 Monte Carlo reads
+each sample's class, the cycle type of P1^-1 P2, with
+``kernels.cycle_type``; the classes of both samplers are timed too, and
+their tallies must equal those of the stream's permutations read by
+inverting P1 and composing (speedup = stream / classes).  The
 fresh-process table times ``permex <sub> --help`` for every subcommand, one ``rate`` run, five ``argmax`` runs
 (the collapsed walk of ``moments``, at r = 2, 3, 5 and 250), six ``product``
 runs (r = 3, 4, 12, 60 twice and 250, the last four with few profiles but
@@ -41,7 +41,7 @@ import numpy as np
 import permex
 from permex import EnsembleSpec, sample_matrix, sample_permutation, sample_stream
 from permex import _pykernels, kernels
-from permex.model import sample_block, sample_classes
+from permex.model import sample_permutations
 
 SUBCOMMANDS = ("expect", "product", "oracle", "rate", "solve", "analytic", "mc",
                "scan", "argmax", "verify")
@@ -163,28 +163,26 @@ def stream_samples(spec, count):
 
 def bench_sampling():
     count = 1024
-    print(f"r = 2 sample classes ({count} samples each; us per sample)")
-    print(f"{'n':>4} {'stream':>10} {'block':>10} {'classes':>10} {'speedup':>8}")
-    for n in (6, 8, 10, 13):
-        spec = EnsembleSpec(n=n, r=2, seed=1)
-        t_stream, want = time_call(lambda: cycle_types(stream_samples(spec, count)))
-        t_block, got_block = time_call(
-            lambda: cycle_types(sample_block(spec, 0, count).tolist()), repeat=3)
-        t_classes, got = time_call(sample_classes, spec, 0, count, repeat=3)
-        assert got_block == want
-        assert got == want
-        print(f"{n:>4} {t_stream / count * 1e6:>10.1f} {t_block / count * 1e6:>10.1f} "
-              f"{t_classes / count * 1e6:>10.1f} {t_stream / t_classes:>7.1f}x")
-    print()
-    print(f"r = 3 permutations ({count} samples each; us per sample)")
-    print(f"{'n':>4} {'stream':>10} {'block':>10} {'speedup':>8}")
-    for n in (6, 8, 10, 13):
-        spec = EnsembleSpec(n=n, r=3, seed=1)
-        t_stream, want = time_call(stream_samples, spec, count)
-        t_block, got = time_call(lambda: sample_block(spec, 0, count).tolist(), repeat=3)
-        assert got == want
-        print(f"{n:>4} {t_stream / count * 1e6:>10.1f} {t_block / count * 1e6:>10.1f} "
-              f"{t_stream / t_block:>7.1f}x")
+    print(f"Philox samples ({count} each; us per sample; speedup = stream / classes at")
+    print("r = 2, stream / permutations at r = 3)")
+    print(f"{'r':>3} {'n':>4} {'stream':>10} {'perms':>10} {'classes':>10} {'speedup':>8}")
+    for r in (2, 3):
+        for n in (6, 8, 10, 13):
+            spec = EnsembleSpec(n=n, r=r, seed=1)
+            t_stream, want = time_call(stream_samples, spec, count)
+            t_perms, got = time_call(lambda: list(sample_permutations(spec, 0, count)), repeat=3)
+            assert got == want
+            if r == 2:
+                t_stream_classes, want_classes = time_call(lambda: cycle_types(want))
+                t_stream += t_stream_classes
+                t_classes, got_classes = time_call(lambda: Counter(map(
+                    kernels.cycle_type, sample_permutations(spec, 0, count))), repeat=3)
+                assert got_classes == want_classes
+                speedup, classes = t_stream / t_classes, f"{t_classes / count * 1e6:>10.1f}"
+            else:
+                speedup, classes = t_stream / t_perms, f"{'':>10}"
+            print(f"{r:>3} {n:>4} {t_stream / count * 1e6:>10.1f} {t_perms / count * 1e6:>10.1f} "
+                  f"{classes} {speedup:>7.1f}x")
 
 
 if __name__ == "__main__":

@@ -331,11 +331,14 @@ def solve_stationary_batch(points, tol=DEFAULT_SOLVER_TOL) -> list:
     starts = [(q / 2, q / 8, q / 8, q / 8, 1.0) for _, q, _ in points]
     # A full step can overshoot far enough that a trial exp overflows, and
     # the trial's residuals then hold inf - inf; the feasibility test
-    # rejects such a trial, so neither is an error.  np.exp, np.log and
-    # np.linalg.solve get contiguous arrays, as they did one point at a
-    # time: numpy's SIMD loops need not round a strided array's elements as
-    # they round a contiguous one's, and the recorded outputs pin every bit.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # rejects such a trial, so neither is an error.  Nor is log(0.0) of a
+    # restart whose closed form underflows a coordinate (p = 1e-300, say):
+    # that attempt fails, and the point returns its SolverError.  np.exp,
+    # np.log and np.linalg.solve get contiguous arrays, as they did one
+    # point at a time: numpy's SIMD loops need not round a strided array's
+    # elements as they round a contiguous one's, and the recorded outputs
+    # pin every bit.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = np.log(np.array(starts, dtype=float).reshape(n, 5))
         while live.size:
             X = np.exp(x)

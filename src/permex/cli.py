@@ -256,18 +256,21 @@ def _r_values(r, default):
     return default if r is None else [r]
 
 
+def _grid(r):
+    """The (p, q, r) points of the stationarity and factorization suites."""
+    return [(p, q, r) for r in _r_values(r, GRID_R)
+            for p in GRID_DENSITIES for q in GRID_DENSITIES]
+
+
 def _suite_stationarity(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     """Relative stationarity residuals of the closed form over the grid."""
     tol = 1e-9
     rows = []
     worst = 0.0
-    for r in _r_values(r, GRID_R):
-        for p in GRID_DENSITIES:
-            for q in GRID_DENSITIES:
-                sol = analytic_solution(p, q, r)
-                worst = max(worst, sol.residual_max)
-                rows.append({"p": p, "q": q, "r": r,
-                             "residual_max": sol.residual_max})
+    for p, q, r in _grid(r):
+        sol = analytic_solution(p, q, r)
+        worst = max(worst, sol.residual_max)
+        rows.append({"p": p, "q": q, "r": r, "residual_max": sol.residual_max})
     return rows, worst, worst < tol, tol
 
 
@@ -285,16 +288,13 @@ def _suite_factorization(r=None, seed=0, budget=TUPLE_BUDGET_DEFAULT):
     grid; the Newton solver's rate must agree within 1e-6."""
     tol = 1e-9
     solver_tol = 1e-6
-    points = [(p, q, r) for r in _r_values(r, GRID_R)
-              for p in GRID_DENSITIES for q in GRID_DENSITIES]
-    gaps = []
-    for p, q, r in points:
-        target = single_rate(p, r) + single_rate(q, r)
-        gaps.append((target, abs(product_rate(p, q, r) - target)))
+    points = _grid(r)
     rows = []
     worst = 0.0
     ok = True
-    for (p, q, r), (target, gap), sol in zip(points, gaps, _solve_points(points)):
+    for (p, q, r), sol in zip(points, _solve_points(points)):
+        target = single_rate(p, r) + single_rate(q, r)
+        gap = abs(product_rate(p, q, r) - target)
         solver_gap = abs(sol.s_over_n - target)
         worst = max(worst, gap)
         ok = ok and gap < tol and solver_gap < solver_tol

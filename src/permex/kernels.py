@@ -3,8 +3,8 @@
 Sampled profiles at r >= 3, and those of every oracle table too large for
 Python lists, come from one vectorised numpy DP, ``subperm_profiles``, run
 over a block of matrices; a sampled r = 2 matrix needs no DP, as its
-profile is ``cycle_profile`` of the cycle type of P1^-1 P2, which
-``model.sample_classes`` reads off the sample's shuffle draws.  Each DP call
+profile is ``cycle_profile`` of its class, the cycle type of P1^-1 P2,
+which ``cycle_type`` reads off the sample's two permutations.  Each DP call
 picks its arithmetic from its input, once per block: when
 ``profile_value_bound`` proves that all values fit, the DP runs on int64,
 and otherwise on ``object`` arrays of exact Python integers.  The
@@ -105,6 +105,28 @@ def subperm_profiles(mats, n: int, max_entry: int):
     for i in range(n):
         popcount.reshape(-1, 2, 1 << i)[:, 1] += 1
     return [f[popcount == m].sum(axis=0).tolist() for m in range(n + 1)]
+
+
+def cycle_type(perms):
+    """The class of an r = 2 sample (p1, p2): the cycle type of P1^-1 P2.
+
+    A cycle type is the sorted tuple of cycle lengths.  P1^-1 P2 = P1^T P2
+    has an entry 1 at (p1[i], p2[i]) for each row i, so it is sigma, which
+    maps p1[i] to p2[i]; each cycle of the walk pops its points until it
+    returns to its first.
+    """
+    sigma = dict(zip(*perms))
+    pop = sigma.pop
+    parts = []
+    while sigma:
+        first, i = sigma.popitem()
+        length = 1
+        while i != first:
+            i = pop(i)
+            length += 1
+        parts.append(length)
+    parts.sort()
+    return tuple(parts)
 
 
 def cycle_profile(parts):

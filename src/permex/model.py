@@ -20,22 +20,21 @@ mask(i) the smallest all-ones mask covering i, and swaps positions i and
 One engine.  ``_philox_lanes`` encrypts that stream for up to
 ``PHILOX_LANES`` counters at once on Python ints, each counter a 128-bit
 lane of four ints c0..c3, so a round costs a few big-integer operations
-for all of them.  ``_read_samples`` hands each sample its words: an
-allotment of ``WORDS_PER_DRAW`` words per shuffle draw, and, for a
-sample whose rejections run past it, its next blocks one counter at a
-time.  Both samplers read it, bit-identical to the reference:
-``sample_block`` runs numpy's shuffle on lists and returns the
-permutations of many samples as one array, and ``sample_classes`` reads
-the class of each r = 2 sample, the cycle type of P1^-1 P2, with one
-shuffle list, no inverse and no numpy.  numpy's Philox remains only as
-the reference, ``sample_stream``.
+for all of them.  ``sample_permutations`` reads it, bit-identical to
+the reference: it allots each sample ``WORDS_PER_DRAW`` words per shuffle
+draw, gives a sample whose rejections run past that its next blocks one
+counter at a time, and runs numpy's shuffle on lists.  Monte Carlo builds
+its r >= 3 matrices from those permutations and reads the class of each
+r = 2 sample off them with ``kernels.cycle_type``, so no r <= 2 run
+imports numpy.  numpy's Philox remains only as the reference,
+``sample_stream``.
 """
 
 import array
 import itertools
 import math
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .errors import CapacityError, DomainError
 
@@ -211,18 +210,23 @@ def _philox_lanes(seed: int, start: int, samples: int, first_block: int, blocks:
     return words
 
 
-def _read_samples(spec: EnsembleSpec, start: int, count: int, draws: int, read):
-    """Yield ``read(take)`` for samples start..start+count-1, in order.
+def sample_permutations(spec: EnsembleSpec, start: int, count: int):
+    """Yield the r permutations of samples start..start+count-1, in order.
 
-    ``take`` is the next() of one sample's 32-bit Philox words, for a
-    sample of ``draws`` shuffle draws.  Each sample is allotted
-    ``WORDS_PER_DRAW * draws`` words in whole blocks, and one
+    Sample b's are a list of r lists, the k-th equal to the k-th permutation
+    ``sample_permutation(n, sample_stream(spec, start + b))`` draws: numpy's
+    shuffle of 0..n-1, run on a list.  Each sample is allotted
+    ``WORDS_PER_DRAW`` words a shuffle draw in whole blocks, and one
     ``_philox_lanes`` call encrypts the allotments of up to
-    ``PHILOX_LANES // blocks`` samples; a sample whose shuffles run past
-    its allotment takes its next blocks one at a time.
+    ``PHILOX_LANES // blocks`` samples; a sample whose shuffles reject past
+    its allotment is shuffled again from its words and its next blocks,
+    encrypted one at a time.
     """
     _check_range(start, count)
-    blocks = -(-WORDS_PER_DRAW * draws // 8)
+    n, r = spec.n, spec.r
+    draws = [(i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)]
+    points = list(range(n))
+    blocks = -(-WORDS_PER_DRAW * r * (n - 1) // 8)
     width = 8 * blocks
     chunk = max(PHILOX_LANES // max(blocks, 1), 1)  # samples a call
     for first in range(start, start + count, chunk):
@@ -230,91 +234,25 @@ def _read_samples(spec: EnsembleSpec, start: int, count: int, draws: int, read):
         words = _philox_lanes(spec.seed, first, size, 0, blocks)
         for s in range(size):
             allot = words[s * width:(s + 1) * width]
-            # the value is built inside the try and yielded outside it: a
-            # StopIteration raised into a generator becomes a RuntimeError
-            try:
-                value = read(iter(allot).__next__)
-            except StopIteration:
-                more = itertools.chain.from_iterable(
-                    _philox_lanes(spec.seed, first + s, 1, b, 1) for b in itertools.count(blocks))
-                value = read(itertools.chain(allot, more).__next__)
-            yield value
-
-
-def sample_classes(spec: EnsembleSpec, start: int, count: int):
-    """Counter of the cycle types of P1^-1 P2 over samples start..start+count-1.
-
-    A cycle type is the sorted tuple of cycle lengths, the class of
-    P1 + P2 at r = 2.  ``_read_samples`` hands each sample its words.  A
-    sample keeps P1's accepted draws, shuffles the identity list with
-    P2's, and replays P1's swaps in reverse: the list then holds
-    P2 P1^-1, conjugate to P1^-1 P2, and one walk reads its cycles.
-    """
-    n = spec.n
-    if spec.r != 2:
-        raise DomainError(f"cycle types are those of r = 2 samples, got r = {spec.r}")
-    draws = [(i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)]
-    points = list(range(n))
-
-    def cycle_type(take):
-        """The class of one sample, from ``take``, its words' next()."""
-        swaps = []
-        for i, mask in draws:
-            j = take() & mask
-            while j > i:
-                j = take() & mask
-            swaps.append(j)
-        perm = points[:]
-        for i, mask in draws:
-            j = take() & mask
-            while j > i:
-                j = take() & mask
-            perm[i], perm[j] = perm[j], perm[i]
-        swaps.reverse()
-        for i, j in zip(range(1, n), swaps):
-            perm[i], perm[j] = perm[j], perm[i]
-        parts = []
-        for i in points:
-            length = 0
-            while perm[i] >= 0:
-                perm[i], i = -1, perm[i]
-                length += 1
-            if length:
-                parts.append(length)
-        parts.sort()
-        return tuple(parts)
-
-    return Counter(_read_samples(spec, start, count, 2 * (n - 1), cycle_type))
-
-
-def sample_block(spec: EnsembleSpec, start: int, count: int):
-    """Permutations of samples start..start+count-1, as one array.
-
-    Returns a (count, r, n) int64 array whose entry [b, k] is the k-th
-    permutation ``sample_permutation(n, sample_stream(spec, start + b))``
-    draws; ``_read_samples`` hands each sample its words, and each
-    permutation is numpy's shuffle of 0..n-1 run on a list.
-    """
-    import numpy as np
-
-    n, r = spec.n, spec.r
-    draws = [(i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)]
-
-    def permutations(take):
-        """The r permutations of one sample, from ``take``, its words' next()."""
-        perms = []
-        for _ in range(r):
-            perm = list(range(n))
-            for i, mask in draws:
-                j = take() & mask
-                while j > i:
-                    j = take() & mask
-                perm[i], perm[j] = perm[j], perm[i]
-            perms.append(perm)
-        return perms
-
-    perms = list(_read_samples(spec, start, count, r * (n - 1), permutations))
-    return np.array(perms, dtype=np.int64).reshape(count, r, n)
+            take = iter(allot).__next__
+            while True:
+                # a StopIteration let out of a generator becomes a RuntimeError
+                try:
+                    perms = []
+                    for _ in range(r):
+                        perm = points[:]
+                        for i, mask in draws:
+                            j = take() & mask
+                            while j > i:
+                                j = take() & mask
+                            perm[i], perm[j] = perm[j], perm[i]
+                        perms.append(perm)
+                    break
+                except StopIteration:
+                    more = itertools.chain.from_iterable(
+                        _philox_lanes(spec.seed, first + s, 1, b, 1) for b in itertools.count(blocks))
+                    take = itertools.chain(allot, more).__next__
+            yield perms
 
 
 def tuple_count(n: int, r: int, limit: int | None = None) -> int:

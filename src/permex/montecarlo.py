@@ -12,14 +12,14 @@ At r = 1 every matrix is a permutation matrix, with perm_m = C(n, m), so
 no sample is drawn.  At r = 2 no matrix is built and no DP runs:
 relabelling its columns turns P1 + P2 into I + P1^-1 P2, so a sample's
 profile depends only on the cycle type of P1^-1 P2.
-``model.sample_classes`` reads each sample's cycle type off its Philox
-words in pure Python, so r <= 2 never imports numpy, and each type's
-profile comes once from ``kernels.cycle_profile``.  At other r one
-``model.sample_block`` call reads the permutations of a pass off the
-same pure-Python Philox words: ``PASS_SAMPLES`` samples, or as many as
+``model.sample_permutations`` draws each sample's permutations off its
+Philox words in pure Python and ``kernels.cycle_type`` reads its cycle
+type, so r <= 2 never imports numpy, and each type's profile comes once
+from ``kernels.cycle_profile``.  At other r the same generator gives the
+permutations of a pass, ``PASS_SAMPLES`` samples, or as many as
 ``PASS_ENTRIES`` permutation entries hold at r * n a sample, and a run
-whose one sample holds more is refused before drawing.  One bincount
-gives the pass's matrices, and they are profiled in blocks of
+whose one sample holds more is refused before drawing.  One array and one
+bincount give the pass's matrices, and they are profiled in blocks of
 ``kernels.block_size(n)`` by the batched numpy kernel
 ``kernels.subperm_profiles``, which certifies int64 or Python-int
 arithmetic once per block.  When the whole tuple space is smaller than
@@ -38,11 +38,11 @@ from . import kernels
 from .asymptotics import single_rate_limit
 from .errors import CapacityError, DomainError
 # sample_stream is not called here; perfbench traces it under this name
-from .model import (EnsembleSpec, sample_block, sample_classes,  # noqa: F401
-                    sample_stream, tuple_count)
+from .model import (EnsembleSpec, sample_permutations, sample_stream,  # noqa: F401
+                    tuple_count)
 from .permanents import DIM_LIMIT_DEFAULT, check_moment, product_sum_table
 
-# Samples per sampler pass (``model.sample_block``, r >= 3).  A pass
+# Samples per sampler pass (``model.sample_permutations``, r >= 3).  A pass
 # bounds the pass's lists and arrays; its few numpy steps cost less per
 # sample the longer it is.  On 2 shared vCPUs a whole r = 3 run of 4,096
 # samples cost 15-22 us per sample with 64-sample passes and 11-12 us
@@ -93,7 +93,8 @@ def _sample_sums(spec, m, m2, samples):
         # every r = 1 matrix is a permutation matrix: perm_m = C(n, m)
         pairs[math.comb(n, m), math.comb(n, m2)] = samples
     elif r == 2:
-        for parts, count in sample_classes(spec, 0, samples).items():
+        classes = Counter(map(kernels.cycle_type, sample_permutations(spec, 0, samples)))
+        for parts, count in classes.items():
             prof = kernels.cycle_profile(parts)
             pairs[prof[m], prof[m2]] += count
     else:
@@ -106,7 +107,7 @@ def _sample_sums(spec, m, m2, samples):
         length = min(PASS_SAMPLES, PASS_ENTRIES // (r * n))  # samples a pass
         for first in range(0, samples, length):
             count = min(length, samples - first)
-            perms = sample_block(spec, first, count)
+            perms = np.array(list(sample_permutations(spec, first, count)), dtype=np.int64)
             # entry (i, j) of sample b's matrix counts its summands with
             # i -> j: one bincount over the flat cells (b * n + i) * n + j
             rows = np.arange(count * n).reshape(count, 1, n)

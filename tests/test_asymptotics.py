@@ -256,6 +256,14 @@ def test_solver_failure_carries_best_point():
     assert all(isinstance(x, float) and x > 0 for x in best)
 
 
+def test_solver_failure_on_underflowing_restart():
+    # the restart's closed form underflows a coordinate to 0.0, and its log
+    # raises no RuntimeWarning (pyproject turns one from permex into an error)
+    (sol,) = solve_stationary_batch([(1e-300, 0.5, 2)])
+    assert isinstance(sol, SolverError)
+    assert str(sol).startswith("stationarity solve failed at (p=1e-300, q=0.5, r=2)")
+
+
 def test_solver_failure_on_singular_jacobian(monkeypatch):
     # a singular Newton system ends that point's attempt; both attempts ending
     # so is a SolverError that still carries the best point seen

@@ -336,7 +336,15 @@ def test_main_flushes_a_blocking_stdout_whole(monkeypatch, capsys):
      "error: scan needs at least one --n\n"),
     (("oracle", "--n", "18", "--r", "2", "--m", "9", "--m2", "9"), 2,
      "error: the oracle's DP cells for (n=18, r=2) exceed budget 100000000\n"),
-], ids=["domain", "capacity"])
+    # the restarts' closed forms underflow a coordinate to 0.0: no numpy
+    # warning joins the one error line
+    (("solve", "--r", "2", "--p", "1e-300", "--q", "0.5"), 2,
+     "error: stationarity solve failed at (p=1e-300, q=0.5, r=2); "
+     "best relative residual 4.440e-01\n"),
+    (("solve", "--r", "5", "--p", "1e-200", "--q", "1e-200"), 2,
+     "error: stationarity solve failed at (p=1e-200, q=1e-200, r=5); "
+     "best relative residual 1.000e+00\n"),
+], ids=["domain", "capacity", "solver-r2", "solver-r5"])
 def test_main_error_exit_codes(argv, code, message):
     proc = _child("-m", "permex.cli", *argv)
     assert (proc.returncode, proc.stdout) == (code, b"")

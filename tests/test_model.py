@@ -18,12 +18,17 @@ from permex import (
     sample_stream,
     tuple_count,
 )
-from permex import model
-from permex.model import sample_block, sample_classes
+from permex import kernels, model
+from permex.model import sample_permutations
+
+
+def _samples(spec, start, count):
+    """The samples sample_permutations yields, as a list."""
+    return list(sample_permutations(spec, start, count))
 
 
 def _stream_block(spec, start, count):
-    """sample_block's answer, drawn one sample_stream at a time."""
+    """sample_permutations' samples, drawn one sample_stream at a time."""
     out = []
     for i in range(start, start + count):
         rng = sample_stream(spec, i)
@@ -103,11 +108,9 @@ def test_block_sampler_matches_stream(seed, start):
     for n in range(1, 15):
         for r in range(1, 6):
             spec = EnsembleSpec(n=n, r=r, seed=seed)
-            block = sample_block(spec, start, 5)
-            assert block.shape == (5, r, n)
-            assert block.tolist() == _stream_block(spec, start, 5)
+            assert _samples(spec, start, 5) == _stream_block(spec, start, 5)
     with pytest.raises(DomainError):
-        sample_block(EnsembleSpec(n=3, r=1), -1, 1)
+        _samples(EnsembleSpec(n=3, r=1), -1, 1)
 
 
 def test_sampler_input_checks():
@@ -118,9 +121,9 @@ def test_sampler_input_checks():
         sample_permutation(0, sample_stream(spec, 0))
     # sample indices are 64-bit Philox counters: the last one may be drawn,
     # a block running past it may not
-    assert sample_block(spec, 2**64 - 1, 1).tolist() == _stream_block(spec, 2**64 - 1, 1)
+    assert _samples(spec, 2**64 - 1, 1) == _stream_block(spec, 2**64 - 1, 1)
     with pytest.raises(DomainError, match="below 2\\^64"):
-        sample_block(spec, 2**64 - 1, 2)
+        _samples(spec, 2**64 - 1, 2)
 
 
 def _log_lanes(monkeypatch):
@@ -150,7 +153,7 @@ def test_block_sampler_refills_rows(monkeypatch):
     monkeypatch.setattr(model, "WORDS_PER_DRAW", 1)
     calls = _log_lanes(monkeypatch)
     spec = EnsembleSpec(n=8, r=3, seed=31)
-    assert sample_block(spec, 17, 200).tolist() == _stream_block(spec, 17, 200)
+    assert _samples(spec, 17, 200) == _stream_block(spec, 17, 200)
     _check_refills(calls, 17, 200, 3)
 
 
@@ -162,30 +165,26 @@ def test_pure_sampler_matches_block_and_stream(seed):
         spec = EnsembleSpec(n=n, r=2, seed=seed)
         for count in (3, 600, 1100):
             for start in (0, 2**64 - count):
-                want = sample_block(spec, start, count).tolist()
+                want = _samples(spec, start, count)
                 assert want == _stream_block(spec, start, count)
-                assert sample_classes(spec, start, count) == _classes(want)
+                assert Counter(map(kernels.cycle_type, want)) == _classes(want)
     assert 600 > model.PHILOX_LANES // 2  # n = 5 takes 2 blocks a sample
     # at r = 3, n = 5 takes 3 blocks a sample and a call 341 samples
     spec = EnsembleSpec(n=5, r=3, seed=seed)
     for count in (600, 1100):
-        assert sample_block(spec, 2**64 - count, count).tolist() == \
-            _stream_block(spec, 2**64 - count, count)
+        assert _samples(spec, 2**64 - count, count) == _stream_block(spec, 2**64 - count, count)
 
 
 def test_pure_sampler_input_checks():
     spec = EnsembleSpec(n=3, r=2, seed=5)
-    assert sample_classes(spec, 2**64 - 1, 1) == _classes(_stream_block(spec, 2**64 - 1, 1))
-    assert sample_classes(spec, 10, 0) == Counter()
+    assert _samples(spec, 10, 0) == []
     # a sample of more than PHILOX_LANES blocks (1,025) takes a call of its own
     wide = EnsembleSpec(n=2051, r=2, seed=5)
-    assert sample_classes(wide, 0, 2) == _classes(sample_block(wide, 0, 2).tolist())
-    with pytest.raises(DomainError, match="below 2\\^64"):
-        sample_classes(spec, 2**64 - 1, 2)
+    assert _samples(wide, 0, 2) == _stream_block(wide, 0, 2)
     with pytest.raises(DomainError, match="start >= 0"):
-        sample_classes(spec, -1, 1)
-    with pytest.raises(DomainError, match="r = 2"):
-        sample_classes(EnsembleSpec(n=3, r=3, seed=5), 0, 1)
+        _samples(spec, -1, 1)
+    with pytest.raises(DomainError, match="start >= 0"):
+        _samples(spec, 0, -1)
 
 
 def test_pure_sampler_reads_past_first_block(monkeypatch):
@@ -193,10 +192,7 @@ def test_pure_sampler_reads_past_first_block(monkeypatch):
     monkeypatch.setattr(model, "WORDS_PER_DRAW", 1)
     calls = _log_lanes(monkeypatch)
     spec = EnsembleSpec(n=8, r=2, seed=31)
-    want = sample_block(spec, 17, 200).tolist()
-    assert want == _stream_block(spec, 17, 200)
-    calls.clear()
-    assert sample_classes(spec, 17, 200) == _classes(want)
+    assert _samples(spec, 17, 200) == _stream_block(spec, 17, 200)
     _check_refills(calls, 17, 200, 2)
 
 

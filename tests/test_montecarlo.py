@@ -14,7 +14,7 @@ from permex import (
 )
 from permex import _pykernels, kernels, montecarlo
 from permex.kernels import block_size
-from permex.model import sample_block
+from permex.model import sample_permutations
 from permex.montecarlo import _make_estimate
 
 
@@ -102,11 +102,11 @@ def test_short_passes_match_per_sample_reference(monkeypatch, n, r, m, m2, sampl
     monkeypatch.setattr(montecarlo, "PASS_ENTRIES", entries)
     passes = []
 
-    def counted_block(spec, start, count):
+    def counted_pass(spec, start, count):
         passes.append(count)
-        return sample_block(spec, start, count)
+        return sample_permutations(spec, start, count)
 
-    monkeypatch.setattr(montecarlo, "sample_block", counted_block)
+    monkeypatch.setattr(montecarlo, "sample_permutations", counted_pass)
     test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples)
     assert max(passes) == entries // (r * n) and sum(passes) == samples
 
@@ -114,7 +114,7 @@ def test_short_passes_match_per_sample_reference(monkeypatch, n, r, m, m2, sampl
 def test_sample_past_the_entry_cap_is_refused_before_drawing(monkeypatch):
     # one sample of r * n = 15 entries against a cap of 14: nothing is drawn
     monkeypatch.setattr(montecarlo, "PASS_ENTRIES", 14)
-    monkeypatch.setattr(montecarlo, "sample_block", None)
+    monkeypatch.setattr(montecarlo, "sample_permutations", None)
     with pytest.raises(CapacityError, match="holds 15 permutation entries, past the "
                                             "sampler's cap of 14"):
         estimate_moments(EnsembleSpec(5, 3), 1, 2, samples=10)
@@ -123,18 +123,18 @@ def test_sample_past_the_entry_cap_is_refused_before_drawing(monkeypatch):
 @pytest.mark.parametrize("n, m, m2, samples",
                          [(6, 3, 3, 2300), (9, 4, 5, 700), (6, 3, 3, 30000)])
 def test_r2_samplers_match_dp_reference(monkeypatch, n, m, m2, samples):
-    # the reference: the block pass's permutations, profiled by the subset DP
+    # the reference: the sampled permutations, profiled by the subset DP
     spec = EnsembleSpec(n, 2, seed=11)
-    perms = sample_block(spec, 0, samples)
+    perms = np.array(list(sample_permutations(spec, 0, samples)))
     mats = np.zeros((samples, n, n), dtype=np.int64)
     for k in range(2):
         mats[np.arange(samples)[:, None], np.arange(n), perms[:, k]] += 1
     profiles = kernels.subperm_profiles(mats, n, 2)
     want = reference_estimates(profiles[m], profiles[m2], n)
 
-    # r = 2 reads classes with model.sample_classes at every length (30,000
-    # samples at n = 6 are 300,000 shuffle draws): the block pass is removed
-    monkeypatch.setattr(montecarlo, "sample_block", None)
+    # r = 2 reads classes with kernels.cycle_type at every length (30,000
+    # samples at n = 6 are 300,000 shuffle draws): the DP is removed
+    monkeypatch.setattr(kernels, "subperm_profiles", None)
     est = estimate_moments(spec, m, m2, samples)
     assert [est.first, est.second, est.product] == want
 

@@ -1,15 +1,20 @@
-"""The permex names perfbench patches or calls still exist and still work."""
+"""The permex names perfbench and the benchmark script patch or call still
+exist and still work."""
 
+import ast
 import importlib
+import importlib.util
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 from permex import cli, kernels, moments, permanents
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -24,6 +29,21 @@ def test_traced_boundaries_exist(tracing):
     for fn in (permanents._table_cache.clear, kernels.compiled_available,
                kernels.profile_backend_name, moments.profile_iterator, cli.dispatch):
         assert callable(fn)
+
+
+def test_benchmark_script_names_exist():
+    # the script's timings run only under __main__, so loading it resolves
+    # every permex name it imports; each name it reads off a permex module
+    # must exist too
+    path = ROOT / "benchmarks" / "benchmark_backends.py"
+    spec = importlib.util.spec_from_file_location("benchmark_backends", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = getattr(script, node.value.id, None)
+            if isinstance(module, types.ModuleType) and module.__name__.startswith("permex"):
+                assert hasattr(module, node.attr), (node.value.id, node.attr)
 
 
 def test_backend_twin_agrees(tracing):

@@ -19,7 +19,7 @@ from permex import (
     subpermanent_profile,
 )
 from permex import _pykernels, kernels, permanents
-from permex.model import sample_block, sample_classes
+from permex.model import sample_permutations
 from permex.permanents import DIM_LIMIT_DEFAULT, product_sum_table
 
 IDENTITY3 = SquareMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -263,15 +263,24 @@ def test_cycle_profile_of_sampled_matrices():
     count = 3
     for n in (12, 16):
         spec = EnsembleSpec(n=n, r=2, seed=n)
-        perms = sample_block(spec, 0, count)
-        mats = np.zeros((count, n, n), dtype=np.int64)
-        for k in range(2):
-            mats[np.arange(count)[:, None], np.arange(n), perms[:, k]] += 1
+        samples = list(sample_permutations(spec, 0, count))
+        mats = [assemble_matrix(sample).entries for sample in samples]
         profiles = kernels.subperm_profiles(mats, n, 2)
-        for b in range(count):
-            (parts,) = sample_classes(spec, b, 1)
+        for b, sample in enumerate(samples):
+            parts = kernels.cycle_type(sample)
             assert sum(parts) == n
             assert kernels.cycle_profile(parts) == [column[b] for column in profiles]
+
+
+@pytest.mark.parametrize("perms, parts", [
+    (([2, 0, 1], [2, 0, 1]), (1, 1, 1)),  # equal pairs: sigma is the identity
+    (([0, 1, 2, 3], [1, 2, 0, 3]), (1, 3)),  # P1 = I: the cycle type of P2
+    (([0, 1, 2], [1, 0, 2]), (1, 2)),  # one transposition
+    (([3, 1, 0, 2], [3, 0, 1, 2]), (1, 1, 2)),  # P2 = P1 with two rows swapped
+    (([0], [0]), (1,)),  # n = 1
+])
+def test_cycle_type_hand_cases(perms, parts):
+    assert kernels.cycle_type(perms) == parts
 
 
 def test_oracle_matrix_count_is_partition_count():
