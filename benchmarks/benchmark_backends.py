@@ -19,8 +19,9 @@ fresh-process table times ``permex <sub> --help`` for every subcommand, one ``ra
 runs (r = 3, 4, 12, 60 twice and 250, the last four with few profiles but
 long compositions and mostly empty rows), five ``oracle`` runs (the orbit sum of ``kernels``, at
 r = 2, 3, 4 and 5; (4, 3) is small enough for the pure path, and (4, 5) tallies 69,120
-matrices into few distinct profiles) and ``verify
---suite oracle-product`` and ``--suite factorization`` in fresh child
+matrices into few distinct profiles), five ``mc`` runs at r = 3, 5 and 200
+(the r >= 3 sample stream and DP blocks, of one matrix at n = 13), and
+``verify --suite oracle-product`` and ``--suite factorization`` in fresh child
 processes, and shows whether each loaded numpy and whether it loaded the
 exact layers (``fractions``, which ``moments``, ``permanents`` and
 ``montecarlo`` import).  Run after an editable install:
@@ -74,7 +75,7 @@ def bench_startup():
     src = str(Path(permex.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     print(f"fresh processes: median wall time of {STARTUP_RUNS} each")
-    print(f"{'command':<36} {'wall':>8} {'numpy':>6} {'fractions':>9}")
+    print(f"{'command':<46} {'wall':>8} {'numpy':>6} {'fractions':>9}")
     commands = [[sub, "--help"] for sub in SUBCOMMANDS]
     commands.append(["rate", "--r", "2", "--p", "0.5"])
     for sub, points in (("argmax", ((10, 2, 5, 5), (12, 2, 6, 6), (7, 3, 3, 4), (6, 5, 3, 3),
@@ -85,6 +86,12 @@ def bench_startup():
                                     (4, 5, 2, 2)))):
         for n, r, m, m2 in points:
             commands.append([sub, "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2)])
+    # r >= 3 sampling: one sample stream profiled one DP block at a time,
+    # blocks of one matrix at n = 13
+    for n, r, m, m2, samples in ((6, 3, 3, 3, 3000), (10, 3, 5, 5, 1500), (8, 5, 4, 4, 2000),
+                                 (13, 3, 6, 7, 200), (6, 200, 3, 3, 1000)):
+        commands.append(["mc", "--n", str(n), "--r", str(r), "--m", str(m), "--m2", str(m2),
+                         "--samples", str(samples)])
     commands.append(["verify", "--suite", "oracle-product"])
     commands.append(["verify", "--suite", "factorization"])
     for argv in commands:
@@ -98,7 +105,7 @@ def bench_startup():
         # the hook's line, "True fractions=False" after its "numpy="
         flags = proc.stderr.decode().rsplit("numpy=", 1)[1].split()
         numpy, fractions = ("yes" if flag.endswith("True") else "no" for flag in flags)
-        print(f"{' '.join(argv):<36} {statistics.median(walls):>7.3f}s "
+        print(f"{' '.join(argv):<46} {statistics.median(walls):>7.3f}s "
               f"{numpy:>6} {fractions:>9}")
 
 

@@ -25,6 +25,7 @@ skip a value bound over the name (a test's patch, perfbench's tracer).
 
 import argparse
 import atexit
+import math
 import os
 import sys
 
@@ -114,7 +115,14 @@ def _emit_moment(args, moment):
         "terms": moment.term_count,
     }
     header = ["n", "r", "m", "m2", "value_num", "value_den", "value_float", "terms"]
-    _emit(args, fields, header, [{**fields, "value_float": float(moment.value)}])
+    records = None
+    if args.format == "csv":
+        try:
+            value_float = float(moment.value)
+        except OverflowError:  # past the float range; moments are >= 0
+            value_float = math.inf
+        records = [{**fields, "value_float": value_float}]
+    _emit(args, fields, header, records)
 
 
 def _cmd_expect(args):
@@ -515,6 +523,9 @@ def dispatch(argv) -> int:
         return 1
     except (CapacityError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -627,9 +627,12 @@ def _walk(n, r, m, m2, term_budget):
     is over budget, so pairing it with a non-empty side raises.
     """
     refusal = f"profile count exceeded budget {term_budget} at (n={n}, r={r}, m={m}, m2={m2})"
-    if term_budget < 1:
-        # every input has a profile (A holds a permutation matrix): refuse
-        # before building any hit list or cross-hit table
+    # Relabelling the colors bounds the profile count from below: every input
+    # has a profile (A holds a permutation matrix), r of them one color each
+    # when m + m2 >= 1, and when m + m2 >= 2 at least C(r, 2) more that use
+    # two colors.  Refuse past it before building any r-tuple, hit list or
+    # cross-hit table.
+    if term_budget < (1, r, comb(r + 1, 2))[min(m + m2, 2)]:
         raise CapacityError(refusal)
     floor = n - min(n, m + m2)
     table = {}

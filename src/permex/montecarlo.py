@@ -15,21 +15,22 @@ profile depends only on the cycle type of P1^-1 P2.
 ``model.sample_permutations`` draws each sample's permutations off its
 Philox words in pure Python and ``kernels.cycle_type`` reads its cycle
 type, so r <= 2 never imports numpy, and each type's profile comes once
-from ``kernels.cycle_profile``.  At other r the same generator gives the
-permutations of a pass, ``PASS_SAMPLES`` samples, or as many as
-``PASS_ENTRIES`` permutation entries hold at r * n a sample, and a run
-whose one sample holds more is refused before drawing.  One array and one
-bincount give the pass's matrices, and they are profiled in blocks of
-``kernels.block_size(n)`` by the batched numpy kernel
-``kernels.subperm_profiles``, which certifies int64 or Python-int
-arithmetic once per block.  When the whole tuple space is smaller than
-the requested sample count (``model.tuple_count`` capped at that count,
-so a large r never builds (n!)^r), estimation switches to enumeration
-mode and returns the exact ensemble average with zero standard error,
-from the oracle table (``permanents.product_sum_table``), which at small
-(n, r) builds no arrays and so does not import numpy.
+from ``kernels.cycle_profile``.  At other r the run reads the same one
+generator, ``sample_permutations(spec, 0, samples)``, one DP block at a
+time: ``kernels.block_size(n)`` samples, or as many as ``PASS_ENTRIES``
+permutation entries hold at r * n a sample, and a run whose one sample
+holds more is refused before drawing.  One array and one bincount give a
+block's matrices, and the batched numpy kernel ``kernels.subperm_profiles``
+profiles them, certifying int64 or Python-int arithmetic once per block.
+When the whole tuple space is smaller than the requested sample count
+(``model.tuple_count`` capped at that count, so a large r never builds
+(n!)^r), estimation switches to enumeration mode and returns the exact
+ensemble average with zero standard error, from the oracle table
+(``permanents.product_sum_table``), which at small (n, r) builds no arrays
+and so does not import numpy.
 """
 
+import itertools
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -42,20 +43,11 @@ from .model import (EnsembleSpec, sample_permutations, sample_stream,  # noqa: F
                     tuple_count)
 from .permanents import DIM_LIMIT_DEFAULT, check_moment, product_sum_table
 
-# Samples per sampler pass (``model.sample_permutations``, r >= 3).  A pass
-# bounds the pass's lists and arrays; its few numpy steps cost less per
-# sample the longer it is.  On 2 shared vCPUs a whole r = 3 run of 4,096
-# samples cost 15-22 us per sample with 64-sample passes and 11-12 us
-# with 1,024 at n = 6, 130-134 against 126-129 us at n = 10 (min of 3 in
-# process, three sets).
-PASS_SAMPLES = 1 << 10
-
-# Permutation entries per sampler pass, r * n per sample, so a pass holds
-# min(PASS_SAMPLES, PASS_ENTRIES // (r * n)) samples and its lists and
-# arrays stay bounded at any r; a run whose one sample holds more is
-# refused before drawing.  Runs with r * n <= 1,024 keep passes of
-# PASS_SAMPLES.  `mc --n 6 --r 1000 --m 3 --samples 2000`, in passes of 174,
-# peaked at 71 MB of RSS against 238 MB in passes of 1,024.
+# Permutation entries per DP block at r >= 3, r * n per sample, so a block
+# holds min(kernels.block_size(n), PASS_ENTRIES // (r * n)) samples and its
+# lists and arrays stay bounded at any r; a run whose one sample holds more
+# is refused before drawing.  `mc --n 6 --r 1000 --m 3 --samples 2000`, in
+# blocks of 174, peaked at 71 MB of RSS; batches of 1,024 samples reached 238 MB.
 PASS_ENTRIES = 1 << 20
 
 
@@ -103,19 +95,18 @@ def _sample_sums(spec, m, m2, samples):
                                 f"entries, past the sampler's cap of {PASS_ENTRIES}")
         import numpy as np
 
-        block = kernels.block_size(n)
-        length = min(PASS_SAMPLES, PASS_ENTRIES // (r * n))  # samples a pass
-        for first in range(0, samples, length):
-            count = min(length, samples - first)
-            perms = np.array(list(sample_permutations(spec, first, count)), dtype=np.int64)
+        block = min(kernels.block_size(n), PASS_ENTRIES // (r * n))  # samples a DP block
+        stream = sample_permutations(spec, 0, samples)
+        while perms := list(itertools.islice(stream, block)):
+            perms = np.array(perms, dtype=np.int64)  # frees the block's lists
+            count = len(perms)
             # entry (i, j) of sample b's matrix counts its summands with
             # i -> j: one bincount over the flat cells (b * n + i) * n + j
             rows = np.arange(count * n).reshape(count, 1, n)
             mats = np.bincount((rows * n + perms).ravel(),
                                minlength=count * n * n).reshape(count, n, n)
-            for start in range(0, len(mats), block):
-                prof = kernels.subperm_profiles(mats[start:start + block], n, r)
-                pairs.update(zip(prof[m], prof[m2]))
+            prof = kernels.subperm_profiles(mats, n, r)
+            pairs.update(zip(prof[m], prof[m2]))
     sums = [0] * 6
     for (x, y), count in pairs.items():
         for k, v in enumerate((x, y, x * y)):

@@ -14,6 +14,7 @@ import pytest
 
 from permex import cli, kernels
 from permex.cli import dispatch
+from permex.errors import SolverError
 from permex.permanents import DIM_LIMIT_DEFAULT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -344,7 +345,13 @@ def test_main_flushes_a_blocking_stdout_whole(monkeypatch, capsys):
     (("solve", "--r", "5", "--p", "1e-200", "--q", "1e-200"), 2,
      "error: stationarity solve failed at (p=1e-200, q=1e-200, r=5); "
      "best relative residual 1.000e+00\n"),
-], ids=["domain", "capacity", "solver-r2", "solver-r5"])
+    # sample indices past 2^64 are refused before the first draw, at r = 2
+    # and at r >= 3, whose run reads the same one sample stream
+    (("mc", "--n", "13", "--r", "2", "--m", "2", "--samples", str(2**64 + 1)), 1,
+     f"error: sample indices must stay below 2^64, got {2**64 + 1}\n"),
+    (("mc", "--n", "12", "--r", "3", "--m", "2", "--samples", str(2**64 + 1)), 1,
+     f"error: sample indices must stay below 2^64, got {2**64 + 1}\n"),
+], ids=["domain", "capacity", "solver-r2", "solver-r5", "samples-r2", "samples-r3"])
 def test_main_error_exit_codes(argv, code, message):
     proc = _child("-m", "permex.cli", *argv)
     assert (proc.returncode, proc.stdout) == (code, b"")
@@ -581,6 +588,22 @@ def test_solver_failure_exits_2(capsys):
     assert "best relative residual" in err
 
 
+@pytest.mark.parametrize("suite", ["factorization", "solver"])
+def test_newton_failure_in_a_suite_exits_2(capsys, monkeypatch, suite):
+    real = cli.solve_stationary_batch
+
+    def one_fails(points):
+        sols = real(points)
+        p, q, r = points[3]
+        sols[3] = SolverError(f"stationarity solve failed at (p={p}, q={q}, r={r})")
+        return sols
+
+    monkeypatch.setattr(cli, "solve_stationary_batch", one_fails)
+    code, out, err = run(capsys, "verify", "--suite", suite)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: stationarity solve failed at (p=") and err.count("\n") == 1
+
+
 def test_failed_verify_exits_1(capsys, monkeypatch):
     real = cli.expectation_perm
 
@@ -645,6 +668,18 @@ SAMPLER_RUNAWAYS = [
     ("scan", "--r", "100000000", "--p", "0.5", "--q", "0.5", "--n", "2", "--samples", "2"),
 ]
 
+# the profile walk at a huge r: relabelling the colors proves the profile
+# count past the budget, refused before any r-tuple is built; at m + m2 = 1
+# the walk still builds r-tuples, and a MemoryError exits 2 as well
+WALK_RUNAWAYS = {
+    **{(cmd, "--n", n, "--r", r, "--m", "1", "--m2", "1"):
+       "profile count exceeded budget 1000000000"
+       for cmd in ("product", "argmax")
+       for n, r in (("2", "1000000000"), ("2", str(sys.maxsize)), ("1", "100000"),
+                    ("3", "100000"))},
+    ("argmax", "--n", "2", "--r", "1000000000", "--m", "1", "--m2", "0"): "out of memory",
+}
+
 
 @pytest.mark.parametrize("argv", [
     # an r past sys.maxsize, which range, math.comb and a float cannot take
@@ -664,13 +699,16 @@ SAMPLER_RUNAWAYS = [
     ("oracle", "--n", "2", "--r", "20000", "--m", "1", "--m2", "1"),
     ("oracle", "--n", "3", "--r", "9000", "--m", "1", "--m2", "1"),
     *SAMPLER_RUNAWAYS,
+    *[pytest.param(argv, id=f"{argv[0]}-n{argv[2]}-r{argv[4]}-m{argv[6]}-m2{argv[8]}")
+      for argv in WALK_RUNAWAYS],
 ], ids=lambda argv: f"{argv[0]}-r{argv[argv.index('--r') + 1]}")
 def test_huge_r_exits_2_at_once(capsys, argv):
     previous = signal.signal(signal.SIGALRM, _too_slow)
     signal.alarm(5)
     start = time.perf_counter()
     try:
-        code, out, err = run_capped(*argv) if argv in SAMPLER_RUNAWAYS else run(capsys, *argv)
+        capped = argv in SAMPLER_RUNAWAYS or argv in WALK_RUNAWAYS
+        code, out, err = run_capped(*argv) if capped else run(capsys, *argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -680,6 +718,8 @@ def test_huge_r_exits_2_at_once(capsys, argv):
         want = f"r must be <= {sys.maxsize}"
     elif argv in SAMPLER_RUNAWAYS:
         want = "permutation entries, past the sampler's cap of 1048576"
+    elif argv in WALK_RUNAWAYS:
+        want = WALK_RUNAWAYS[argv]
     else:
         want = "exceed budget 100000000"
     assert err.startswith("error: ") and want in err and err.count("\n") == 1
@@ -753,6 +793,26 @@ def test_csv_moment_has_float_column(capsys):
     cells = dict(zip(header.split(","), row.split(",")))
     assert float(cells["value_float"]) == 6.0
     assert cells["value_num"] == "6"
+
+
+@pytest.mark.parametrize("argv", [
+    ("expect", "--n", "1100", "--r", "1", "--m", "550"),
+    ("product", "--n", "1100", "--r", "1", "--m", "550", "--m2", "1"),
+], ids=["expect", "product"])
+def test_moment_past_the_float_range_reports(capsys, argv):
+    # perm_550 of a 1100 x 1100 permutation matrix is C(1100, 550), about
+    # 10^329: JSON never builds a float, and CSV's value_float reads inf
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    value = Fraction(int(report["value_num"]), int(report["value_den"]))
+    assert value > 10**329 and "value_float" not in report
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    header, row = out.strip().split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["value_float"] == "inf"
+    assert Fraction(int(cells["value_num"]), int(cells["value_den"])) == value
 
 
 def test_help_exits_zero(capsys):

@@ -68,8 +68,8 @@ def reference_estimates(xs, ys, n):
     (6, 3, 2, 4, block_size(6) + 1),  # one sample past the first DP block
     (10, 3, 5, 4, block_size(10) + 6),  # DP blocks held at 64 matrices
     (13, 3, 6, 7, 4),  # DP blocks of one matrix
-    (4, 3, 2, 2, 1500),  # one DP block per pass: ends part way through the second
-    # a DP block of 2048 matrices cut by passes of 1024, below the 1296 tuples
+    (4, 3, 2, 2, 1500),  # DP blocks of 1024: ends part way through the second
+    # one DP block, 1100 of block_size(3) = 2048, below the 1296 tuples
     (3, 4, 1, 2, 1100),
     # r = 2 counts samples per cycle type of P1^-1 P2: its tally against
     # the per-sample DP, from few cycle types to about one per sample
@@ -77,7 +77,7 @@ def reference_estimates(xs, ys, n):
     (8, 2, 4, 3, 150),
     (10, 2, 5, 4, block_size(10) + 6),
     (13, 2, 6, 7, 4),
-    (6, 2, 3, 3, 2300),  # sampler passes of 1024: ends in the third pass
+    (6, 2, 3, 3, 2300),  # Philox calls of 341 samples: ends in the seventh
     # r = 1 draws no sample: every permutation matrix has perm_m = C(n, m)
     (7, 1, 2, 4, 300),
 ])
@@ -93,22 +93,31 @@ def test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples):
 
 
 @pytest.mark.parametrize("n, r, m, m2, samples, entries", [
-    (4, 3, 2, 2, 10, 36),  # passes of 3 samples, the last of 1
-    (5, 4, 2, 3, 5, 20),  # passes of one sample: the cap is one sample's r * n
-    (3, 5, 1, 2, 7, 44),  # passes of 2 samples, the cap not a multiple of r * n
+    (4, 3, 2, 2, 10, 36),  # DP blocks of 3 samples, the last of 1
+    (5, 4, 2, 3, 5, 20),  # DP blocks of one sample: the cap is one sample's r * n
+    (3, 5, 1, 2, 7, 44),  # DP blocks of 2 samples, the cap not a multiple of r * n
+    (6, 3, 2, 4, 600, 1 << 20),  # the default cap: blocks of block_size(6) = 256
 ])
 def test_short_passes_match_per_sample_reference(monkeypatch, n, r, m, m2, samples, entries):
-    # a small entry cap shortens the sampler's passes: the sums do not change
+    # a small entry cap shortens the DP blocks of the run's one sample
+    # stream: the sums do not change
     monkeypatch.setattr(montecarlo, "PASS_ENTRIES", entries)
-    passes = []
+    streams, blocks = [], []
+    profiles = kernels.subperm_profiles
 
-    def counted_pass(spec, start, count):
-        passes.append(count)
+    def counted_stream(spec, start, count):
+        streams.append((start, count))
         return sample_permutations(spec, start, count)
 
-    monkeypatch.setattr(montecarlo, "sample_permutations", counted_pass)
+    def counted_profiles(mats, n, r):
+        blocks.append(len(mats))
+        return profiles(mats, n, r)
+
+    monkeypatch.setattr(montecarlo, "sample_permutations", counted_stream)
+    monkeypatch.setattr(kernels, "subperm_profiles", counted_profiles)
     test_blocked_sampling_matches_per_sample_reference(n, r, m, m2, samples)
-    assert max(passes) == entries // (r * n) and sum(passes) == samples
+    assert max(blocks) == min(block_size(n), entries // (r * n)) and sum(blocks) == samples
+    assert streams == [(0, samples)]
 
 
 def test_sample_past_the_entry_cap_is_refused_before_drawing(monkeypatch):
